@@ -44,18 +44,25 @@ import numpy as np
 
 from . import fv_reference
 from .cauchy_general import PiecewiseInitialData, general_profile
-from .errors import OrderingViolation, SolverError
+from .errors import InputError, OrderingViolation, SolverError
 from .invariants import MixtureParams, validate_params
 from .isochrone import ScenarioSolver
 from .svgplot import SvgPlot
 
 
+def _parse_list(text, kind):
+    try:
+        return [kind(v) for v in str(text).replace(",", " ").split()]
+    except ValueError as exc:
+        raise InputError(f"bad {kind.__name__} list {text!r}: {exc}") from exc
+
+
 def _parse_floats(text):
-    return [float(v) for v in str(text).replace(",", " ").split()]
+    return _parse_list(text, float)
 
 
 def _parse_ints(text):
-    return [int(v) for v in str(text).replace(",", " ").split()]
+    return _parse_list(text, int)
 
 
 class ScenarioConfig:
@@ -70,11 +77,14 @@ class ScenarioConfig:
 
     def mixture(self) -> MixtureParams:
         sec = self.cp["mixture"]
-        return MixtureParams(
-            mu1=sec.getfloat("mu1"), mu2=sec.getfloat("mu2"),
-            q1=sec.getfloat("q1"), q2=sec.getfloat("q2"),
-            x1=sec.getfloat("x1"), x2=sec.getfloat("x2"),
-        )
+        try:
+            return MixtureParams(
+                mu1=sec.getfloat("mu1"), mu2=sec.getfloat("mu2"),
+                q1=sec.getfloat("q1"), q2=sec.getfloat("q2"),
+                x1=sec.getfloat("x1"), x2=sec.getfloat("x2"),
+            )
+        except ValueError as exc:
+            raise InputError(f"[mixture]: {exc}") from exc
 
     def get(self, section, key, fallback=None):
         if self.cp.has_option(section, key):
@@ -316,7 +326,9 @@ def main(argv=None) -> int:
         if args.command == "general":
             return cmd_general(cfg, out_dir, times)
         raise ValueError(f"unknown command {args.command}")
-    except (OrderingViolation, FileNotFoundError, KeyError, configparser.Error) as exc:
+    except (
+        InputError, OrderingViolation, FileNotFoundError, KeyError, configparser.Error
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:

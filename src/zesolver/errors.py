@@ -1,6 +1,10 @@
 """Exception types shared across the solver modules."""
 
 
+class InputError(ValueError):
+    """A command-line or config value is not a number where one is needed."""
+
+
 class SolverError(Exception):
     """Base class for all solver-specific failures."""
 

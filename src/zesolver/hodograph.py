@@ -32,8 +32,22 @@ COINCIDENT_RTOL = 1e-9
 
 
 def _check_separated(R1, R2):
-    scale = np.maximum(1.0, np.maximum(np.abs(R1), np.abs(R2)))
-    if np.any(np.abs(np.asarray(R1) - np.asarray(R2)) < COINCIDENT_RTOL * scale):
+    """Raise where |R1 - R2| < COINCIDENT_RTOL * max(1, |R1|, |R2|).
+
+    Scalars and 0-d arrays take a plain-float path: the ODE right-hand sides
+    and root solves call the evaluators one point at a time, and there the
+    numpy version of the test costs more than the formula it guards.
+    """
+    try:
+        r1, r2 = float(R1), float(R2)
+    except TypeError:  # an array of several points: test elementwise
+        scale = np.maximum(1.0, np.maximum(np.abs(R1), np.abs(R2)))
+        coincident = np.any(
+            np.abs(np.asarray(R1) - np.asarray(R2)) < COINCIDENT_RTOL * scale
+        )
+    else:
+        coincident = abs(r1 - r2) < COINCIDENT_RTOL * max(1.0, abs(r1), abs(r2))
+    if coincident:
         raise CoincidentInvariants("R1 and R2 coincide: (R1-R2)^3 denominator")
 
 

@@ -69,13 +69,12 @@ class Profile:
 
     def zone_runs(self):
         """Contiguous runs of equal zone label, as (label, slice) pairs."""
-        runs = []
-        start = 0
-        for i in range(1, len(self.zone) + 1):
-            if i == len(self.zone) or self.zone[i] != self.zone[start]:
-                runs.append((self.zone[start], slice(start, i)))
-                start = i
-        return runs
+        if len(self.zone) == 0:
+            return []
+        labels = np.asarray(self.zone)
+        cuts = (np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist()
+        bounds = [0, *cuts, len(labels)]
+        return [(self.zone[a], slice(a, b)) for a, b in zip(bounds, bounds[1:])]
 
     def mass(self):
         """(integral of u1 dx, integral of u2 dx) by per-zone trapezoid."""
@@ -359,7 +358,11 @@ class ScenarioSolver:
         return self._transport_segment("Z10", 2, rho_lo, rho_hi, t_star, n)
 
     def transport_x(self, side, rho, t_star):
-        """Position reached at t* by the value rho leaving the Z5 boundary."""
+        """Position reached at t* by the value rho leaving the Z5 boundary.
+
+        rho may be a scalar or an array; an array is evaluated as a whole,
+        with one hodograph t and one x call for all of its values.
+        """
         p = self.params
         if side == 1:
             tau = self.hodograph.t(rho, p.mu2)
@@ -370,13 +373,18 @@ class ScenarioSolver:
         return x0 + p.mu1 * rho * rho * (t_star - tau)
 
     def _transport_segment(self, zone, side, rho_lo, rho_hi, t_star, n):
+        """Sample a transport zone at n parameter values in [rho_lo, rho_hi].
+
+        The positions x(rho) of all samples come from one array evaluation
+        of transport_x; they must increase strictly.
+        """
         p = self.params
         if rho_hi - rho_lo < 1e-14 * max(1.0, abs(rho_hi)):
             x = self.transport_x(side, rho_lo, t_star)
             R = (rho_lo, p.mu2) if side == 1 else (p.mu1, rho_lo)
             return Segment(zone, np.array([x]), np.array([R[0]]), np.array([R[1]]))
         rho = np.linspace(rho_lo, rho_hi, max(n, 2))
-        x = np.array([self.transport_x(side, r, t_star) for r in rho])
+        x = self.transport_x(side, rho, t_star)
         if side == 1:
             seg = Segment(zone, x, rho, np.full_like(rho, p.mu2))
         else:

@@ -35,7 +35,8 @@ class BoundaryCurve:
     kind is "shock", "weak-1" or "weak-2"; the digit is the characteristic
     family.  left_state/right_state map t to the (R1, R2) pair on each side
     (equal for weak curves).  Parametric curves carry their (rho, t, x)
-    table; x(t) queries go through an exact root solve in the parameter.
+    table, rho_of_t (the exact root of t(rho) = t) and param_point
+    (rho -> (x, t)); x(t) queries go through rho_of_t.
     """
 
     id: str
@@ -48,6 +49,8 @@ class BoundaryCurve:
     param_grid: Optional[np.ndarray] = field(default=None, repr=False)
     t_grid: Optional[np.ndarray] = field(default=None, repr=False)
     x_grid: Optional[np.ndarray] = field(default=None, repr=False)
+    rho_of_t: Optional[Callable[[float], float]] = field(default=None, repr=False)
+    param_point: Optional[Callable[[float], tuple]] = field(default=None, repr=False)
 
     @property
     def family(self) -> Optional[int]:
@@ -242,8 +245,10 @@ def _parametric_curve(sol: ImplicitSolution, id_, kind, side: int,
 
     side 1: (x(rho, mu2), t(rho, mu2)) for rho in [q1, mu1] (curve phi).
     side 2: (x(mu1, rho), t(mu1, rho)) for rho in [mu2, q2] (curve theta).
-    The t(rho) table must be strictly monotone; x(t) queries bracket the
-    parameter and root-solve t(rho) = t exactly.
+    The t(rho) and x(rho) tables are each one array evaluation of the
+    hodograph over the whole rho grid.  The t(rho) table must be strictly
+    monotone; x(t) queries bracket the parameter between two adjacent grid
+    nodes and root-solve t(rho) = t exactly.
     """
     p = sol.params
     if side == 1:
@@ -256,33 +261,40 @@ def _parametric_curve(sol: ImplicitSolution, id_, kind, side: int,
         x_of = lambda r: sol.x(p.mu1, r)
 
     grid = np.linspace(lo, hi, PARAM_TABLE_SIZE)
-    t_tab = np.array([t_of(r) for r in grid])
-    x_tab = np.array([x_of(r) for r in grid])
+    t_tab = t_of(grid)
+    x_tab = x_of(grid)
     d = np.diff(t_tab)
     if not (np.all(d > 0) or np.all(d < 0)):
         raise UnexpectedOrdering(
             f"boundary {id_}: t(rho) is not monotone over [{lo}, {hi}]"
         )
 
-    margin = PARAM_MARGIN * (hi - lo)
+    # Bracket nodes: the grid with its two ends pushed out by the margin, so
+    # times at or just beyond the curve's endpoints still find their root.
+    nodes = grid.copy()
+    nodes[0] -= PARAM_MARGIN * (hi - lo)
+    nodes[-1] += PARAM_MARGIN * (hi - lo)
+    rising = d[0] > 0
+    t_rising = t_tab if rising else t_tab[::-1]
+    last = PARAM_TABLE_SIZE - 1
 
     def rho_of_t(t):
-        a, b = lo - margin, hi + margin
-        fa, fb = t_of(a) - t, t_of(b) - t
-        if fa * fb > 0:
-            raise DomainError(f"{id_}: time {t} outside the curve's span")
-        return brentq(lambda r: t_of(r) - t, a, b, xtol=1e-15, rtol=8.9e-16)
+        k = min(max(int(np.searchsorted(t_rising, t)), 1), last)
+        j = k if rising else PARAM_TABLE_SIZE - k
+        # The table and a scalar evaluation may differ in the last bit, so a
+        # time on an interior node can miss its cell; the wider bracket
+        # around that node then holds it.
+        for a, b in ((nodes[j - 1], nodes[j]),
+                     (nodes[max(j - 2, 0)], nodes[min(j + 1, last)])):
+            if (t_of(a) - t) * (t_of(b) - t) <= 0:
+                return brentq(lambda r: t_of(r) - t, a, b, xtol=1e-15, rtol=8.9e-16)
+        raise DomainError(f"{id_}: time {t} outside the curve's span")
 
-    def x_of_t(t):
-        return x_of(rho_of_t(t))
-
-    curve = BoundaryCurve(
-        id_, kind, t_start, t_end, x_of_t, state, state,
+    return BoundaryCurve(
+        id_, kind, t_start, t_end, lambda t: x_of(rho_of_t(t)), state, state,
         param_grid=grid, t_grid=t_tab, x_grid=x_tab,
+        rho_of_t=rho_of_t, param_point=lambda r: (x_of(r), t_of(r)),
     )
-    curve.rho_of_t = rho_of_t
-    curve.param_point = lambda r: (x_of(r), t_of(r))
-    return curve
 
 
 def post_interaction_curves(p: MixtureParams, sol: ImplicitSolution) -> dict:

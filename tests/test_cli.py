@@ -90,6 +90,32 @@ def test_unsorted_times_exit_2(config, tmp_path):
     assert code == 2
 
 
+def test_non_numeric_times_exit_2(config, tmp_path, capsys):
+    code = main(
+        ["profile", "--config", str(config), "--out", str(tmp_path / "o"),
+         "--times", "0.01,abc"]
+    )
+    assert code == 2
+    assert "abc" in capsys.readouterr().err
+
+
+def test_non_numeric_mixture_value_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    path.write_text(GOOD_CONFIG.replace("mu2 = 8", "mu2 = eight"))
+    code = main(["timeline", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "eight" in capsys.readouterr().err
+
+
+def test_non_numeric_cells_exit_2(config, tmp_path, capsys):
+    code = main(
+        ["compare", "--config", str(config), "--out", str(tmp_path / "o"),
+         "--times", "0.005", "--cells", "10,x"]
+    )
+    assert code == 2
+    assert "'10,x'" in capsys.readouterr().err
+
+
 def test_profile_outputs_and_determinism(config, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
