@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -46,7 +47,7 @@ from . import fv_reference
 from .cauchy_general import PiecewiseInitialData, general_profile
 from .errors import InputError, OrderingViolation, SolverError
 from .invariants import MixtureParams, validate_params
-from .isochrone import ScenarioSolver
+from .isochrone import ScenarioSolver, csv_rows
 from .svgplot import SvgPlot
 
 
@@ -63,6 +64,13 @@ def _parse_floats(text):
 
 def _parse_ints(text):
     return _parse_list(text, int)
+
+
+def _parse_one(text, kind):
+    values = _parse_list(text, kind)
+    if len(values) != 1:
+        raise InputError(f"expected one {kind.__name__}, got {text!r}")
+    return values[0]
 
 
 class ScenarioConfig:
@@ -106,9 +114,9 @@ def _time_tag(t):
     return f"{t:.6f}"
 
 
-def write_profile_csv(profile, path):
+def write_rows(rows, path):
     with open(path, "w", encoding="utf-8") as fh:
-        for row in profile.csv_rows():
+        for row in rows:
             fh.write(row + "\n")
 
 
@@ -121,7 +129,7 @@ def _profile_svg(profile, boundaries, path, title):
     plot.write(path)
 
 
-def _zone_boundaries(solver, profile):
+def _zone_boundaries(profile):
     """(x, curve label) pairs marking zone edges inside the profile span."""
     marks = []
     runs = profile.zone_runs()
@@ -154,10 +162,10 @@ def cmd_profile(cfg: ScenarioConfig, out_dir: Path, times, samples) -> int:
     for t in times:
         profile = solver.profile_at(t, n=samples)
         tag = _time_tag(t)
-        write_profile_csv(profile, out_dir / f"profile_t{tag}.csv")
+        write_rows(profile.csv_rows(), out_dir / f"profile_t{tag}.csv")
         _profile_svg(
             profile,
-            _zone_boundaries(solver, profile),
+            _zone_boundaries(profile),
             out_dir / f"profile_t{tag}.svg",
             title=f"concentrations at t = {tag}",
         )
@@ -167,24 +175,20 @@ def cmd_profile(cfg: ScenarioConfig, out_dir: Path, times, samples) -> int:
 
 def _analytic_shocks(solver, t):
     """Positions of the two strong discontinuities at time t."""
-    T = solver.timeline.times
-    if t < T["T_9"]:
-        x1 = solver.timeline.curves["xs1"].x(t)
-    else:
-        x1 = solver.shock_boundary(1, t * (1 + 1e-9)).X_at(t)
-    if t < T["T_10"]:
-        x2 = solver.timeline.curves["xs2"].x(t)
-    else:
-        x2 = solver.shock_boundary(2, t * (1 + 1e-9)).X_at(t)
-    return x1, x2
+    tl = solver.timeline
+    return tuple(
+        tl.curves[f"xs{s.k}"].x(t) if t < tl.times[s.shock_event]
+        else solver.shock_boundary(s.k, t * (1 + 1e-9)).X_at(t)
+        for s in tl.sides.values()
+    )
 
 
 def cmd_compare(cfg: ScenarioConfig, out_dir: Path, times, cells_list, cfl) -> int:
     params = validate_params(cfg.mixture())
     solver = ScenarioSolver(params)
     out_dir.mkdir(parents=True, exist_ok=True)
-    x_min = float(cfg.get("fv", "x_min", -3.0))
-    x_max = float(cfg.get("fv", "x_max", 7.0))
+    x_min = _parse_one(cfg.get("fv", "x_min", -3.0), float)
+    x_max = _parse_one(cfg.get("fv", "x_max", 7.0), float)
     summary = {}
     for t in times:
         profile = solver.profile_at(t, n=8192, window=(x_min - 1.0, x_max + 1.0))
@@ -211,19 +215,14 @@ def cmd_compare(cfg: ScenarioConfig, out_dir: Path, times, cells_list, cfl) -> i
             )
         summary[_time_tag(t)] = runs
 
-        result = fv_reference.fv_run(
-            params, fv_reference.Grid1D(x_min, x_max, cells_list[-1], cfl), t
-        )
+        # result is the finest grid's run, the last of cells_list.
         ua1, ua2 = profile.interp(result.x)
         tag = _time_tag(t)
         R1, R2 = fv_reference.invariants_field(params, result.u1, result.u2)
-        with open(out_dir / f"fv_t{tag}.csv", "w", encoding="utf-8") as fh:
-            fh.write("x,R1,R2,u1,u2,zone\n")
-            for i in range(result.x.size):
-                fh.write(
-                    f"{float(result.x[i])!r},{float(R1[i])!r},{float(R2[i])!r},"
-                    f"{float(result.u1[i])!r},{float(result.u2[i])!r},fv\n"
-                )
+        write_rows(
+            csv_rows(result.x, R1, R2, result.u1, result.u2, itertools.repeat("fv")),
+            out_dir / f"fv_t{tag}.csv",
+        )
         with open(out_dir / f"compare_t{tag}.csv", "w", encoding="utf-8") as fh:
             fh.write("x,u1_fv,u2_fv,u1_exact,u2_exact\n")
             for i in range(result.x.size):
@@ -260,13 +259,12 @@ def cmd_general(cfg: ScenarioConfig, out_dir: Path, times) -> int:
         path = out_dir / f"general_t{tag}.csv"
         u1 = getattr(result, "u1", np.full_like(result.x, np.nan))
         u2 = getattr(result, "u2", np.full_like(result.x, np.nan))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("x,R1,R2,u1,u2,zone\n")
-            for i in range(result.x.size):
-                fh.write(
-                    f"{float(result.x[i])!r},{float(result.R1[i])!r},"
-                    f"{float(result.R2[i])!r},{float(u1[i])!r},{float(u2[i])!r},general\n"
-                )
+        write_rows(
+            csv_rows(
+                result.x, result.R1, result.R2, u1, u2, itertools.repeat("general")
+            ),
+            path,
+        )
         print(
             f"wrote {path.name} (status {result.status}, "
             f"max drift {result.max_drift:.3g})"
@@ -307,7 +305,7 @@ def main(argv=None) -> int:
         samples = (
             args.samples
             if args.samples is not None
-            else int(cfg.get("output", "samples", 1024))
+            else _parse_one(cfg.get("output", "samples", 1024), int)
         )
         fmt = args.format or cfg.get("output", "format", "csv")
 
@@ -319,8 +317,10 @@ def main(argv=None) -> int:
             cells = _parse_ints(
                 args.cells if args.cells is not None else cfg.get("fv", "cells", "1000")
             )
-            cfl = args.cfl if args.cfl is not None else float(
-                cfg.get("fv", "cfl", 0.45)
+            if not cells:
+                raise InputError("no cell counts given")
+            cfl = args.cfl if args.cfl is not None else _parse_one(
+                cfg.get("fv", "cfl", 0.45), float
             )
             return cmd_compare(cfg, out_dir, times, cells, cfl)
         if args.command == "general":

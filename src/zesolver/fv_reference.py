@@ -1,15 +1,17 @@
 """Independent finite-volume oracle for the conservation-law form.
 
-A first-order monotone scheme (local Lax-Friedrichs / Rusanov flux, wave
-speed bounded by the characteristic speeds) advances
+A first-order monotone scheme (characteristic upwinding: both wave speeds
+are positive, so every face takes the flux of the cell on its left)
+advances
 
     u^k_t + ( mu1 mu2 mu^k u^k / (1 + u1 + u2) )_x = 0,   k = 1, 2,
 
-on a uniform grid with copy (outflow) boundaries.  The mu1*mu2 factor puts
-the flux in the same time normalization as the characteristic speeds
-lambda^k = R^k R^1 R^2 used everywhere else: by Vieta R^1 R^2 =
-mu1 mu2 / (1+s), so this flux's Jacobian has exactly those eigenvalues
-(the bare flux mu^k u^k/(1+s) would evolve mu1*mu2 times slower).
+on a uniform grid with a copy (outflow) ghost cell on the left.  The
+mu1*mu2 factor puts the flux in the same time normalization as the
+characteristic speeds lambda^k = R^k R^1 R^2 used everywhere else: by
+Vieta R^1 R^2 = mu1 mu2 / (1+s), so this flux's Jacobian has exactly
+those eigenvalues (the bare flux mu^k u^k/(1+s) would evolve mu1*mu2
+times slower).
 
 The scheme shares nothing with the analytic path beyond the flux
 definition, which makes it a genuinely independent cross-check: shocks
@@ -100,17 +102,14 @@ def initial_averages(p: MixtureParams, grid: Grid1D):
     return float(u1_in) * overlap, float(u2_in) * overlap
 
 
-def fv_run(p: MixtureParams, grid: Grid1D, t_end: float, flux: str = "hll") -> FvResult:
-    """Advance the conservation laws to t_end with a monotone flux.
+def fv_run(p: MixtureParams, grid: Grid1D, t_end: float) -> FvResult:
+    """Advance the conservation laws to t_end by characteristic upwinding.
 
-    flux "hll" (default) bounds the Riemann fan by the slowest lambda1 and
-    fastest lambda2 of the two neighbor cells; with all speeds positive, as
-    in this problem's regime, it reduces to characteristic upwinding.
-    flux "rusanov" is the classical local Lax-Friedrichs form; it is kept
-    for reference but smears slow-family features with the fast speed.
+    lambda1 = R1^2 R2 > 0 and lambda2 >= lambda1, so the Riemann fan at
+    every face moves right and the upwind flux is that of the left cell;
+    the time step uses the fastest lambda2.  NonPhysicalState is raised if
+    some cell has lambda1 <= 0, where upwinding would be wrong.
     """
-    if flux not in ("hll", "rusanov"):
-        raise ValueError(f"unknown flux {flux!r}")
     validate_params(p)
     u1, u2 = initial_averages(p, grid)
     dx = grid.dx
@@ -118,38 +117,17 @@ def fv_run(p: MixtureParams, grid: Grid1D, t_end: float, flux: str = "hll") -> F
     steps = 0
     while t < t_end:
         lam1, lam2 = _wave_speeds(p, u1, u2)
-        amax = float(np.maximum(np.abs(lam1), np.abs(lam2)).max())
-        dt = grid.cfl * dx / amax
+        if lam1.min() <= 0.0:
+            raise NonPhysicalState("a characteristic speed is not positive")
+        dt = grid.cfl * dx / float(lam2.max())
         if t + dt > t_end:
             dt = t_end - t
 
-        # Copy (outflow) ghost cells on both ends.
-        U1 = np.concatenate(([u1[0]], u1, [u1[-1]]))
-        U2 = np.concatenate(([u2[0]], u2, [u2[-1]]))
-        L1 = np.concatenate(([lam1[0]], lam1, [lam1[-1]]))
-        L2 = np.concatenate(([lam2[0]], lam2, [lam2[-1]]))
-        f1, f2 = _flux(p, U1, U2)
-        if flux == "rusanov":
-            a_face = np.maximum(
-                np.maximum(np.abs(L1[:-1]), np.abs(L2[:-1])),
-                np.maximum(np.abs(L1[1:]), np.abs(L2[1:])),
-            )
-            F1 = 0.5 * (f1[:-1] + f1[1:]) - 0.5 * a_face * (U1[1:] - U1[:-1])
-            F2 = 0.5 * (f2[:-1] + f2[1:]) - 0.5 * a_face * (U2[1:] - U2[:-1])
-        else:
-            s_lo = np.minimum(L1[:-1], L1[1:])
-            s_hi = np.maximum(L2[:-1], L2[1:])
-            span = np.where(s_hi - s_lo > 0, s_hi - s_lo, 1.0)
-            F1 = (
-                s_hi * f1[:-1] - s_lo * f1[1:] + s_lo * s_hi * (U1[1:] - U1[:-1])
-            ) / span
-            F2 = (
-                s_hi * f2[:-1] - s_lo * f2[1:] + s_lo * s_hi * (U2[1:] - U2[:-1])
-            ) / span
-            F1 = np.where(s_lo >= 0.0, f1[:-1], np.where(s_hi <= 0.0, f1[1:], F1))
-            F2 = np.where(s_lo >= 0.0, f2[:-1], np.where(s_hi <= 0.0, f2[1:], F2))
-        u1 = u1 - dt / dx * (F1[1:] - F1[:-1])
-        u2 = u2 - dt / dx * (F2[1:] - F2[:-1])
+        f1, f2 = _flux(
+            p, np.concatenate(([u1[0]], u1)), np.concatenate(([u2[0]], u2))
+        )
+        u1 = u1 - dt / dx * (f1[1:] - f1[:-1])
+        u2 = u2 - dt / dx * (f2[1:] - f2[:-1])
         t += dt
         steps += 1
     return FvResult(t_end, grid.centers(), u1, u2, steps)

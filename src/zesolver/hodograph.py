@@ -51,6 +51,11 @@ def _check_separated(R1, R2):
         raise CoincidentInvariants("R1 and R2 coincide: (R1-R2)^3 denominator")
 
 
+def interaction_time(p: MixtureParams) -> float:
+    """T_int = (x2 - x1) / (q1 q2 (q2 - q1)): the inner fan fronts meet."""
+    return (p.x2 - p.x1) / (p.q1 * p.q2 * (p.q2 - p.q1))
+
+
 def riemann_green(r1, r2, R1, R2):
     """Riemann-Green kernel V(r1, r2 | R1, R2) of the hodograph equation.
 
@@ -71,9 +76,7 @@ class ImplicitSolution:
 
     def __init__(self, params: MixtureParams):
         self.params = validate_params(params)
-        p = params
-        self.T_int = (p.x2 - p.x1) / (p.q1 * p.q2 * (p.q2 - p.q1))
-        self.X_int = (p.x1 * p.q1 - p.x2 * p.q2) / (p.q1 - p.q2)
+        self.T_int = interaction_time(params)
 
     # -- time ---------------------------------------------------------------
 

@@ -114,12 +114,18 @@ class Profile:
         return u1, u2
 
     def csv_rows(self):
-        yield "x,R1,R2,u1,u2,zone"
-        for i in range(len(self.x)):
-            yield (
-                f"{float(self.x[i])!r},{float(self.R1[i])!r},{float(self.R2[i])!r},"
-                f"{float(self.u1[i])!r},{float(self.u2[i])!r},{self.zone[i]}"
-            )
+        return csv_rows(self.x, self.R1, self.R2, self.u1, self.u2, self.zone)
+
+
+def csv_rows(x, R1, R2, u1, u2, zone):
+    """The x,R1,R2,u1,u2,zone CSV as lines: the header, then one row per
+    sample with every number written as its shortest round-trip decimal."""
+    yield "x,R1,R2,u1,u2,zone"
+    for xi, r1, r2, v1, v2, z in zip(x, R1, R2, u1, u2, zone):
+        yield (
+            f"{float(xi)!r},{float(r1)!r},{float(r2)!r},"
+            f"{float(v1)!r},{float(v2)!r},{z}"
+        )
 
 
 @dataclass
@@ -173,71 +179,55 @@ class ScenarioSolver:
 
     def phi(self, t):
         """Left boundary of Z5 (radical form before T_3, parametric after)."""
-        T = self.timeline.times
-        if t < T["T_int"] * (1 - 1e-12) or t > T["T_fin"] * (1 + 1e-12):
-            raise DomainError("phi defined on [T_int, T_fin]")
-        if t <= T["T_3"]:
-            return self.timeline.curves["phi_early"].x(t)
-        return self.timeline.curves["phi"].x(t)
+        return self._z5_edge(self.timeline.side(1), t)
 
     def theta(self, t):
+        """Right boundary of Z5 (radical form before T_6, parametric after)."""
+        return self._z5_edge(self.timeline.side(2), t)
+
+    def _z5_edge(self, side, t):
         T = self.timeline.times
         if t < T["T_int"] * (1 - 1e-12) or t > T["T_fin"] * (1 + 1e-12):
-            raise DomainError("theta defined on [T_int, T_fin]")
-        if t <= T["T_6"]:
-            return self.timeline.curves["theta_early"].x(t)
-        return self.timeline.curves["theta"].x(t)
+            raise DomainError(f"{side.curve} defined on [T_int, T_fin]")
+        label = side.early if t <= T[side.death] else side.curve
+        return self.timeline.curves[label].x(t)
 
     # -- parametric-boundary roots -------------------------------------------
 
     def rho_star(self, t_star):
         """Unique root of t(rho, mu2) = t* in [q1, mu1] (cubic + Newton)."""
-        p = self.params
-        return self._boundary_root(
-            t_star, side=1, lo=p.q1, hi=p.mu1,
-            t_of=lambda r: self.hodograph.t(r, p.mu2),
-            dt_of=lambda r: self.hodograph.t_partials(r, p.mu2)[0],
-            coeffs=self._cubic_coeffs_side1(t_star),
-        )
+        return self._boundary_root(self.timeline.side(1), t_star)
 
     def sigma_star(self, t_star):
         """Mirror root of t(mu1, rho) = t* in [mu2, q2]."""
-        p = self.params
-        return self._boundary_root(
-            t_star, side=2, lo=p.mu2, hi=p.q2,
-            t_of=lambda r: self.hodograph.t(p.mu1, r),
-            dt_of=lambda r: self.hodograph.t_partials(p.mu1, r)[1],
-            coeffs=self._cubic_coeffs_side2(t_star),
-        )
+        return self._boundary_root(self.timeline.side(2), t_star)
 
-    def _cubic_coeffs_side1(self, t_star):
-        p = self.params
-        C = (p.x2 - p.x1) / (p.q1 * p.q2)
-        S = p.q1 + p.q2
-        P = p.q1 * p.q2
-        return [
-            t_star,
-            -3.0 * t_star * p.mu2,
-            3.0 * t_star * p.mu2**2 - C * (2.0 * p.mu2 - S),
-            -t_star * p.mu2**3 - C * (2.0 * P - S * p.mu2),
-        ]
+    def _cubic_coeffs(self, side, t_star):
+        """Coefficients in rho of the cubic t(side.pair(rho)) = t*.
 
-    def _cubic_coeffs_side2(self, t_star):
+        With f the fixed invariant, (R1 - R2)^3 = sign (rho - f)^3, so the
+        t*-part of side 2 is side 1's with its sign flipped; the C-part,
+        from the numerator of t, is the same on both sides.
+        """
         p = self.params
         C = (p.x2 - p.x1) / (p.q1 * p.q2)
         S = p.q1 + p.q2
         P = p.q1 * p.q2
+        f = side.fixed
+        a = side.sign * t_star
         return [
-            -t_star,
-            3.0 * t_star * p.mu1,
-            -3.0 * t_star * p.mu1**2 - C * (2.0 * p.mu1 - S),
-            t_star * p.mu1**3 - C * (2.0 * P - S * p.mu1),
+            a,
+            -3.0 * a * f,
+            3.0 * a * f**2 - C * (2.0 * f - S),
+            -a * f**3 - C * (2.0 * P - S * f),
         ]
 
-    @staticmethod
-    def _boundary_root(t_star, side, lo, hi, t_of, dt_of, coeffs):
+    def _boundary_root(self, side, t_star):
+        lo, hi = side.lo, side.hi
+        t_of = lambda r: self.hodograph.t(*side.pair(r))
+        dt_of = lambda r: self.hodograph.t_partials(*side.pair(r))[side.index]
         pad = 1e-9 * (hi - lo)
-        roots = np.roots(coeffs)
+        roots = np.roots(self._cubic_coeffs(side, t_star))
         candidates = [
             float(r.real)
             for r in roots
@@ -245,7 +235,7 @@ class ScenarioSolver:
         ]
         if not candidates:
             raise NoRootInInterval(
-                f"t = {t_star}: no boundary root in [{lo}, {hi}] (side {side})"
+                f"t = {t_star}: no boundary root in [{lo}, {hi}] (side {side.k})"
             )
         rho = min(candidates, key=lambda r: abs(t_of(r) - t_star))
         for _ in range(3):
@@ -254,7 +244,7 @@ class ScenarioSolver:
         rho = min(max(rho, lo), hi)
         if abs(t_of(rho) - t_star) > 1e-12 * max(1.0, abs(t_star)):
             raise NoRootInInterval(
-                f"boundary root failed to converge at t = {t_star} (side {side})"
+                f"boundary root failed to converge at t = {t_star} (side {side.k})"
             )
         return rho
 
@@ -334,28 +324,15 @@ class ScenarioSolver:
         the left-boundary value (q1, or the shock value after T_9) and the
         isochrone root rho* (mu1 after T_fin).
         """
-        p = self.params
-        T = self.timeline.times
-        if t_star < T["T_3"] * (1 - 1e-12):
-            raise DomainError("Z9 exists for t >= T_3 only")
-        rho_hi = self.rho_star(t_star) if t_star <= T["T_fin"] else p.mu1
-        if t_star <= T["T_9"]:
-            rho_lo = p.q1
-        else:
-            rho_lo = self.shock_boundary(1, t_star).rho_at(t_star)
-        return self._transport_segment("Z9", 1, rho_lo, rho_hi, t_star, n)
+        return self._transport_segment(
+            self.timeline.side(1), self.rho_star, t_star, n
+        )
 
     def z10_profile(self, t_star, n=64) -> Segment:
-        p = self.params
-        T = self.timeline.times
-        if t_star < T["T_6"] * (1 - 1e-12):
-            raise DomainError("Z10 exists for t >= T_6 only")
-        rho_lo = self.sigma_star(t_star) if t_star <= T["T_fin"] else p.mu2
-        if t_star <= T["T_10"]:
-            rho_hi = p.q2
-        else:
-            rho_hi = self.shock_boundary(2, t_star).rho_at(t_star)
-        return self._transport_segment("Z10", 2, rho_lo, rho_hi, t_star, n)
+        """Mirror of z9_profile: Z10 with R2 = rho between sigma* and q2 or Theta."""
+        return self._transport_segment(
+            self.timeline.side(2), self.sigma_star, t_star, n
+        )
 
     def transport_x(self, side, rho, t_star):
         """Position reached at t* by the value rho leaving the Z5 boundary.
@@ -363,37 +340,44 @@ class ScenarioSolver:
         rho may be a scalar or an array; an array is evaluated as a whole,
         with one hodograph t and one x call for all of its values.
         """
-        p = self.params
-        if side == 1:
-            tau = self.hodograph.t(rho, p.mu2)
-            x0 = self.hodograph.x(rho, p.mu2)
-            return x0 + rho * rho * p.mu2 * (t_star - tau)
-        tau = self.hodograph.t(p.mu1, rho)
-        x0 = self.hodograph.x(p.mu1, rho)
-        return x0 + p.mu1 * rho * rho * (t_star - tau)
+        s = self.timeline.side(side)
+        R = s.pair(rho)
+        tau = self.hodograph.t(*R)
+        x0 = self.hodograph.x(*R)
+        return x0 + lambda_k(s.k, *R) * (t_star - tau)
 
-    def _transport_segment(self, zone, side, rho_lo, rho_hi, t_star, n):
-        """Sample a transport zone at n parameter values in [rho_lo, rho_hi].
+    def _transport_segment(self, side, boundary_root, t_star, n):
+        """Sample a side's transport zone at n parameter values.
 
-        The positions x(rho) of all samples come from one array evaluation
-        of transport_x; they must increase strictly.
+        The parameter runs from the Z5 boundary root (the side's far value
+        after T_fin) to the shock-side value (side.start before the shock
+        forms).  The positions x(rho) of all samples come from one array
+        evaluation of transport_x; they must increase strictly.
         """
-        p = self.params
-        if rho_hi - rho_lo < 1e-14 * max(1.0, abs(rho_hi)):
-            x = self.transport_x(side, rho_lo, t_star)
-            R = (rho_lo, p.mu2) if side == 1 else (p.mu1, rho_lo)
-            return Segment(zone, np.array([x]), np.array([R[0]]), np.array([R[1]]))
-        rho = np.linspace(rho_lo, rho_hi, max(n, 2))
-        x = self.transport_x(side, rho, t_star)
-        if side == 1:
-            seg = Segment(zone, x, rho, np.full_like(rho, p.mu2))
+        T = self.timeline.times
+        if t_star < T[side.death] * (1 - 1e-12):
+            raise DomainError(f"{side.zone} exists for t >= {side.death} only")
+        inner = boundary_root(t_star) if t_star <= T["T_fin"] else side.far
+        if t_star <= T[side.shock_event]:
+            outer = side.start
         else:
-            seg = Segment(zone, x, np.full_like(rho, p.mu1), rho)
-        if np.any(np.diff(x) <= 0):
-            raise NonMonotoneParametrization(
-                f"{zone} parametrization x(rho) not strictly increasing at t* = {t_star}"
-            )
-        return seg
+            outer = self.shock_boundary(side.k, t_star).rho_at(t_star)
+        lo, hi = sorted((inner, outer))
+        if hi - lo < 1e-14 * max(1.0, abs(hi)):
+            rho = np.array([lo])
+            x = np.array([self.transport_x(side.k, lo, t_star)])
+        else:
+            rho = np.linspace(lo, hi, max(n, 2))
+            x = self.transport_x(side.k, rho, t_star)
+            if np.any(np.diff(x) <= 0):
+                raise NonMonotoneParametrization(
+                    f"{side.zone} parametrization x(rho) not strictly increasing "
+                    f"at t* = {t_star}"
+                )
+        R = np.empty((2, rho.size))
+        R[side.index] = rho
+        R[1 - side.index] = side.fixed
+        return Segment(side.zone, x, R[0], R[1])
 
     def tau_root(self, x, t):
         """Departure time tau of the 1-characteristic through (x, t) in Z9.
@@ -414,17 +398,12 @@ class ScenarioSolver:
 
     def _shock_constraint(self, side, rho, X, beta):
         """Residual of the parametric shock constraint and its rho-derivative."""
-        p = self.params
-        if side == 1:
-            tau = self.hodograph.t(rho, p.mu2)
-            t_rho = self.hodograph.t_partials(rho, p.mu2)[0]
-            pos = self.hodograph.x(rho, p.mu2) + p.mu2 * rho * rho * (beta - tau)
-            dres = p.mu2 * rho * ((p.mu2 - rho) * t_rho + 2.0 * (beta - tau))
-        else:
-            tau = self.hodograph.t(p.mu1, rho)
-            t_rho = self.hodograph.t_partials(p.mu1, rho)[1]
-            pos = self.hodograph.x(p.mu1, rho) + p.mu1 * rho * rho * (beta - tau)
-            dres = p.mu1 * rho * ((p.mu1 - rho) * t_rho + 2.0 * (beta - tau))
+        s = self.timeline.side(side)
+        R = s.pair(rho)
+        tau = self.hodograph.t(*R)
+        t_rho = self.hodograph.t_partials(*R)[s.index]
+        pos = self.hodograph.x(*R) + s.fixed * rho * rho * (beta - tau)
+        dres = s.fixed * rho * ((s.fixed - rho) * t_rho + 2.0 * (beta - tau))
         return pos - X, dres
 
     def _shock_rhs(self, side):
@@ -432,14 +411,10 @@ class ScenarioSolver:
 
         def rhs(beta, y):
             rho = y[0]
-            if side == 1:
-                tau = self.hodograph.t(rho, p.mu2)
-                t_rho = self.hodograph.t_partials(rho, p.mu2)[0]
-                drho = (p.mu1 - rho) / ((p.mu2 - rho) * t_rho + 2.0 * (beta - tau))
-            else:
-                tau = self.hodograph.t(p.mu1, rho)
-                t_rho = self.hodograph.t_partials(p.mu1, rho)[1]
-                drho = (p.mu2 - rho) / ((p.mu1 - rho) * t_rho + 2.0 * (beta - tau))
+            R = side.pair(rho)
+            tau = self.hodograph.t(*R)
+            t_rho = self.hodograph.t_partials(*R)[side.index]
+            drho = (side.far - rho) / ((side.fixed - rho) * t_rho + 2.0 * (beta - tau))
             return (drho, p.mu1 * p.mu2 * rho)
 
         return rhs
@@ -451,14 +426,9 @@ class ScenarioSolver:
         explicit ODE obtained by differentiating the parametric constraint.
         Trajectories are cached and extended on demand.
         """
-        p = self.params
-        T = self.timeline.times
-        if side == 1:
-            t0, x0, r0, r_far = T["T_9"], self._event_X("T_9"), p.q1, p.mu1
-        elif side == 2:
-            t0, x0, r0, r_far = T["T_10"], self._event_X("T_10"), p.q2, p.mu2
-        else:
-            raise ValueError("side must be 1 or 2")
+        s = self.timeline.side(side)
+        t0 = self.timeline.times[s.shock_event]
+        x0 = self.timeline.event_by_label[s.shock_event].X
         if t_end <= t0:
             raise DomainError(f"shock boundary {side} starts at {t0}")
 
@@ -466,7 +436,7 @@ class ScenarioSolver:
         if cached is not None and cached.t_end >= t_end:
             return cached
 
-        lo, hi = sorted((r0, r_far))
+        lo, hi = s.lo, s.hi
         pad = 1e-9 * (hi - lo)
 
         def out_of_domain(beta, y):
@@ -475,9 +445,9 @@ class ScenarioSolver:
         out_of_domain.terminal = True
 
         sol = solve_ivp(
-            self._shock_rhs(side),
+            self._shock_rhs(s),
             (t0, t_end),
-            np.array([r0, x0]),
+            np.array([s.start, x0]),
             method="RK45",
             rtol=ODE_RTOL,
             atol=ODE_ATOL,
@@ -506,9 +476,6 @@ class ScenarioSolver:
         self._shocks[side] = state
         return state
 
-    def _event_X(self, label):
-        return self.timeline.event_by_label[label].X
-
     # -- full-profile assembly ---------------------------------------------------
 
     def profile_at(self, t_star, n=1024, window=None) -> Profile:
@@ -518,18 +485,19 @@ class ScenarioSolver:
         (uniform in x, or uniform in the parameter for transport zones); the
         two outer plateaus are clipped to the window.
         """
-        p = self.params
         if t_star <= 0.0:
             raise DomainError("profiles exist for t > 0")
         T = self.timeline.times
 
-        Phi = Theta = None
-        if t_star >= T["T_9"]:
-            Phi = self.shock_boundary(1, max(t_star, T["T_9"] * 1.001) * (1 + 1e-9)).X_at
-        if t_star >= T["T_10"]:
-            Theta = self.shock_boundary(2, max(t_star, T["T_10"] * 1.001) * (1 + 1e-9)).X_at
+        shocks = {}
+        for s in self.timeline.sides.values():
+            t0 = T[s.shock_event]
+            if t_star >= t0:
+                shocks[s.shock] = self.shock_boundary(
+                    s.k, max(t_star, t0 * 1.001) * (1 + 1e-9)
+                ).X_at
 
-        intervals = self.timeline.zones_at(t_star, Phi=Phi, Theta=Theta)
+        intervals = self.timeline.zones_at(t_star, **shocks)
 
         x_lo_active = intervals[0].x_right
         x_hi_active = intervals[-1].x_left
@@ -557,21 +525,14 @@ class ScenarioSolver:
         p = self.params
         desc = wavefield.zone_descriptor(p, zone)
         degenerate = (xr - xl) < DEGENERATE_WIDTH * max(1.0, abs(xl))
-        if desc.content == "plateau":
+        if desc.content in ("plateau", "fan1", "fan2"):
+            # A fan zone leaves its self-similar invariant unset (None).
             xs = np.array([xl]) if degenerate else np.linspace(xl, xr, n_k)
-            return Segment(
-                zone, xs, np.full_like(xs, desc.R1), np.full_like(xs, desc.R2)
-            )
-        if desc.content == "fan2":
-            xs = np.array([xl]) if degenerate else np.linspace(xl, xr, n_k)
-            return Segment(
-                zone, xs, np.full_like(xs, p.q1), wavefield.fan_R2(p, xs, t_star)
-            )
-        if desc.content == "fan1":
-            xs = np.array([xl]) if degenerate else np.linspace(xl, xr, n_k)
-            return Segment(
-                zone, xs, wavefield.fan_R1(p, xs, t_star), np.full_like(xs, p.q2)
-            )
+            R1 = (wavefield.fan_R1(p, xs, t_star) if desc.R1 is None
+                  else np.full_like(xs, desc.R1))
+            R2 = (wavefield.fan_R2(p, xs, t_star) if desc.R2 is None
+                  else np.full_like(xs, desc.R2))
+            return Segment(zone, xs, R1, R2)
         if desc.content == "goursat":
             return self.z5_profile(t_star, n_k)
         if desc.content == "transport1":
@@ -594,33 +555,6 @@ class ScenarioSolver:
         x = np.maximum.accumulate(x)
         u1, u2 = concentrations_from_invariants(self.params, R1, R2)
         return Profile(t_star, x, R1, R2, np.asarray(u1), np.asarray(u2), zone)
-
-
-# -- module-level convenience wrappers -----------------------------------------
-
-
-def z5_profile(solver: ScenarioSolver, t_star, n=64) -> Segment:
-    return solver.z5_profile(t_star, n)
-
-
-def rho_star(solver: ScenarioSolver, t_star):
-    return solver.rho_star(t_star)
-
-
-def z9_profile(solver: ScenarioSolver, t_star, n=64) -> Segment:
-    return solver.z9_profile(t_star, n)
-
-
-def z10_profile(solver: ScenarioSolver, t_star, n=64) -> Segment:
-    return solver.z10_profile(t_star, n)
-
-
-def tau_root(solver: ScenarioSolver, x, t):
-    return solver.tau_root(x, t)
-
-
-def shock_boundary(solver: ScenarioSolver, side, t_end) -> ShockBoundaryState:
-    return solver.shock_boundary(side, t_end)
 
 
 def profile_at(params_or_solver, t_star, n=1024, window=None) -> Profile:

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import DomainError, UnexpectedOrdering
-from .hodograph import ImplicitSolution
+from .hodograph import ImplicitSolution, interaction_time
 from .invariants import MixtureParams, validate_params
 
 #: rho samples used to tabulate the parametric boundaries (monotonicity check).
@@ -59,6 +59,58 @@ class BoundaryCurve:
         if self.kind == "weak-2":
             return 2
         return None
+
+
+@dataclass(frozen=True)
+class Side:
+    """One of the two mirrored halves of the wave-interaction picture.
+
+    Side k transports R_k = rho along k-characteristics while the other
+    invariant keeps the value fixed.  Side 1: zone Z9, R2 = mu2, rho in
+    [q1, mu1], Z5 boundary phi (phi_early before T_3), curved shock Phi
+    from T_9 whose invariant runs from q1 towards mu1.  Side 2 mirrors it:
+    Z10, R1 = mu1, rho in [mu2, q2], theta (theta_early before T_6), Theta
+    from T_10, q2 towards mu2.
+    """
+
+    k: int
+    fixed: float
+    lo: float
+    hi: float
+    start: float
+    far: float
+    curve: str
+    early: str
+    death: str
+    shock_event: str
+    shock: str
+    zone: str
+
+    def pair(self, rho):
+        """The hodograph point (R1, R2) with R_k = rho; rho may be an array."""
+        return (rho, self.fixed) if self.k == 1 else (self.fixed, rho)
+
+    @property
+    def index(self) -> int:
+        """Slot of rho in (R1, R2), and so of d/drho in t_partials."""
+        return self.k - 1
+
+    @property
+    def sign(self) -> int:
+        """Sign of (R1 - R2) / (rho - fixed): +1 on side 1, -1 on side 2."""
+        return 3 - 2 * self.k
+
+
+def mirrored_sides(p: MixtureParams) -> dict:
+    """The two Side descriptors of an instance, keyed by k."""
+    return {
+        1: Side(k=1, fixed=p.mu2, lo=p.q1, hi=p.mu1, start=p.q1, far=p.mu1,
+                curve="phi", early="phi_early", death="T_3", shock_event="T_9",
+                shock="Phi", zone="Z9"),
+        2: Side(k=2, fixed=p.mu1, lo=p.mu2, hi=p.q2, start=p.q2, far=p.mu2,
+                curve="theta", early="theta_early", death="T_6", shock_event="T_10",
+                shock="Theta", zone="Z10"),
+    }
 
 
 @dataclass(frozen=True)
@@ -114,7 +166,7 @@ def initial_breakup(p: MixtureParams) -> dict:
     shock speeds are D1 = q1*mu1*mu2 and D2 = mu1*mu2*q2.
     """
     validate_params(p)
-    T_int = (p.x2 - p.x1) / (p.q1 * p.q2 * (p.q2 - p.q1))
+    T_int = interaction_time(p)
 
     def fan2_state(t, x_of_t):
         return (p.q1, float(fan_R2(p, x_of_t(t), t)))
@@ -158,16 +210,12 @@ def initial_breakup(p: MixtureParams) -> dict:
     return curves
 
 
-def _tint(p):
-    return (p.x2 - p.x1) / (p.q1 * p.q2 * (p.q2 - p.q1))
-
-
 def _t3(p):
-    return _tint(p) * (p.q2 - p.q1) ** 2 / (p.q1 - p.mu2) ** 2
+    return interaction_time(p) * (p.q2 - p.q1) ** 2 / (p.q1 - p.mu2) ** 2
 
 
 def _t6(p):
-    return _tint(p) * (p.q2 - p.q1) ** 2 / (p.q2 - p.mu1) ** 2
+    return interaction_time(p) * (p.q2 - p.q1) ** 2 / (p.q2 - p.mu1) ** 2
 
 
 def _t9(p):
@@ -181,7 +229,7 @@ def _t10(p):
 def interaction_point(p: MixtureParams) -> Event:
     """Meeting of the two inner rarefaction fronts xr2 and xl1."""
     validate_params(p)
-    T = _tint(p)
+    T = interaction_time(p)
     X = (p.x1 * p.q1 - p.x2 * p.q2) / (p.q1 - p.q2)
     return Event("T_int", T, X, ("xr2", "xl1"), "Z4 dies; Z5 born")
 
@@ -199,7 +247,7 @@ def weak_curves_pre(p: MixtureParams):
     ev = interaction_point(p)
     T_int, X_int = ev.T, ev.X
 
-    def make(label, q, x0, t_end, kind):
+    def make(label, kind, q, x0, t_end, fan_state):
         root0 = math.sqrt(X_int - x0)
 
         def x_of_t(t):
@@ -208,22 +256,15 @@ def weak_curves_pre(p: MixtureParams):
             r = q ** 1.5 * (math.sqrt(t) - math.sqrt(T_int)) + root0
             return x0 + r * r
 
-        return label, x_of_t, t_end, kind
+        state = lambda t: fan_state(x_of_t(t), t)
+        return BoundaryCurve(label, kind, T_int, t_end, x_of_t, state, state)
 
-    phi_label, phi_x, phi_end, _ = make("phi_early", p.q1, p.x1, _t3(p), "weak-1")
-    theta_label, theta_x, theta_end, _ = make("theta_early", p.q2, p.x2, _t6(p), "weak-2")
-
-    phi = BoundaryCurve(
-        phi_label, "weak-1", T_int, phi_end, phi_x,
-        lambda t: (p.q1, float(fan_R2(p, phi_x(t), t))),
-        lambda t: (p.q1, float(fan_R2(p, phi_x(t), t))),
+    return (
+        make("phi_early", "weak-1", p.q1, p.x1, _t3(p),
+             lambda x, t: (p.q1, float(fan_R2(p, x, t)))),
+        make("theta_early", "weak-2", p.q2, p.x2, _t6(p),
+             lambda x, t: (float(fan_R1(p, x, t)), p.q2)),
     )
-    theta = BoundaryCurve(
-        theta_label, "weak-2", T_int, theta_end, theta_x,
-        lambda t: (float(fan_R1(p, theta_x(t), t)), p.q2),
-        lambda t: (float(fan_R1(p, theta_x(t), t)), p.q2),
-    )
-    return phi, theta
 
 
 def zone_death_events(p: MixtureParams):
@@ -239,26 +280,20 @@ def zone_death_events(p: MixtureParams):
     )
 
 
-def _parametric_curve(sol: ImplicitSolution, id_, kind, side: int,
-                      t_start, t_end, state):
-    """Build a boundary given parametrically by the implicit solution.
+def _parametric_curve(sol: ImplicitSolution, side: Side, t_start, t_end):
+    """Build the Z5 boundary of one side, given parametrically by the hodograph.
 
-    side 1: (x(rho, mu2), t(rho, mu2)) for rho in [q1, mu1] (curve phi).
-    side 2: (x(mu1, rho), t(mu1, rho)) for rho in [mu2, q2] (curve theta).
-    The t(rho) and x(rho) tables are each one array evaluation of the
-    hodograph over the whole rho grid.  The t(rho) table must be strictly
-    monotone; x(t) queries bracket the parameter between two adjacent grid
-    nodes and root-solve t(rho) = t exactly.
+    The curve is (x, t)(side.pair(rho)) for rho in [side.lo, side.hi]: phi
+    with R2 = mu2 on side 1, theta with R1 = mu1 on side 2.  It is a
+    characteristic of the other family, across which the state is
+    side.pair(rho).  The t(rho) and x(rho) tables are each one array
+    evaluation of the hodograph over the whole rho grid.  The t(rho) table
+    must be strictly monotone; x(t) queries bracket the parameter between
+    two adjacent grid nodes and root-solve t(rho) = t exactly.
     """
-    p = sol.params
-    if side == 1:
-        lo, hi = p.q1, p.mu1
-        t_of = lambda r: sol.t(r, p.mu2)
-        x_of = lambda r: sol.x(r, p.mu2)
-    else:
-        lo, hi = p.mu2, p.q2
-        t_of = lambda r: sol.t(p.mu1, r)
-        x_of = lambda r: sol.x(p.mu1, r)
+    lo, hi = side.lo, side.hi
+    t_of = lambda r: sol.t(*side.pair(r))
+    x_of = lambda r: sol.x(*side.pair(r))
 
     grid = np.linspace(lo, hi, PARAM_TABLE_SIZE)
     t_tab = t_of(grid)
@@ -266,7 +301,7 @@ def _parametric_curve(sol: ImplicitSolution, id_, kind, side: int,
     d = np.diff(t_tab)
     if not (np.all(d > 0) or np.all(d < 0)):
         raise UnexpectedOrdering(
-            f"boundary {id_}: t(rho) is not monotone over [{lo}, {hi}]"
+            f"boundary {side.curve}: t(rho) is not monotone over [{lo}, {hi}]"
         )
 
     # Bracket nodes: the grid with its two ends pushed out by the margin, so
@@ -288,10 +323,12 @@ def _parametric_curve(sol: ImplicitSolution, id_, kind, side: int,
                      (nodes[max(j - 2, 0)], nodes[min(j + 1, last)])):
             if (t_of(a) - t) * (t_of(b) - t) <= 0:
                 return brentq(lambda r: t_of(r) - t, a, b, xtol=1e-15, rtol=8.9e-16)
-        raise DomainError(f"{id_}: time {t} outside the curve's span")
+        raise DomainError(f"{side.curve}: time {t} outside the curve's span")
 
+    state = lambda t: side.pair(rho_of_t(t))
     return BoundaryCurve(
-        id_, kind, t_start, t_end, lambda t: x_of(rho_of_t(t)), state, state,
+        side.curve, f"weak-{3 - side.k}", t_start, t_end,
+        lambda t: x_of(rho_of_t(t)), state, state,
         param_grid=grid, t_grid=t_tab, x_grid=x_tab,
         rho_of_t=rho_of_t, param_point=lambda r: (x_of(r), t_of(r)),
     )
@@ -305,15 +342,6 @@ def post_interaction_curves(p: MixtureParams, sol: ImplicitSolution) -> dict:
     parametrically by (x(rho, mu2), t(rho, mu2)).  Mirrored for x_w2/theta.
     """
     E3, E6 = zone_death_events(p)
-
-    def phi_state(t):
-        rho = curves["phi"].rho_of_t(t)
-        return (rho, p.mu2)
-
-    def theta_state(t):
-        rho = curves["theta"].rho_of_t(t)
-        return (p.mu1, rho)
-
     T_fin = sol.t(p.mu1, p.mu2)
     curves = {
         "xw1": BoundaryCurve(
@@ -327,8 +355,8 @@ def post_interaction_curves(p: MixtureParams, sol: ImplicitSolution) -> dict:
             _const_state(p.mu1, p.q2), _const_state(p.mu1, p.q2),
         ),
     }
-    curves["phi"] = _parametric_curve(sol, "phi", "weak-2", 1, E3.T, T_fin, phi_state)
-    curves["theta"] = _parametric_curve(sol, "theta", "weak-1", 2, E6.T, T_fin, theta_state)
+    for side, death in zip(mirrored_sides(p).values(), (E3, E6)):
+        curves[side.curve] = _parametric_curve(sol, side, death.T, T_fin)
     return curves
 
 
@@ -420,6 +448,7 @@ class Timeline:
     def __init__(self, params: MixtureParams):
         self.params = validate_params(params)
         self.hodograph = ImplicitSolution(params)
+        self.sides = mirrored_sides(params)
 
         ev_int = interaction_point(params)
         ev3, ev6 = zone_death_events(params)
@@ -472,6 +501,13 @@ class Timeline:
                     f"event order {name} violated ({lo} >= {hi}); "
                     "parameters are outside the supported interaction scenario"
                 )
+
+    def side(self, k) -> Side:
+        """The Side descriptor of side k; ValueError unless k is 1 or 2."""
+        try:
+            return self.sides[k]
+        except KeyError:
+            raise ValueError(f"side must be 1 or 2, got {k!r}") from None
 
     # -- layout --------------------------------------------------------------
 

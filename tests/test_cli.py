@@ -116,6 +116,31 @@ def test_non_numeric_cells_exit_2(config, tmp_path, capsys):
     assert "'10,x'" in capsys.readouterr().err
 
 
+def test_empty_cells_exit_2(config, tmp_path):
+    code = main(
+        ["compare", "--config", str(config), "--out", str(tmp_path / "o"),
+         "--times", "0.005", "--cells", ""]
+    )
+    assert code == 2
+
+
+@pytest.mark.parametrize(
+    "line, value",
+    [("samples = 400", "abc"), ("cfl = 0.45", "zz"),
+     ("x_min = -3", "abc"), ("x_max = 7", "abc")],
+)
+def test_non_numeric_config_scalar_exits_2(tmp_path, capsys, line, value):
+    key = line.split(" = ")[0]
+    path = tmp_path / "bad.ini"
+    path.write_text(GOOD_CONFIG.replace(line, f"{key} = {value}"))
+    code = main(
+        ["compare", "--config", str(path), "--out", str(tmp_path / "o"),
+         "--times", "0.005"]
+    )
+    assert code == 2
+    assert repr(value) in capsys.readouterr().err
+
+
 def test_profile_outputs_and_determinism(config, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):

@@ -149,6 +149,14 @@ def test_shock_boundary_mirror_side(solver):
         assert lambda_k(2, p.mu1, rho) > D > lambda_k(2, p.mu1, p.mu2)
 
 
+@pytest.mark.parametrize("side", [0, 3])
+def test_invalid_side_raises(solver, side):
+    with pytest.raises(ValueError):
+        solver.transport_x(side, 4.0, 0.05)
+    with pytest.raises(ValueError):
+        solver.shock_boundary(side, 0.1)
+
+
 def test_shock_boundary_constraint_drift(solver):
     st = solver.shock_boundary(1, 0.3)
     for t in np.linspace(st.t_start * 1.001, 0.3, 30):
