@@ -25,6 +25,7 @@ hodograph solution of the two-point scenario.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -134,6 +135,8 @@ class PiecewiseInitialData:
 
     def __post_init__(self):
         bp = np.asarray(self.breakpoints, dtype=float)
+        if not self.domain[0] < self.domain[1]:
+            raise DomainError("the domain needs lo < hi")
         if bp.size and np.any(np.diff(bp) <= 0):
             raise DomainError("breakpoints must be strictly increasing")
         if len(self.r1_values) != bp.size + 1 or len(self.r2_values) != bp.size + 1:
@@ -225,11 +228,14 @@ def t_ab(data: PiecewiseInitialData, a: float, b: float) -> float:
     return _t_formula(r1, r2, b - a, data.F(a, b), data.G(a, b))
 
 
+def _coincident(r1, r2):
+    return abs(r1 - r2) < _COINCIDENT * max(1.0, abs(r1), abs(r2))
+
+
 def _t_formula(r1, r2, width, F, G):
-    d = r1 - r2
-    if abs(d) < _COINCIDENT * max(1.0, abs(r1), abs(r2)):
+    if _coincident(r1, r2):
         raise CoincidentInvariants("r1(b) and r2(a) coincide")
-    return (2.0 * width - (r1 + r2) * F + 2.0 * r1 * r2 * G) / d**3
+    return (2.0 * width - (r1 + r2) * F + 2.0 * r1 * r2 * G) / (r1 - r2) ** 3
 
 
 def _parts(data, ga, gb, ia, ib, s_a, s_b, F, G):
@@ -246,9 +252,9 @@ def _parts(data, ga, gb, ia, ib, s_a, s_b, F, G):
     seg_b = gb.segments[ib]
     X_a, r2, dXa, dr2 = seg_a.eval(s_a)
     X_b, r1, dXb, dr1 = seg_b.eval(s_b)
-    d = r1 - r2
-    if abs(d) < _COINCIDENT * max(1.0, abs(r1), abs(r2)):
+    if _coincident(r1, r2):
         raise CoincidentInvariants("march entered a coincident-invariant region")
+    d = r1 - r2
     d3 = d**3
     t = (2.0 * (X_b - X_a) - (r1 + r2) * F + 2.0 * r1 * r2 * G) / d3
     t_r1 = (-F + 2.0 * r2 * G) / d3 - 3.0 * t / d
@@ -529,32 +535,8 @@ def _march_run(data, ga, gb, ia, ib, y0, direction, t_star, x_window,
         return None, stop, y0, 0.0
 
     n = max(9, int(mu_end * density))
-    mus = np.linspace(0.0, mu_end, n)
-    ys = sol.sol(mus)
-    xa = np.empty(n)
-    r1 = np.empty(n)
-    r2 = np.empty(n)
-    drift = 0.0
-    for i in range(n):
-        t, _, _, rr1, rr2, *_ = _parts(
-            data, ga, gb, ia, ib, ys[0, i], ys[1, i], ys[2, i], ys[3, i]
-        )
-        drift = max(drift, abs(t - t_star))
-        r1[i] = rr1
-        r2[i] = rr2
-        xa[i] = seg_a.eval(ys[0, i])[0]
-    if drift > 1e-8 * max(abs(t_star), 1e-12):
-        raise LevelDrift(f"isochrone march drifted by {drift} at t* = {t_star}")
-    run = {
-        "x": ys[4],
-        "R1": r1,
-        "R2": r2,
-        "a": xa,
-        "b": np.array([seg_b.eval(s)[0] for s in ys[1]]),
-        "F": ys[2],
-        "G": ys[3],
-        "drift": drift,
-    }
+    ys = sol.sol(np.linspace(0.0, mu_end, n))
+    run = _sample_run(seg_a, seg_b, ys, t_star)
     y_next = ys[:, -1].copy()
     # Snap the segment coordinate exactly onto the boundary we stopped at.
     if stop == "segment":
@@ -565,20 +547,156 @@ def _march_run(data, ga, gb, ia, ib, y0, direction, t_star, x_window,
     return run, stop, y_next, mu_end
 
 
+def _sample_run(seg_a, seg_b, ys, t_star):
+    """Fields of one run's dense samples, ys with rows (s_a, s_b, F, G, X).
+
+    Evaluates t as _parts does, on whole arrays of the run's fixed segments,
+    and raises LevelDrift if it strays from t_star by more than 1e-8 t*.
+    """
+    a, r2 = seg_a.eval(ys[0])[:2]
+    b, r1 = seg_b.eval(ys[1])[:2]
+    n = ys.shape[1]
+    r1, r2, a, b = (np.broadcast_to(np.asarray(v, dtype=float), n) for v in (r1, r2, a, b))
+    d = r1 - r2
+    if np.any(np.abs(d) < _COINCIDENT * np.maximum(1.0, np.maximum(np.abs(r1), np.abs(r2)))):
+        raise CoincidentInvariants("march entered a coincident-invariant region")
+    # The C library's pow per value, as in _parts: numpy's array power may
+    # round differently in the last bit.
+    d3 = np.array([v**3 for v in d.tolist()])
+    t = (2.0 * (b - a) - (r1 + r2) * ys[2] + 2.0 * r1 * r2 * ys[3]) / d3
+    drift = np.fmax.reduce(np.abs(t - t_star), initial=0.0)
+    if drift > 1e-8 * max(abs(t_star), 1e-12):
+        raise LevelDrift(f"isochrone march drifted by {drift} at t* = {t_star}")
+    return {
+        "x": ys[4], "R1": r1.copy(), "R2": r2.copy(), "a": a.copy(), "b": b.copy(),
+        "F": ys[2], "G": ys[3], "drift": drift,
+    }
+
+
+def t_ray(data: PiecewiseInitialData, a=None, b=None):
+    """t(a, b) along a ray of the (a, b)-plane with one foot held fixed.
+
+    Give exactly one of a, b.  Returns v -> t(a, v) or v -> t(v, b) for a
+    scalar or array v strictly on its side of the fixed foot (v > a, resp.
+    v < b; DomainError otherwise), NaN where r1 and r2 coincide (where t_ab
+    raises CoincidentInvariants).
+
+    Every value is bitwise equal to t_ab's: the integrals F, G are summed
+    term by term in _integral's order.  The fixed foot, the data edges
+    between the feet and the value of the fixed foot's invariant do not
+    depend on where v lies inside one gap between consecutive edges, so
+    each gap's terms, constant factors and (r1 - r2)^3 are computed once
+    here and only the term touching v is evaluated per point.
+    """
+    if (a is None) == (b is None):
+        raise ValueError("fix exactly one foot of the ray")
+    edges = data._edges()
+    bp = np.asarray(data.breakpoints)
+    last = len(data.r1_values) - 1
+    f = np.array([data.f_piece(i) for i in range(last + 1)])
+    g = np.array([data.g_piece(i) for i in range(last + 1)])
+
+    def terms(cuts):
+        """_integral's summands over consecutive cuts, for F and for G."""
+        out = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            i = data.piece_of(0.5 * (lo + hi))
+            out.append((data.f_piece(i) * (hi - lo), data.g_piece(i) * (hi - lo)))
+        return out
+
+    def factors(r1, r2):
+        """r1 + r2, 2 r1 r2 and (r1 - r2)^3 of _t_formula; NaN if coincident."""
+        d3 = math.nan if _coincident(r1, r2) else (r1 - r2) ** 3
+        return r1 + r2, 2.0 * r1 * r2, d3
+
+    # Gap k holds the points with k edges below them (a-fixed: edges < v;
+    # b-fixed: edges <= v); the piece of the moving foot is k - 1 clipped.
+    if b is None:
+        r2 = data.r2_values[data.piece_of(a)]
+        first = int(np.searchsorted(edges, a, side="right"))
+        cuts = [a, *edges[first:]]  # the last cut below v in gap first + j is cuts[j]
+        pre_f, pre_g = [0.0], [0.0]
+        for tf, tg in terms(cuts):
+            pre_f.append(pre_f[-1] + tf)
+            pre_g.append(pre_g[-1] + tg)
+        s, p, d3 = np.array([
+            factors(data.r1_values[min(max(k - 1, 0), last)], r2)
+            for k in range(first, edges.size + 1)
+        ]).T
+        cuts, pre_f, pre_g = np.array(cuts), np.array(pre_f), np.array(pre_g)
+
+        def along_b(v):
+            if np.any(v <= a):
+                raise DomainError(f"ray from a = {a} needs b > a")
+            j = np.searchsorted(edges, v, side="left") - first
+            c = cuts[j]
+            i = np.searchsorted(bp, 0.5 * (c + v), side="right")
+            F = pre_f[j] + f[i] * (v - c)
+            G = pre_g[j] + g[i] * (v - c)
+            return (2.0 * (v - a) - s[j] * F + p[j] * G) / d3[j]
+
+        return along_b
+
+    r1 = data.r1_values[data.piece_of(b, side="left")]
+    stop = int(np.searchsorted(edges, b, side="left"))
+    cuts = np.array([*edges[:stop], b])  # the first cut above v in gap k is cuts[k]
+    tail = terms(cuts)
+    s, p, d3 = np.array([
+        factors(r1, data.r2_values[min(max(k - 1, 0), last)]) for k in range(stop + 1)
+    ]).T
+
+    def along_a(v):
+        if np.any(v >= b):
+            raise DomainError(f"ray from b = {b} needs a < b")
+        k = np.searchsorted(edges, v, side="right")
+        c = cuts[k]
+        i = np.searchsorted(bp, 0.5 * (v + c), side="right")
+        # 0.0 + as in _integral's running total (it turns -0.0 into 0.0).
+        F = 0.0 + f[i] * (c - v)
+        G = 0.0 + g[i] * (c - v)
+        for j in range(int(np.min(k)), stop):
+            later = k <= j
+            F = np.where(later, F + tail[j][0], F)
+            G = np.where(later, G + tail[j][1], G)
+        return (2.0 * (b - v) - s[k] * F + p[k] * G) / d3[k]
+
+    return along_a
+
+
 def level_map(data: PiecewiseInitialData, rect, resolution=96):
     """Sampled field t(a, b) over a rectangle, for seed hunting."""
     a = np.linspace(rect[0], rect[1], resolution)
     b = np.linspace(rect[2], rect[3], resolution)
     T = np.full((resolution, resolution), np.nan)
     for i, av in enumerate(a):
-        for j, bv in enumerate(b):
-            if bv <= av:
-                continue
-            try:
-                T[i, j] = t_ab(data, av, bv)
-            except CoincidentInvariants:
-                pass
+        right = b > av
+        if right.any():
+            T[i, right] = t_ray(data, a=av)(b[right])
     return a, b, T
+
+
+def _level_crossings(ray, rows, t_star):
+    """Points where ray(v) = t_star, scanning each row of v in order.
+
+    A sample that hits t_star exactly counts when its right neighbour is a
+    number; a sign change between neighbours is refined by brentq on the
+    ray itself.  Neighbours in different rows never form a bracket.
+    """
+    if not rows:
+        return
+    vv = np.concatenate(rows)
+    vals = ray(vv) - t_star
+    pair = np.ones(vv.size - 1, dtype=bool)
+    pair[np.cumsum([len(r) for r in rows])[:-1] - 1] = False
+    hit = pair & (vals[:-1] == 0.0) & ~np.isnan(vals[1:])
+    cross = pair & (vals[:-1] * vals[1:] < 0)
+    for k in np.flatnonzero(hit | cross):
+        if hit[k]:
+            yield vv[k]
+        else:
+            yield brentq(
+                lambda v: ray(v) - t_star, vv[k], vv[k + 1], xtol=1e-15, rtol=8.9e-16,
+            )
 
 
 def find_seed(data: PiecewiseInitialData, t_star, a_fixed=None, b_fixed=None,
@@ -591,81 +709,49 @@ def find_seed(data: PiecewiseInitialData, t_star, a_fixed=None, b_fixed=None,
     in different data pieces are preferred: a bracket with both feet in one
     piece lies on a constant-state arc, which is trivial and usually a
     characteristic-crossing ghost rather than the branch carrying the wave
-    structure.
+    structure.  Each row is evaluated by one t_ray call.
     """
     lo, hi = data.domain
     edges = [lo, *data.breakpoints, hi]
+    eps = 1e-12 * (hi - lo)
 
-    def brackets_along_b(av):
-        hits = []
-        for e0, e1 in zip(edges, edges[1:]):
-            if e1 <= av:
-                continue
-            bb = np.linspace(max(e0, av) + 1e-12 * (hi - lo), e1, resolution)
-            vals = []
-            for bv in bb:
-                try:
-                    vals.append(t_ab(data, av, bv) - t_star)
-                except CoincidentInvariants:
-                    vals.append(np.nan)
-            vals = np.array(vals)
-            for k in range(len(bb) - 1):
-                if np.isnan(vals[k]) or np.isnan(vals[k + 1]):
-                    continue
-                if vals[k] == 0.0:
-                    hits.append((av, bb[k]))
-                elif vals[k] * vals[k + 1] < 0:
-                    root = brentq(
-                        lambda bv: t_ab(data, av, bv) - t_star,
-                        bb[k], bb[k + 1], xtol=1e-15, rtol=8.9e-16,
-                    )
-                    hits.append((av, root))
-        return hits
+    def seeds_along_b(av):
+        rows = [
+            np.linspace(max(e0, av) + eps, e1, resolution)
+            for e0, e1 in zip(edges, edges[1:]) if e1 > av
+        ]
+        return ((av, bv) for bv in _level_crossings(t_ray(data, a=av), rows, t_star))
 
-    def cross_piece(av, bv):
-        return data.piece_of(av, side="right") != data.piece_of(bv, side="left")
+    def preferred(seeds):
+        fallback = None
+        for av, bv in seeds:
+            if data.piece_of(av, side="right") != data.piece_of(bv, side="left"):
+                return av, bv
+            if fallback is None:
+                fallback = (av, bv)
+        return fallback
 
     if a_fixed is not None:
-        hits = brackets_along_b(a_fixed)
-        if not hits:
+        seed = preferred(seeds_along_b(a_fixed))
+        if seed is None:
             raise NoRootInInterval(f"no seed with t = {t_star} on a = {a_fixed}")
-        for av, bv in hits:
-            if cross_piece(av, bv):
-                return av, bv
-        return hits[0]
+        return seed
     if b_fixed is not None:
-        for e0, e1 in zip(edges, edges[1:]):
-            if e0 >= b_fixed:
-                continue
-            aa = np.linspace(e0, min(e1, b_fixed) - 1e-12 * (hi - lo), resolution)
-            vals = []
-            for av in aa:
-                try:
-                    vals.append(t_ab(data, av, b_fixed) - t_star)
-                except CoincidentInvariants:
-                    vals.append(np.nan)
-            vals = np.array(vals)
-            for k in range(len(aa) - 1):
-                if np.isnan(vals[k]) or np.isnan(vals[k + 1]):
-                    continue
-                if vals[k] * vals[k + 1] < 0:
-                    root = brentq(
-                        lambda av: t_ab(data, av, b_fixed) - t_star,
-                        aa[k], aa[k + 1], xtol=1e-15, rtol=8.9e-16,
-                    )
-                    return root, b_fixed
+        rows = [
+            np.linspace(e0, min(e1, b_fixed) - eps, resolution)
+            for e0, e1 in zip(edges, edges[1:]) if e0 < b_fixed
+        ]
+        for av in _level_crossings(t_ray(data, b=b_fixed), rows, t_star):
+            return av, b_fixed
         raise NoRootInInterval(f"no seed with t = {t_star} on b = {b_fixed}")
-
-    fallback = None
-    for av in np.linspace(lo, hi, resolution):
-        for av_, bv in brackets_along_b(av):
-            if cross_piece(av_, bv):
-                return av_, bv
-            if fallback is None:
-                fallback = (av_, bv)
-    if fallback is not None:
-        return fallback
-    raise NoRootInInterval(f"no seed found for t = {t_star} in the data domain")
+    seed = preferred(
+        itertools.chain.from_iterable(
+            seeds_along_b(av) for av in np.linspace(lo, hi, resolution)
+        )
+    )
+    if seed is None:
+        raise NoRootInInterval(f"no seed found for t = {t_star} in the data domain")
+    return seed
 
 
 def general_profile(

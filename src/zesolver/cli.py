@@ -28,8 +28,25 @@ Config files are flat INI key/value sections:
     domain = -21, 21
     window = -2, 6
 
-Command-line flags override the matching config keys.  Exit codes:
-0 success, 2 parameter/config validation failure, 3 solver failure.
+Text after ";" or "#" (preceded by whitespace) is a comment.  Command-line
+flags override the matching config keys.
+
+Exit codes:
+
+    0  success
+    2  bad input: a missing or unreadable config, a missing section or key,
+       a value that is not a number, a wrong value count (domain and window
+       take two, the [general] value lists one more than breakpoints), an
+       empty cell list, unsorted or non-positive times, mixture parameters
+       that break 0 < q1 < mu1 < mu2 < q2 or x1 < x2, [general] data that
+       breaks its rules (domain lo < hi, breakpoints increasing and
+       inside it, R1 < R2 and R1 R2 != 0 on every piece), a grid with
+       fewer than 4 cells or x_min >= x_max, a CFL number outside (0, 1)
+    3  the solver failed on valid input (for example no seed at the
+       requested time, a fold at the seed, level drift); the error type is
+       printed
+
+Any other status is an uncaught exception, that is, a bug.
 """
 
 from __future__ import annotations
@@ -45,7 +62,7 @@ import numpy as np
 
 from . import fv_reference
 from .cauchy_general import PiecewiseInitialData, general_profile
-from .errors import InputError, OrderingViolation, SolverError
+from .errors import CFLViolation, DomainError, InputError, OrderingViolation, SolverError
 from .invariants import MixtureParams, validate_params
 from .isochrone import ScenarioSolver, csv_rows
 from .svgplot import SvgPlot
@@ -73,11 +90,18 @@ def _parse_one(text, kind):
     return values[0]
 
 
+def _parse_pair(text, name):
+    values = _parse_floats(text)
+    if len(values) != 2:
+        raise InputError(f"{name} needs two numbers, got {text!r}")
+    return values[0], values[1]
+
+
 class ScenarioConfig:
     """Parsed configuration with CLI overrides applied."""
 
     def __init__(self, path=None):
-        self.cp = configparser.ConfigParser()
+        self.cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
         if path is not None:
             read = self.cp.read(path)
             if not read:
@@ -101,13 +125,15 @@ class ScenarioConfig:
 
     def general_data(self) -> PiecewiseInitialData:
         sec = self.cp["general"]
-        domain = _parse_floats(sec.get("domain"))
-        return PiecewiseInitialData(
-            breakpoints=tuple(_parse_floats(sec.get("breakpoints", ""))),
-            r1_values=tuple(_parse_floats(sec.get("r1_values"))),
-            r2_values=tuple(_parse_floats(sec.get("r2_values"))),
-            domain=(domain[0], domain[1]),
-        )
+        try:
+            return PiecewiseInitialData(
+                breakpoints=tuple(_parse_floats(sec.get("breakpoints", ""))),
+                r1_values=tuple(_parse_floats(sec.get("r1_values"))),
+                r2_values=tuple(_parse_floats(sec.get("r2_values"))),
+                domain=_parse_pair(sec.get("domain"), "[general] domain"),
+            )
+        except DomainError as exc:
+            raise InputError(f"[general]: {exc}") from exc
 
 
 def _time_tag(t):
@@ -185,24 +211,27 @@ def _analytic_shocks(solver, t):
 
 def cmd_compare(cfg: ScenarioConfig, out_dir: Path, times, cells_list, cfl) -> int:
     params = validate_params(cfg.mixture())
-    solver = ScenarioSolver(params)
-    out_dir.mkdir(parents=True, exist_ok=True)
     x_min = _parse_one(cfg.get("fv", "x_min", -3.0), float)
     x_max = _parse_one(cfg.get("fv", "x_max", 7.0), float)
+    try:
+        grids = [fv_reference.Grid1D(x_min, x_max, cells, cfl) for cells in cells_list]
+    except CFLViolation as exc:
+        raise InputError(f"[fv]: {exc}") from exc
+    solver = ScenarioSolver(params)
+    out_dir.mkdir(parents=True, exist_ok=True)
     summary = {}
     for t in times:
         profile = solver.profile_at(t, n=8192, window=(x_min - 1.0, x_max + 1.0))
         xs1, xs2 = _analytic_shocks(solver, t)
         runs = []
-        for cells in cells_list:
-            grid = fv_reference.Grid1D(x_min, x_max, cells, cfl)
+        for grid in grids:
             result = fv_reference.fv_run(params, grid, t)
             e1, e2 = fv_reference.l1_error(result, profile)
             d1 = abs(fv_reference.steepest_gradient_x(result, 1) - xs1) / grid.dx
             d2 = abs(fv_reference.steepest_gradient_x(result, 2) - xs2) / grid.dx
             runs.append(
                 {
-                    "cells": cells,
+                    "cells": grid.n_cells,
                     "l1_u1": e1,
                     "l1_u2": e2,
                     "shock1_dev_cells": d1,
@@ -210,12 +239,12 @@ def cmd_compare(cfg: ScenarioConfig, out_dir: Path, times, cells_list, cfl) -> i
                 }
             )
             print(
-                f"t={t}: cells={cells} L1=({e1:.4g}, {e2:.4g}) "
+                f"t={t}: cells={grid.n_cells} L1=({e1:.4g}, {e2:.4g}) "
                 f"shock dev=({d1:.2f}, {d2:.2f}) cells"
             )
         summary[_time_tag(t)] = runs
 
-        # result is the finest grid's run, the last of cells_list.
+        # result is the finest grid's run, the last of grids.
         ua1, ua2 = profile.interp(result.x)
         tag = _time_tag(t)
         R1, R2 = fv_reference.invariants_field(params, result.u1, result.u2)
@@ -245,16 +274,14 @@ def cmd_compare(cfg: ScenarioConfig, out_dir: Path, times, cells_list, cfl) -> i
 
 def cmd_general(cfg: ScenarioConfig, out_dir: Path, times) -> int:
     data = cfg.general_data()
-    window = _parse_floats(cfg.get("general", "window", "-10 10"))
+    window = _parse_pair(cfg.get("general", "window", "-10 10"), "[general] window")
     mobilities = None
     if cfg.cp.has_section("mixture"):
         p = cfg.mixture()
         mobilities = (p.mu1, p.mu2)
     out_dir.mkdir(parents=True, exist_ok=True)
     for t in times:
-        result = general_profile(
-            data, t, (window[0], window[1]), mobilities=mobilities
-        )
+        result = general_profile(data, t, window, mobilities=mobilities)
         tag = _time_tag(t)
         path = out_dir / f"general_t{tag}.csv"
         u1 = getattr(result, "u1", np.full_like(result.x, np.nan))

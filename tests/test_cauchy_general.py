@@ -1,17 +1,27 @@
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
+from zesolver import MixtureParams
+from zesolver import cauchy_general
 from zesolver.cauchy_general import (
     AbPlaneState,
     PiecewiseInitialData,
+    _parts,
     find_seed,
     general_profile,
     level_map,
     march_isochrone,
     seed_point,
     t_ab,
+    t_ray,
 )
-from zesolver.errors import DomainError, NoRootInInterval
+from zesolver.errors import (
+    CoincidentInvariants,
+    DomainError,
+    LevelDrift,
+    NoRootInInterval,
+)
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +36,8 @@ def test_data_validation():
         PiecewiseInitialData((0.0,), (2, 0.0), (5, 6), (-10, 10))
     with pytest.raises(DomainError):
         PiecewiseInitialData((0.0,), (6, 2), (5, 6), (-10, 10))
+    with pytest.raises(DomainError):
+        PiecewiseInitialData((), (2,), (5,), (10, -10))
 
 
 def test_t_ab_zero_width(data):
@@ -198,3 +210,271 @@ def test_ab_plane_state_fields(data):
     st = seed_point(data, -3.0, 0.5)
     assert isinstance(st, AbPlaneState)
     assert st.r1 == 2.0 and st.r2 == 8.0
+
+
+# -- row evaluator against the scalar t_ab ----------------------------------
+
+
+def _law_data(count, seed=20261018):
+    """Two-plateau data of acceptance 9's parameter law, with its time T_int."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        mu1 = rng.uniform(1.0, 6.0)
+        mu2 = mu1 + rng.uniform(0.5, 5.0)
+        q1 = rng.uniform(0.5, mu1)
+        q2 = rng.uniform(mu2, 3 * mu2)
+        x1 = rng.uniform(-2.0, 0.0)
+        x2 = x1 + rng.uniform(0.5, 3.0)
+        p = MixtureParams(mu1=mu1, mu2=mu2, q1=q1, q2=q2, x1=x1, x2=x2)
+        t_int = (x2 - x1) / (q1 * q2 * (q2 - q1))
+        out.append((PiecewiseInitialData.from_scenario(p, pad=(2.0, 10.0)[i % 2]), t_int))
+    return out
+
+
+LAW = _law_data(20)
+
+#: r1 of the right piece equals r2 of the left one: t(a < 0, b > 0) is undefined.
+COINCIDENT = PiecewiseInitialData((0.0,), (2.0, 6.0), (6.0, 9.0), (-5.0, 5.0))
+
+
+def _scalar_t(data, a, b):
+    try:
+        return t_ab(data, a, b)
+    except CoincidentInvariants:
+        return np.nan
+
+
+def _assert_bitwise(got, ref):
+    got = np.asarray(got, dtype=float)
+    ref = np.asarray(ref, dtype=float)
+    assert got.shape == ref.shape
+    assert np.array_equal(np.isnan(got), np.isnan(ref))
+    keep = ~np.isnan(ref)
+    assert got[keep].tobytes() == ref[keep].tobytes()
+
+
+def _feet(data):
+    """Fixed feet: domain ends, breakpoints exactly, and points inside pieces."""
+    edges = data._edges()
+    inner = 0.5 * (edges[:-1] + edges[1:])
+    return np.concatenate([edges, inner, edges[:-1] + 0.123 * np.diff(edges)])
+
+
+RAY_DATA = [d for d, _ in LAW] + [COINCIDENT]
+
+
+@pytest.mark.parametrize("data", RAY_DATA)
+def test_t_ray_a_fixed_is_bitwise_t_ab(data):
+    edges = data._edges()
+    lo, hi = data.domain
+    for a in _feet(data):
+        if a >= hi:
+            continue
+        ray = t_ray(data, a=a)
+        # The scan's rows: one per piece, each ending exactly on its right
+        # edge, where t_ab takes r1 from the piece on the left.
+        for e0, e1 in zip(edges, edges[1:]):
+            if e1 <= a:
+                continue
+            bb = np.linspace(max(e0, a) + 1e-12 * (hi - lo), e1, 33)
+            assert bb[-1] == e1
+            _assert_bitwise(ray(bb), [_scalar_t(data, a, b) for b in bb])
+        # A row crossing every edge to its right, and scalar calls.
+        bb = np.linspace(a + 1e-3, hi + 1.0, 97)
+        _assert_bitwise(ray(bb), [_scalar_t(data, a, b) for b in bb])
+        for b in bb[::16]:
+            _assert_bitwise(ray(b), _scalar_t(data, a, b))
+
+
+@pytest.mark.parametrize("data", RAY_DATA)
+def test_t_ray_b_fixed_is_bitwise_t_ab(data):
+    edges = data._edges()
+    lo, hi = data.domain
+    for b in _feet(data):
+        if b <= lo:
+            continue
+        ray = t_ray(data, b=b)
+        for e0, e1 in zip(edges, edges[1:]):
+            if e0 >= b:
+                continue
+            aa = np.linspace(e0, min(e1, b) - 1e-12 * (hi - lo), 33)
+            assert aa[0] == e0
+            _assert_bitwise(ray(aa), [_scalar_t(data, a, b) for a in aa])
+        aa = np.linspace(lo - 1.0, b - 1e-3, 97)
+        _assert_bitwise(ray(aa), [_scalar_t(data, a, b) for a in aa])
+        for a in aa[::16]:
+            _assert_bitwise(ray(a), _scalar_t(data, a, b))
+
+
+def test_t_ray_coincident_row_is_nan():
+    with pytest.raises(CoincidentInvariants):
+        t_ab(COINCIDENT, -1.0, 1.0)
+    bb = np.linspace(1e-9, 5.0, 50)
+    assert np.all(np.isnan(t_ray(COINCIDENT, a=-1.0)(bb)))
+    assert np.all(np.isnan(t_ray(COINCIDENT, b=1.0)(-bb)))
+    # The same ray is finite where the feet share a piece.
+    inside = np.linspace(-0.99, -0.01, 20)
+    assert np.all(np.isfinite(t_ray(COINCIDENT, a=-1.0)(inside)))
+
+
+def test_t_ray_needs_one_fixed_foot_and_the_far_side(data):
+    with pytest.raises(ValueError):
+        t_ray(data)
+    with pytest.raises(ValueError):
+        t_ray(data, a=0.0, b=1.0)
+    with pytest.raises(DomainError):
+        t_ray(data, a=0.0)(np.array([0.5, 0.0]))
+    with pytest.raises(DomainError):
+        t_ray(data, b=0.0)(0.25)
+
+
+def _reference_find_seed(data, t_star, a_fixed=None, b_fixed=None, resolution=128):
+    """find_seed as a scalar scan: one t_ab call per sample."""
+    lo, hi = data.domain
+    edges = [lo, *data.breakpoints, hi]
+
+    def values(points, t_of):
+        return np.array([_scalar_t(data, *t_of(v)) - t_star for v in points])
+
+    def brackets_along_b(av):
+        hits = []
+        for e0, e1 in zip(edges, edges[1:]):
+            if e1 <= av:
+                continue
+            bb = np.linspace(max(e0, av) + 1e-12 * (hi - lo), e1, resolution)
+            vals = values(bb, lambda bv: (av, bv))
+            for k in range(len(bb) - 1):
+                if np.isnan(vals[k]) or np.isnan(vals[k + 1]):
+                    continue
+                if vals[k] == 0.0:
+                    hits.append((av, bb[k]))
+                elif vals[k] * vals[k + 1] < 0:
+                    root = brentq(lambda bv: t_ab(data, av, bv) - t_star,
+                                  bb[k], bb[k + 1], xtol=1e-15, rtol=8.9e-16)
+                    hits.append((av, root))
+        return hits
+
+    def cross_piece(av, bv):
+        return data.piece_of(av, side="right") != data.piece_of(bv, side="left")
+
+    if a_fixed is not None:
+        hits = brackets_along_b(a_fixed)
+        if not hits:
+            raise NoRootInInterval("a ray")
+        return next((h for h in hits if cross_piece(*h)), hits[0])
+    if b_fixed is not None:
+        for e0, e1 in zip(edges, edges[1:]):
+            if e0 >= b_fixed:
+                continue
+            aa = np.linspace(e0, min(e1, b_fixed) - 1e-12 * (hi - lo), resolution)
+            vals = values(aa, lambda av: (av, b_fixed))
+            for k in range(len(aa) - 1):
+                if vals[k] * vals[k + 1] < 0:
+                    root = brentq(lambda av: t_ab(data, av, b_fixed) - t_star,
+                                  aa[k], aa[k + 1], xtol=1e-15, rtol=8.9e-16)
+                    return root, b_fixed
+        raise NoRootInInterval("b ray")
+    fallback = None
+    for av in np.linspace(lo, hi, resolution):
+        for hit in brackets_along_b(av):
+            if cross_piece(*hit):
+                return hit
+            fallback = fallback or hit
+    if fallback is None:
+        raise NoRootInInterval("scan")
+    return fallback
+
+
+def _seed_or_error(fn, *args, **kw):
+    try:
+        return fn(*args, **kw)
+    except NoRootInInterval:
+        return "NoRootInInterval"
+
+
+@pytest.mark.parametrize("data, t_int", LAW + [(COINCIDENT, 0.01)])
+def test_find_seed_matches_scalar_reference(data, t_int):
+    x1, x2 = data.breakpoints[0], data.breakpoints[-1]
+    forms = [{}, {"a_fixed": x1 - 0.3 * (x2 - x1)}, {"a_fixed": x1},
+             {"b_fixed": x2 + 0.2}, {"b_fixed": x2}, {"b_fixed": data.domain[0] + 0.1}]
+    for t_star in (1.4 * t_int, 100.0 * t_int):
+        for kw in forms:
+            got = _seed_or_error(find_seed, data, t_star, resolution=32, **kw)
+            ref = _seed_or_error(_reference_find_seed, data, t_star, resolution=32, **kw)
+            assert got == ref, kw
+            assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+
+
+def test_find_seed_matches_scalar_reference_at_full_resolution(data):
+    for kw in ({}, {"a_fixed": -5.0}, {"b_fixed": 1.5}):
+        got = find_seed(data, 0.018, **kw)
+        assert got == _reference_find_seed(data, 0.018, **kw)
+
+
+@pytest.mark.parametrize("data", [LAW[0][0], LAW[1][0], COINCIDENT])
+def test_level_map_matches_scalar_loop(data):
+    lo, hi = data.domain
+    rect = (lo - 0.5, hi, lo, hi + 0.5)
+    a, b, T = level_map(data, rect, resolution=41)
+    ref = np.full((41, 41), np.nan)
+    for i, av in enumerate(a):
+        for j, bv in enumerate(b):
+            if bv > av:
+                ref[i, j] = _scalar_t(data, av, bv)
+    assert np.isnan(ref).any() and np.isfinite(ref).any()
+    _assert_bitwise(T, ref)
+
+
+# -- march post-pass against the per-sample loop ----------------------------
+
+
+def test_march_post_pass_matches_per_sample_loop(data, monkeypatch):
+    calls = []
+    sample_run = cauchy_general._sample_run
+
+    def spy(seg_a, seg_b, ys, t_star):
+        run = sample_run(seg_a, seg_b, ys, t_star)
+        calls.append((seg_a, seg_b, ys, t_star, run))
+        return run
+
+    monkeypatch.setattr(cauchy_general, "_sample_run", spy)
+    res = general_profile(data, 0.018, (-4.0, 9.0))
+    ga, gb = data.graphs()
+    kinds = set()
+    max_drift = 0.0
+    for seg_a, seg_b, ys, t_star, run in calls:
+        ia, ib = ga.segments.index(seg_a), gb.segments.index(seg_b)
+        kinds.add(seg_a.kind + seg_b.kind)
+        drift = 0.0
+        ref = {"R1": [], "R2": [], "a": [], "b": []}
+        for i in range(ys.shape[1]):
+            t, _, _, r1, r2, *_ = _parts(data, ga, gb, ia, ib, *ys[:4, i])
+            drift = max(drift, abs(t - t_star))
+            ref["R1"].append(r1)
+            ref["R2"].append(r2)
+            ref["a"].append(seg_a.eval(ys[0, i])[0])
+            ref["b"].append(seg_b.eval(ys[1, i])[0])
+        for name, values in ref.items():
+            assert run[name].tobytes() == np.array(values, dtype=float).tobytes()
+        assert run["drift"] == drift
+        max_drift = max(max_drift, drift)
+    assert {"hh", "hv", "vh"} <= kinds
+    assert res.max_drift == max_drift
+
+
+def test_march_post_pass_keeps_its_checks(data):
+    ga, gb = data.graphs()
+    seg_a, seg_b = ga.segments[0], gb.segments[2]  # r2 = 8 left of x1, r1 = 2 inside
+    s_a = np.linspace(seg_a.s0 + 1.0, seg_a.s0 + 2.0, 9)
+    s_b = np.linspace(seg_b.s0 + 0.2, seg_b.s0 + 0.4, 9)
+    feet = list(zip(seg_a.x0 + s_a - seg_a.s0, seg_b.x0 + s_b - seg_b.s0))
+    F = [data.F(a, b) for a, b in feet]
+    G = [data.G(a, b) for a, b in feet]
+    ys = np.vstack([s_a, s_b, F, G, np.zeros(9)])
+    # The feet move off the level line of their first point.
+    with pytest.raises(LevelDrift):
+        cauchy_general._sample_run(seg_a, seg_b, ys, t_ab(data, *feet[0]))
+    fa, fb = COINCIDENT.graphs()
+    with pytest.raises(CoincidentInvariants):
+        cauchy_general._sample_run(fa.segments[0], fb.segments[-1], ys, 0.01)

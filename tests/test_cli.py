@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,3 +224,51 @@ def test_general_three_plateaus(tmp_path):
     rows = (out / "general_t0.010000.csv").read_text().splitlines()
     assert rows[0] == "x,R1,R2,u1,u2,zone"
     assert len(rows) > 100
+
+
+def _readme_ini_block():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split("```ini\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_config_block_runs_as_pasted(tmp_path):
+    # The README's block carries inline "; ..." comments after values.
+    block = _readme_ini_block()
+    assert "; positive, sorted" in block
+    path = tmp_path / "readme.ini"
+    path.write_text(block)
+    assert main(["timeline", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize(
+    "line, replacement",
+    [("r1_values = 5, 2, 5", "r1_values = 5, 2"),
+     ("domain = -21, 21", "domain = -21"),
+     ("domain = -21, 21", "domain = 21, -21"),
+     ("window = -2, 6", "window = -2")],
+)
+def test_general_wrong_value_count_exits_2(tmp_path, capsys, line, replacement):
+    path = tmp_path / "bad.ini"
+    path.write_text(GOOD_CONFIG.replace(line, replacement))
+    code = main(
+        ["general", "--config", str(path), "--out", str(tmp_path / "o"),
+         "--times", "0.018"]
+    )
+    assert code == 2
+    assert "[general]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--cells", "2"], ["--cfl", "0"], ["--cfl", "1"], ["--cfl", "1.5"],
+     ["--cfl", "-0.2"]],
+    ids=lambda f: "".join(f),
+)
+def test_invalid_grid_exits_2(config, tmp_path, capsys, flags):
+    code = main(
+        ["compare", "--config", str(config), "--out", str(tmp_path / "o"),
+         "--times", "0.005", *flags]
+    )
+    assert code == 2
+    assert "[fv]" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
