@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -289,13 +289,9 @@ def seed_point(data: PiecewiseInitialData, a_star: float, b_star: float):
         seg_end = min(gb.segments[ib].s1, s_b_end)
 
         def rhs(s, yv):
-            t, t_sa, t_sb, r1, r2, *_rest = _parts(
+            _, _, t_sb, r1, r2, _, _, fb, gbv, _, dXb = _parts(
                 data, ga, gb, ia, ib, s_a, s, yv[1], yv[2]
             )
-            seg = gb.segments[ib]
-            _, _, dXb, _ = seg.eval(s)
-            fb = seg.f if seg.kind == "h" else 0.0
-            gbv = seg.g if seg.kind == "h" else 0.0
             return (
                 lambda_k(2, r1, r2) * t_sb,
                 fb * dXb,
@@ -776,10 +772,7 @@ def general_profile(
         raise LevelDrift(
             f"seed time {seed.t_star} disagrees with requested {t_star}"
         )
-    seed = AbPlaneState(
-        a=seed.a, b=seed.b, F=seed.F, G=seed.G, X=seed.X,
-        r1=seed.r1, r2=seed.r2, t_star=t_star, s_a=seed.s_a, s_b=seed.s_b,
-    )
+    seed = replace(seed, t_star=t_star)
     result = march_isochrone(data, seed, x_window, density=density)
     if mobilities is not None:
         from .invariants import u_from_mobilities

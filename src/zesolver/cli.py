@@ -38,7 +38,8 @@ Exit codes:
        a value that is not a number, a wrong value count (domain and window
        take two, the [general] value lists one more than breakpoints), an
        empty cell list, unsorted or non-positive times, mixture parameters
-       that break 0 < q1 < mu1 < mu2 < q2 or x1 < x2, [general] data that
+       that break 0 < q1 < mu1 < mu2 < q2 or x1 < x2 (`general` too, when
+       it reads its mobilities from [mixture]), [general] data that
        breaks its rules (domain lo < hi, breakpoints increasing and
        inside it, R1 < R2 and R1 R2 != 0 on every piece), a grid with
        fewer than 4 cells or x_min >= x_max, a CFL number outside (0, 1)
@@ -53,6 +54,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import itertools
 import json
 import sys
@@ -108,15 +110,17 @@ class ScenarioConfig:
                 raise FileNotFoundError(f"config file not found: {path}")
 
     def mixture(self) -> MixtureParams:
+        """The [mixture] instance, checked by validate_params."""
         sec = self.cp["mixture"]
+        keys = [f.name for f in dataclasses.fields(MixtureParams)]
+        missing = [key for key in keys if key not in sec]
+        if missing:
+            raise InputError(f"[mixture]: missing {', '.join(missing)}")
         try:
-            return MixtureParams(
-                mu1=sec.getfloat("mu1"), mu2=sec.getfloat("mu2"),
-                q1=sec.getfloat("q1"), q2=sec.getfloat("q2"),
-                x1=sec.getfloat("x1"), x2=sec.getfloat("x2"),
-            )
+            params = MixtureParams(**{key: sec.getfloat(key) for key in keys})
         except ValueError as exc:
             raise InputError(f"[mixture]: {exc}") from exc
+        return validate_params(params)
 
     def get(self, section, key, fallback=None):
         if self.cp.has_option(section, key):
@@ -165,7 +169,7 @@ def _zone_boundaries(profile):
 
 
 def cmd_timeline(cfg: ScenarioConfig, out_dir: Path, fmt: str) -> int:
-    params = validate_params(cfg.mixture())
+    params = cfg.mixture()
     solver = ScenarioSolver(params)
     tl = solver.timeline
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -182,7 +186,7 @@ def cmd_timeline(cfg: ScenarioConfig, out_dir: Path, fmt: str) -> int:
 
 
 def cmd_profile(cfg: ScenarioConfig, out_dir: Path, times, samples) -> int:
-    params = validate_params(cfg.mixture())
+    params = cfg.mixture()
     solver = ScenarioSolver(params)
     out_dir.mkdir(parents=True, exist_ok=True)
     for t in times:
@@ -210,7 +214,7 @@ def _analytic_shocks(solver, t):
 
 
 def cmd_compare(cfg: ScenarioConfig, out_dir: Path, times, cells_list, cfl) -> int:
-    params = validate_params(cfg.mixture())
+    params = cfg.mixture()
     x_min = _parse_one(cfg.get("fv", "x_min", -3.0), float)
     x_max = _parse_one(cfg.get("fv", "x_max", 7.0), float)
     try:

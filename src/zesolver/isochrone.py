@@ -179,99 +179,47 @@ class ScenarioSolver:
 
     def phi(self, t):
         """Left boundary of Z5 (radical form before T_3, parametric after)."""
-        return self._z5_edge(self.timeline.side(1), t)
+        return self._z5_edge(self.timeline.side(1), t).x(t)
 
     def theta(self, t):
         """Right boundary of Z5 (radical form before T_6, parametric after)."""
-        return self._z5_edge(self.timeline.side(2), t)
+        return self._z5_edge(self.timeline.side(2), t).x(t)
 
     def _z5_edge(self, side, t):
+        """The boundary curve of Z5 on a side at time t: the early (radical)
+        curve up to the side's fan death, the parametric curve after it."""
         T = self.timeline.times
         if t < T["T_int"] * (1 - 1e-12) or t > T["T_fin"] * (1 + 1e-12):
             raise DomainError(f"{side.curve} defined on [T_int, T_fin]")
-        label = side.early if t <= T[side.death] else side.curve
-        return self.timeline.curves[label].x(t)
+        return self.timeline.curves[side.early if t <= T[side.death] else side.curve]
 
     # -- parametric-boundary roots -------------------------------------------
 
     def rho_star(self, t_star):
-        """Unique root of t(rho, mu2) = t* in [q1, mu1] (cubic + Newton)."""
-        return self._boundary_root(self.timeline.side(1), t_star)
+        """Root of t(rho, mu2) = t* near [q1, mu1]: phi's rho_of_t."""
+        return self.timeline.curves["phi"].rho_of_t(t_star)
 
     def sigma_star(self, t_star):
-        """Mirror root of t(mu1, rho) = t* in [mu2, q2]."""
-        return self._boundary_root(self.timeline.side(2), t_star)
-
-    def _cubic_coeffs(self, side, t_star):
-        """Coefficients in rho of the cubic t(side.pair(rho)) = t*.
-
-        With f the fixed invariant, (R1 - R2)^3 = sign (rho - f)^3, so the
-        t*-part of side 2 is side 1's with its sign flipped; the C-part,
-        from the numerator of t, is the same on both sides.
-        """
-        p = self.params
-        C = (p.x2 - p.x1) / (p.q1 * p.q2)
-        S = p.q1 + p.q2
-        P = p.q1 * p.q2
-        f = side.fixed
-        a = side.sign * t_star
-        return [
-            a,
-            -3.0 * a * f,
-            3.0 * a * f**2 - C * (2.0 * f - S),
-            -a * f**3 - C * (2.0 * P - S * f),
-        ]
-
-    def _boundary_root(self, side, t_star):
-        lo, hi = side.lo, side.hi
-        t_of = lambda r: self.hodograph.t(*side.pair(r))
-        dt_of = lambda r: self.hodograph.t_partials(*side.pair(r))[side.index]
-        pad = 1e-9 * (hi - lo)
-        roots = np.roots(self._cubic_coeffs(side, t_star))
-        candidates = [
-            float(r.real)
-            for r in roots
-            if abs(r.imag) < 1e-8 and lo - pad <= r.real <= hi + pad
-        ]
-        if not candidates:
-            raise NoRootInInterval(
-                f"t = {t_star}: no boundary root in [{lo}, {hi}] (side {side.k})"
-            )
-        rho = min(candidates, key=lambda r: abs(t_of(r) - t_star))
-        for _ in range(3):
-            f = t_of(rho) - t_star
-            rho = rho - f / dt_of(rho)
-        rho = min(max(rho, lo), hi)
-        if abs(t_of(rho) - t_star) > 1e-12 * max(1.0, abs(t_star)):
-            raise NoRootInInterval(
-                f"boundary root failed to converge at t = {t_star} (side {side.k})"
-            )
-        return rho
+        """Mirror root of t(mu1, rho) = t* near [mu2, q2]: theta's rho_of_t."""
+        return self.timeline.curves["theta"].rho_of_t(t_star)
 
     # -- zone Z5: isochrone ODE ------------------------------------------------
 
     def z5_profile(self, t_star, n=64) -> Segment:
         """Integrate the level-line ODEs across Z5 at time t*.
 
-        Starts at phi(t*) with the left boundary state and integrates to
-        theta(t*); the terminal state must hit the right boundary value
-        within 1e-6 or EndpointMismatch is raised.
+        Each end's position and state come from one boundary curve (the
+        side's _z5_edge), so on a parametric curve both rest on the same
+        root rho_of_t(t*).  The ODE starts at phi(t*) with the left state
+        and integrates to theta(t*); the terminal state must hit the right
+        boundary value within 1e-6 or EndpointMismatch is raised.
         """
-        p = self.params
-        T = self.timeline.times
-        if t_star < T["T_int"] * (1 - 1e-12) or t_star > T["T_fin"] * (1 + 1e-12):
-            raise DomainError("Z5 exists on [T_int, T_fin] only")
-        xl = self.phi(t_star)
-        xr = self.theta(t_star)
-
-        if t_star <= T["T_3"]:
-            left = (p.q1, float(wavefield.fan_R2(p, xl, t_star)))
-        else:
-            left = (self.rho_star(t_star), p.mu2)
-        if t_star <= T["T_6"]:
-            right = (float(wavefield.fan_R1(p, xr, t_star)), p.q2)
-        else:
-            right = (p.mu1, self.sigma_star(t_star))
+        # _z5_edge raises DomainError outside [T_int, T_fin].
+        edge_l, edge_r = (
+            self._z5_edge(s, t_star) for s in self.timeline.sides.values()
+        )
+        xl, left = edge_l.x(t_star), edge_l.left_state(t_star)
+        xr, right = edge_r.x(t_star), edge_r.left_state(t_star)
 
         if xr - xl < DEGENERATE_WIDTH * max(1.0, abs(xl)):
             return Segment("Z5", np.array([xl]), np.array([left[0]]), np.array([left[1]]))
@@ -288,7 +236,7 @@ class ScenarioSolver:
         if not sol.success:
             raise IntegrationFailure(f"Z5 isochrone ODE failed: {sol.message}")
         end = sol.y[:, -1]
-        if t_star <= T["T_6"]:
+        if t_star <= self.timeline.times["T_6"]:
             mismatch = abs(end[1] - right[1])
         else:
             mismatch = abs(end[0] - right[0])
@@ -324,15 +272,11 @@ class ScenarioSolver:
         the left-boundary value (q1, or the shock value after T_9) and the
         isochrone root rho* (mu1 after T_fin).
         """
-        return self._transport_segment(
-            self.timeline.side(1), self.rho_star, t_star, n
-        )
+        return self._transport_segment(self.timeline.side(1), t_star, n)
 
     def z10_profile(self, t_star, n=64) -> Segment:
         """Mirror of z9_profile: Z10 with R2 = rho between sigma* and q2 or Theta."""
-        return self._transport_segment(
-            self.timeline.side(2), self.sigma_star, t_star, n
-        )
+        return self._transport_segment(self.timeline.side(2), t_star, n)
 
     def transport_x(self, side, rho, t_star):
         """Position reached at t* by the value rho leaving the Z5 boundary.
@@ -346,18 +290,22 @@ class ScenarioSolver:
         x0 = self.hodograph.x(*R)
         return x0 + lambda_k(s.k, *R) * (t_star - tau)
 
-    def _transport_segment(self, side, boundary_root, t_star, n):
+    def _transport_segment(self, side, t_star, n):
         """Sample a side's transport zone at n parameter values.
 
-        The parameter runs from the Z5 boundary root (the side's far value
-        after T_fin) to the shock-side value (side.start before the shock
-        forms).  The positions x(rho) of all samples come from one array
-        evaluation of transport_x; they must increase strictly.
+        The parameter runs from the Z5 boundary root (the side's parametric
+        curve's rho_of_t(t*); the side's far value after T_fin) to the
+        shock-side value (side.start before the shock forms).  The
+        positions x(rho) of all samples come from one array evaluation of
+        transport_x; they must increase strictly.
         """
         T = self.timeline.times
         if t_star < T[side.death] * (1 - 1e-12):
             raise DomainError(f"{side.zone} exists for t >= {side.death} only")
-        inner = boundary_root(t_star) if t_star <= T["T_fin"] else side.far
+        if t_star <= T["T_fin"]:
+            inner = self.timeline.curves[side.curve].rho_of_t(t_star)
+        else:
+            inner = side.far
         if t_star <= T[side.shock_event]:
             outer = side.start
         else:

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import DomainError, UnexpectedOrdering
+from .errors import DomainError, NoRootInInterval, UnexpectedOrdering
 from .hodograph import ImplicitSolution, interaction_time
 from .invariants import MixtureParams, validate_params
 
@@ -26,6 +26,10 @@ from .invariants import MixtureParams, validate_params
 PARAM_TABLE_SIZE = 512
 #: relative bracket extension for root solves just beyond a curve's endpoint.
 PARAM_MARGIN = 0.02
+#: absolute brentq tolerance of rho_of_t: negligible, so that the relative
+#: one (rtol, about 4 ulp) sets the root's precision at any scale of the
+#: invariants (an absolute 1e-15 is some 70 ulp of rho = 0.07).
+ROOT_XTOL = 1e-300
 
 
 @dataclass
@@ -94,11 +98,6 @@ class Side:
     def index(self) -> int:
         """Slot of rho in (R1, R2), and so of d/drho in t_partials."""
         return self.k - 1
-
-    @property
-    def sign(self) -> int:
-        """Sign of (R1 - R2) / (rho - fixed): +1 on side 1, -1 on side 2."""
-        return 3 - 2 * self.k
 
 
 def mirrored_sides(p: MixtureParams) -> dict:
@@ -288,8 +287,11 @@ def _parametric_curve(sol: ImplicitSolution, side: Side, t_start, t_end):
     characteristic of the other family, across which the state is
     side.pair(rho).  The t(rho) and x(rho) tables are each one array
     evaluation of the hodograph over the whole rho grid.  The t(rho) table
-    must be strictly monotone; x(t) queries bracket the parameter between
-    two adjacent grid nodes and root-solve t(rho) = t exactly.
+    must be strictly monotone.  rho_of_t is the one solver of
+    t(side.pair(rho)) = t: it brackets the parameter between two adjacent
+    grid nodes and refines it with brentq; x(t), the states and the
+    isochrone's rho*/sigma* all read it.  A time outside the curve's span
+    (beyond the bracket margin) raises NoRootInInterval.
     """
     lo, hi = side.lo, side.hi
     t_of = lambda r: sol.t(*side.pair(r))
@@ -306,9 +308,11 @@ def _parametric_curve(sol: ImplicitSolution, side: Side, t_start, t_end):
 
     # Bracket nodes: the grid with its two ends pushed out by the margin, so
     # times at or just beyond the curve's endpoints still find their root.
+    # A push stops halfway to the fixed invariant: at rho = side.fixed
+    # (R1 = R2) t(rho) has its pole, and a node past it brackets nothing.
     nodes = grid.copy()
-    nodes[0] -= PARAM_MARGIN * (hi - lo)
-    nodes[-1] += PARAM_MARGIN * (hi - lo)
+    nodes[0] -= min(PARAM_MARGIN * (hi - lo), 0.5 * abs(lo - side.fixed))
+    nodes[-1] += min(PARAM_MARGIN * (hi - lo), 0.5 * abs(hi - side.fixed))
     rising = d[0] > 0
     t_rising = t_tab if rising else t_tab[::-1]
     last = PARAM_TABLE_SIZE - 1
@@ -322,8 +326,8 @@ def _parametric_curve(sol: ImplicitSolution, side: Side, t_start, t_end):
         for a, b in ((nodes[j - 1], nodes[j]),
                      (nodes[max(j - 2, 0)], nodes[min(j + 1, last)])):
             if (t_of(a) - t) * (t_of(b) - t) <= 0:
-                return brentq(lambda r: t_of(r) - t, a, b, xtol=1e-15, rtol=8.9e-16)
-        raise DomainError(f"{side.curve}: time {t} outside the curve's span")
+                return brentq(lambda r: t_of(r) - t, a, b, xtol=ROOT_XTOL, rtol=8.9e-16)
+        raise NoRootInInterval(f"{side.curve}: time {t} outside the curve's span")
 
     state = lambda t: side.pair(rho_of_t(t))
     return BoundaryCurve(

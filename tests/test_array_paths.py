@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from zesolver import MixtureParams
-from zesolver.errors import CoincidentInvariants, DomainError, UnexpectedOrdering
+from zesolver.errors import CoincidentInvariants, NoRootInInterval, UnexpectedOrdering
 from zesolver.hodograph import COINCIDENT_RTOL
 from zesolver.isochrone import Profile, ScenarioSolver
 
@@ -204,7 +204,7 @@ def test_rho_of_t_on_nodes_ends_and_outside(solver, cid):
         assert curve.param_point(curve.rho_of_t(t))[1] == pytest.approx(t, rel=1e-14)
     span = curve.t_end - curve.t_start
     for t in (curve.t_start - span, curve.t_end + span):
-        with pytest.raises(DomainError):
+        with pytest.raises(NoRootInInterval):
             curve.rho_of_t(t)
 
 
@@ -222,3 +222,40 @@ def test_rho_of_t_on_nodes_that_differ_from_scalar_evaluation():
                     )
                     checked += 1
     assert checked > 0
+
+
+@pytest.mark.parametrize(
+    "mu1, mu2, q1, q2",
+    [
+        (10.0, 10.1, 1.0, 11.0),  # phi's margin would push mu1 past mu2
+        (6.0, 6.1, 1.0, 8.0),  # phi's margin would land on mu2 (R1 = R2)
+        (4.0, 4.2, 3.0, 18.0),  # theta's margin would push mu2 past mu1
+    ],
+)
+def test_rho_of_t_in_end_cells_when_mu1_and_mu2_are_close(mu1, mu2, q1, q2):
+    # mu2 - mu1 is below the bracket margin; the extended end node must stay
+    # on the curve's side of the pole of t(rho) at the fixed invariant.
+    p = MixtureParams(mu1=mu1, mu2=mu2, q1=q1, q2=q2, x1=-1.0, x2=1.0)
+    solver = ScenarioSolver(p)
+    for cid in ("phi", "theta"):
+        curve = solver.timeline.curves[cid]
+        ts = curve.t_grid
+        for t in (0.5 * (ts[0] + ts[1]), 0.5 * (ts[-2] + ts[-1])):
+            t = float(t)
+            t_back = curve.param_point(curve.rho_of_t(t))[1]
+            assert t_back == pytest.approx(t, rel=1e-12)
+            solver.profile_at(t, n=256)
+
+
+def test_z5_edges_take_x_and_state_from_one_root(solver):
+    # On a parametric boundary the Z5 end's position and state rest on the
+    # same root rho_of_t(t*), so the hodograph maps the state onto x exactly.
+    for s in (solver, *CONE):
+        T = s.timeline.times
+        h = s.hodograph
+        for t in np.linspace(T["T_3"], T["T_fin"], 22)[1:-1].tolist():
+            seg = s.z5_profile(t, n=2)
+            assert seg.x[0] == h.x(seg.R1[0], seg.R2[0])
+        for t in np.linspace(T["T_6"], T["T_fin"], 22)[1:-1].tolist():
+            seg = s.z5_profile(t, n=2)
+            assert seg.x[-1] == h.x(seg.R1[-1], seg.R2[-1])

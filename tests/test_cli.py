@@ -108,6 +108,31 @@ def test_non_numeric_mixture_value_exits_2(tmp_path, capsys):
     assert "eight" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["mu1", "mu2", "q1", "q2", "x1", "x2"])
+def test_missing_mixture_key_exits_2(tmp_path, capsys, key):
+    lines = [ln for ln in GOOD_CONFIG.splitlines() if not ln.startswith(f"{key} = ")]
+    path = tmp_path / "bad.ini"
+    path.write_text("\n".join(lines) + "\n")
+    code = main(["timeline", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"missing {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["9", "-5"])
+def test_general_rejects_invalid_mixture(tmp_path, capsys, value):
+    # general takes the u1/u2 mobilities from [mixture]; mu1 = 9 > mu2 and
+    # mu1 = -5 break the ordering the other commands enforce.
+    path = tmp_path / "bad.ini"
+    path.write_text(GOOD_CONFIG.replace("mu1 = 5", f"mu1 = {value}"))
+    code = main(
+        ["general", "--config", str(path), "--out", str(tmp_path / "o"),
+         "--times", "0.018"]
+    )
+    assert code == 2
+    assert "0 < q1 < mu1 < mu2 < q2" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_non_numeric_cells_exit_2(config, tmp_path, capsys):
     code = main(
         ["compare", "--config", str(config), "--out", str(tmp_path / "o"),

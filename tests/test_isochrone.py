@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from zesolver import rh_residual
-from zesolver.errors import DomainError, DomainMismatch, NoRootInInterval
+from zesolver import MixtureParams, rh_residual
+from zesolver.errors import (
+    DomainError,
+    DomainMismatch,
+    NoRootInInterval,
+    UnexpectedOrdering,
+)
 from zesolver.invariants import InvariantPair, lambda_k
-from zesolver.isochrone import profile_at
+from zesolver.isochrone import ScenarioSolver, profile_at
 
 
 def test_z5_degenerate_at_interaction_time(solver):
@@ -62,6 +69,35 @@ def test_rho_star_examples(solver):
 def test_sigma_star_examples(solver):
     assert solver.sigma_star(0.032) == pytest.approx(10.0, abs=1e-12)
     assert solver.sigma_star(2 / 15) == pytest.approx(8.0, abs=1e-12)
+
+
+#: Relative gap between consecutive values of q1 < mu1 < mu2 < q2.  Near
+#: its R1 = R2 pole the closed form t carries a relative rounding error of
+#: about eps / gap^2 (+-2e-12 between neighbouring floats at gap 1e-2), so
+#: below gaps of a few 1e-2 no float root, exact or not, meets the bound.
+_GAP = st.floats(0.05, 5.0)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(q1=st.floats(0.05, 10.0), a=_GAP, b=_GAP, c=_GAP,
+       x1=st.floats(-3.0, 0.0), width=st.floats(1e-2, 10.0), u=st.floats(0.0, 1.0))
+def test_boundary_roots_solve_the_level_on_the_cone(q1, a, b, c, x1, width, u):
+    mu1 = q1 * (1 + a)
+    mu2 = mu1 * (1 + b)
+    q2 = mu2 * (1 + c)
+    p = MixtureParams(mu1=mu1, mu2=mu2, q1=q1, q2=q2, x1=x1, x2=x1 + width)
+    try:
+        solver = ScenarioSolver(p)
+    except UnexpectedOrdering:
+        assume(False)
+    T = solver.timeline.times
+    roots = (solver.rho_star, solver.sigma_star)
+    for side, root in zip(solver.timeline.sides.values(), roots):
+        t0 = T[side.death]
+        for t in (t0, t0 + u * (T["T_fin"] - t0), T["T_fin"]):
+            rho = root(t)
+            residual = abs(solver.hodograph.t(*side.pair(rho)) - t)
+            assert residual <= 1e-12 * max(1.0, t), (p, side.k, t)
 
 
 def test_z9_profile_boundaries(solver):
