@@ -5,11 +5,12 @@ For initial invariants R1_0(x), R2_0(x) the implicit solution is
     t(a, b) = [ 2(b-a) - (r1+r2) F(a,b) + 2 r1 r2 G(a,b) ] / (r1 - r2)^3,
 
 with r1 = R1_0(b), r2 = R2_0(a), F = int_a^b f, G = int_a^b g,
-f = (R1_0 + R2_0)/(R1_0 R2_0) and g = 1/(R1_0 R2_0).  An isochrone
+f = (R1_0 + R2_0)/(R1_0 R2_0) and g = 1/(R1_0 R2_0).  For piecewise-constant
+data F and G are closed forms of the feet a <= b, piecewise linear in each,
+read from one table of the data (PiecewiseInitialData).  An isochrone
 t(a, b) = t* is traced by the marching system
 
     da/dmu = -t_b,  db/dmu = t_a,
-    dF/dmu = f(a) t_b + f(b) t_a,   dG/dmu = g(a) t_b + g(b) t_a,
     dX/dmu = (lambda2(r1,r2) - lambda1(r1,r2)) t_a t_b,
 
 which preserves t exactly; the solution along it is R1 = R1_0(b(mu)),
@@ -17,7 +18,7 @@ R2 = R2_0(a(mu)) at x = X(mu).
 
 Jumps of the data are handled by walking the completed graph of each
 R-profile: a jump becomes a zero-width vertical segment swept in the
-invariant value with positions and the F, G integrals frozen.  That is what
+invariant value with positions, and so F and G, frozen.  That is what
 turns a data jump into a rarefaction fan in the marched profile; with both
 feet pinned on verticals the formula above reduces exactly to the closed
 hodograph solution of the two-point scenario.
@@ -28,7 +29,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from functools import cached_property
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -42,12 +44,28 @@ from .errors import (
     LevelDrift,
     NoRootInInterval,
 )
-from .invariants import MixtureParams, lambda_k
+from .invariants import MixtureParams, lambda_k, u_from_mobilities
 
+#: solve_ivp tolerances of the seed and march ODEs in their arclength variable.
 _MU_RTOL = 1e-11
 _MU_ATOL = 1e-13
-#: minimum |r1 - r2| (relative) tolerated along a march.
+#: minimum |r1 - r2| (relative) tolerated along a march: t has a pole there.
 _COINCIDENT = 1e-9
+#: largest |t - t*| along a march, relative to t*: beyond it the level line is lost.
+_DRIFT = 1e-8
+#: largest |t(seed) - t*| relative to max(1, t*): the seed must keep find_seed's level.
+_SEED_AGREE = 1e-9
+#: a point this close (relative) to a graph joint or a data edge sits on it.
+_EDGE = 1e-12
+#: a march run shorter than this arclength made no progress.
+_ZERO_ARC = 1e-13
+#: the seed ODE stops this short of b*: the rest is below round-off.
+_SEED_END = 1e-14
+#: a run end this close to a segment end is moved onto it: the next run starts there.
+_SNAP = 1e-10
+#: brentq tolerances of the seed scan: roots to the last bits (rtol's floor is 4 eps).
+_ROOT_XTOL = 1e-15
+_ROOT_RTOL = 8.9e-16
 
 
 @dataclass(frozen=True)
@@ -76,7 +94,7 @@ class _Graph:
     """Completed graph of one piecewise-constant profile r(x).
 
     Horizontal segments carry the per-piece f, g values of the underlying
-    data (needed by the chain rule); verticals contribute no f, g.
+    data (needed by the chain rule); verticals carry f = g = 0.
     """
 
     def __init__(self, breakpoints, values, domain, f_vals, g_vals):
@@ -117,6 +135,20 @@ class _Graph:
             if seg.kind == "h" and seg.x0 <= x <= seg.x1:
                 return seg.s0 + (x - seg.x0)
         raise DomainError(f"position {x} outside the data domain")
+
+
+class _Table(NamedTuple):
+    """Integral table of n pieces; the outer two extend to -inf and +inf."""
+
+    breakpoints: np.ndarray
+    lo: np.ndarray  # lower edge of each piece
+    hi: np.ndarray  # upper edge of each piece
+    f: np.ndarray
+    g: np.ndarray
+    between_f: np.ndarray  # [i, j]: f over the whole pieces strictly between i < j
+    between_g: np.ndarray
+    r1: np.ndarray
+    r2: np.ndarray  # [i, j]: r2 of piece i, NaN where it coincides with r1 of piece j
 
 
 @dataclass(frozen=True)
@@ -168,34 +200,56 @@ class PiecewiseInitialData:
     def piece_of(self, x, side="right"):
         return int(np.searchsorted(np.asarray(self.breakpoints), x, side=side))
 
-    def f_piece(self, i):
-        return (self.r1_values[i] + self.r2_values[i]) / (
-            self.r1_values[i] * self.r2_values[i]
-        )
+    @cached_property
+    def _table(self) -> _Table:
+        bp = np.asarray(self.breakpoints, dtype=float)
+        lo = np.concatenate(([-np.inf], bp))
+        hi = np.concatenate((bp, [np.inf]))
+        r1 = np.asarray(self.r1_values, dtype=float)
+        r2 = np.asarray(self.r2_values, dtype=float)
+        f = (r1 + r2) / (r1 * r2)
+        g = 1.0 / (r1 * r2)
 
-    def g_piece(self, i):
-        return 1.0 / (self.r1_values[i] * self.r2_values[i])
+        def between(v):
+            out = np.zeros((v.size, v.size))
+            for i in range(v.size - 2):
+                out[i, i + 2:] = np.cumsum(v[i + 1:-1] * np.diff(bp)[i:])
+            return out
+
+        r2_pair = [[np.nan if _coincident(v1, v2) else v2 for v1 in r1] for v2 in r2]
+        return _Table(bp, lo, hi, f, g, between(f), between(g), r1, np.array(r2_pair))
+
+    def _integrals(self, a, b):
+        """Pieces ia, ib of the feet a <= b and F, G over [a, b]; arrays broadcast.
+
+        Foot a lies in its piece on the right (a+), b in its piece on the
+        left (b-).  F is f(a) times a's part of its piece, plus the whole
+        pieces between, plus f(b) times b's part of its piece; with both feet
+        in one piece the first part is b - a and the others are zero.  G alike.
+        """
+        tab = self._table
+        ia = tab.breakpoints.searchsorted(a, side="right")
+        ib = tab.breakpoints.searchsorted(b, side="left")
+        cut = np.minimum(b, tab.hi[ia])  # where a's part of the interval ends
+        wa = cut - a
+        wb = b - np.maximum(cut, tab.lo[ib])
+        F = tab.f[ia] * wa + tab.between_f[ia, ib] + tab.f[ib] * wb
+        G = tab.g[ia] * wa + tab.between_g[ia, ib] + tab.g[ib] * wb
+        return ia, ib, F, G
 
     def F(self, xa, xb):
         """Exact integral of f over [xa, xb] for the piecewise data."""
-        return self._integral(self.f_piece, xa, xb)
+        if xb < xa:
+            return -self.F(xb, xa)
+        return float(self._integrals(xa, xb)[2])
 
     def G(self, xa, xb):
-        return self._integral(self.g_piece, xa, xb)
-
-    def _integral(self, piece_fn, xa, xb):
         if xb < xa:
-            return -self._integral(piece_fn, xb, xa)
-        edges = self._edges()
-        cuts = np.concatenate(([xa], edges[(edges > xa) & (edges < xb)], [xb]))
-        total = 0.0
-        for lo, hi in zip(cuts, cuts[1:]):
-            total += piece_fn(self.piece_of(0.5 * (lo + hi))) * (hi - lo)
-        return total
+            return -self.G(xb, xa)
+        return float(self._integrals(xa, xb)[3])
 
     def graphs(self):
-        f_vals = [self.f_piece(i) for i in range(len(self.r1_values))]
-        g_vals = [self.g_piece(i) for i in range(len(self.r1_values))]
+        f_vals, g_vals = self._table.f.tolist(), self._table.g.tolist()
         ga = _Graph(self.breakpoints, self.r2_values, self.domain, f_vals, g_vals)
         gb = _Graph(self.breakpoints, self.r1_values, self.domain, f_vals, g_vals)
         return ga, gb
@@ -203,12 +257,10 @@ class PiecewiseInitialData:
 
 @dataclass
 class AbPlaneState:
-    """A point of the (a, b)-plane march with its accumulated integrals."""
+    """A point of the (a, b)-plane march."""
 
     a: float
     b: float
-    F: float
-    G: float
     X: float
     r1: float
     r2: float
@@ -217,103 +269,123 @@ class AbPlaneState:
     s_b: float = field(repr=False, default=0.0)
 
 
-def t_ab(data: PiecewiseInitialData, a: float, b: float) -> float:
-    """Implicit solution time for the characteristic pair rooted at (a, b).
-
-    At a breakpoint the value limits are taken from inside [a, b]:
-    r1 = R1_0(b-), r2 = R2_0(a+).
-    """
-    r1 = data.r1_values[data.piece_of(b, side="left")]
-    r2 = data.r2_values[data.piece_of(a, side="right")]
-    return _t_formula(r1, r2, b - a, data.F(a, b), data.G(a, b))
-
-
 def _coincident(r1, r2):
     return abs(r1 - r2) < _COINCIDENT * max(1.0, abs(r1), abs(r2))
 
 
-def _t_formula(r1, r2, width, F, G):
-    if _coincident(r1, r2):
+def _level(width, r1, r2, F, G):
+    """The implicit time t from its parts, for scalars or arrays."""
+    d = r1 - r2
+    return (2.0 * width - (r1 + r2) * F + 2.0 * r1 * r2 * G) / (d * d * d)
+
+
+def _t_feet(data, a, b):
+    """t(a, b) for feet a <= b (arrays broadcast) from data's integral table.
+
+    r1 = R1_0(b-) and r2 = R2_0(a+); NaN where they coincide.
+    """
+    ia, ib, F, G = data._integrals(a, b)
+    return _level(b - a, data._table.r1[ib], data._table.r2[ia, ib], F, G)
+
+
+def t_ab(data: PiecewiseInitialData, a: float, b: float) -> float:
+    """Implicit solution time for the characteristic pair rooted at a <= b.
+
+    At a breakpoint the value limits are taken from inside [a, b]:
+    r1 = R1_0(b-), r2 = R2_0(a+).
+    """
+    if b < a:
+        raise DomainError(f"t(a, b) needs a <= b, got a = {a}, b = {b}")
+    t = float(_t_feet(data, a, b))
+    if math.isnan(t):
         raise CoincidentInvariants("r1(b) and r2(a) coincide")
-    return (2.0 * width - (r1 + r2) * F + 2.0 * r1 * r2 * G) / (r1 - r2) ** 3
+    return t
 
 
-def _parts(data, ga, gb, ia, ib, s_a, s_b, F, G):
-    """t and its s-derivatives at a march point, using segment formulas.
+def _anchor(data, seg_a, seg_b, s_a, s_b):
+    """The start of a run: its feet (a0, b0) with their exact F0, G0."""
+    a0, b0 = seg_a.eval(s_a)[0], seg_b.eval(s_b)[0]
+    return (a0, b0, *(float(v) for v in data._integrals(a0, b0)[2:]))
 
-    Within a segment the chain rule gives
+
+def _continued(seg_a, seg_b, a, b, anchor):
+    """F and G at feet (a, b) of a run on fixed segments, from its anchor.
+
+    Inside a run F = F0 - f(a) (a - a0) + f(b) (b - b0), exactly; G alike.
+    """
+    a0, b0, F0, G0 = anchor
+    return (
+        F0 - seg_a.f * (a - a0) + seg_b.f * (b - b0),
+        G0 - seg_a.g * (a - a0) + seg_b.g * (b - b0),
+    )
+
+
+def _parts(seg_a, seg_b, s_a, s_b, anchor):
+    """t, its s-derivatives and (r1, r2) at a point of a run.
+
+    F and G continue the run's anchor (_continued).  Within a segment the
+    chain rule gives
 
         t_sb = (2 - (r1+r2) f(b) + 2 r1 r2 g(b)) / d^3 * x'(s_b) + t_r1 r'(s_b)
         t_sa = (-2 + (r1+r2) f(a) - 2 r1 r2 g(a)) / d^3 * x'(s_a) + t_r2 r'(s_a)
 
     with t_r1 = (-F + 2 r2 G)/d^3 - 3t/d and t_r2 = (-F + 2 r1 G)/d^3 + 3t/d.
     """
-    seg_a = ga.segments[ia]
-    seg_b = gb.segments[ib]
-    X_a, r2, dXa, dr2 = seg_a.eval(s_a)
-    X_b, r1, dXb, dr1 = seg_b.eval(s_b)
+    a, r2, dXa, dr2 = seg_a.eval(s_a)
+    b, r1, dXb, dr1 = seg_b.eval(s_b)
     if _coincident(r1, r2):
         raise CoincidentInvariants("march entered a coincident-invariant region")
+    F, G = _continued(seg_a, seg_b, a, b, anchor)
     d = r1 - r2
-    d3 = d**3
-    t = (2.0 * (X_b - X_a) - (r1 + r2) * F + 2.0 * r1 * r2 * G) / d3
+    d3 = d * d * d
+    t = _level(b - a, r1, r2, F, G)
     t_r1 = (-F + 2.0 * r2 * G) / d3 - 3.0 * t / d
     t_r2 = (-F + 2.0 * r1 * G) / d3 + 3.0 * t / d
-    fa = seg_a.f if seg_a.kind == "h" else 0.0
-    gav = seg_a.g if seg_a.kind == "h" else 0.0
-    fb = seg_b.f if seg_b.kind == "h" else 0.0
-    gbv = seg_b.g if seg_b.kind == "h" else 0.0
-    t_sb = (2.0 - (r1 + r2) * fb + 2.0 * r1 * r2 * gbv) / d3 * dXb + t_r1 * dr1
-    t_sa = (-2.0 + (r1 + r2) * fa - 2.0 * r1 * r2 * gav) / d3 * dXa + t_r2 * dr2
-    return t, t_sa, t_sb, r1, r2, fa, gav, fb, gbv, dXa, dXb
+    t_sb = (2.0 - (r1 + r2) * seg_b.f + 2.0 * r1 * r2 * seg_b.g) / d3 * dXb + t_r1 * dr1
+    t_sa = (-2.0 + (r1 + r2) * seg_a.f - 2.0 * r1 * r2 * seg_a.g) / d3 * dXa + t_r2 * dr2
+    return t, t_sa, t_sb, r1, r2
 
 
 def seed_point(data: PiecewiseInitialData, a_star: float, b_star: float):
-    """Integrate along the characteristic a = a* to get (X*, F*, G*).
+    """Integrate along the characteristic a = a* to get X* and t*.
 
-    Solves dY/db = lambda2(r1(b), r2(a*)) t_b(a*, b) from Y(a*) = a*
-    together with the running integrals F, G; jump crossings restart the
-    integrator on the next graph segment.
+    Solves dY/db = lambda2(r1(b), r2(a*)) t_b(a*, b) from Y(a*) = a*; jump
+    crossings restart the integrator on the next graph segment, each start
+    anchoring F and G in the data's integral table.  t* takes F and G at
+    (a*, b*) from the table and r1, r2 from the graph segments of the feet.
     """
     if b_star < a_star:
         raise DomainError("seed needs a* <= b*")
     ga, gb = data.graphs()
     s_a = ga.s_of_x(a_star)
-    ia = ga.locate(s_a)
+    seg_a = ga.segments[ga.locate(s_a)]
     s_b_end = gb.s_of_x(b_star)
     s_b = gb.s_of_x(a_star)
 
-    y = np.array([a_star, 0.0, 0.0])  # Y, F, G
-    while s_b < s_b_end - 1e-14:
-        ib = gb.locate(s_b, direction=1)
-        seg_end = min(gb.segments[ib].s1, s_b_end)
+    y = np.array([a_star])  # Y
+    while s_b < s_b_end - _SEED_END:
+        seg_b = gb.segments[gb.locate(s_b, direction=1)]
+        seg_end = min(seg_b.s1, s_b_end)
+        anchor = _anchor(data, seg_a, seg_b, s_a, s_b)
 
         def rhs(s, yv):
-            _, _, t_sb, r1, r2, _, _, fb, gbv, _, dXb = _parts(
-                data, ga, gb, ia, ib, s_a, s, yv[1], yv[2]
-            )
-            return (
-                lambda_k(2, r1, r2) * t_sb,
-                fb * dXb,
-                gbv * dXb,
-            )
+            _, _, t_sb, r1, r2 = _parts(seg_a, seg_b, s_a, s, anchor)
+            return (lambda_k(2, r1, r2) * t_sb,)
 
-        sol = solve_ivp(
-            rhs, (s_b, seg_end), y, method="RK45",
-            rtol=_MU_RTOL, atol=_MU_ATOL,
-        )
+        sol = solve_ivp(rhs, (s_b, seg_end), y, method="RK45", rtol=_MU_RTOL, atol=_MU_ATOL)
         if not sol.success:
             raise IntegrationFailure(f"seed integration failed: {sol.message}")
         y = sol.y[:, -1]
         s_b = seg_end
 
-    X_star, F_star, G_star = y
     r1 = gb.segments[gb.locate(s_b_end, direction=-1)].eval(s_b_end)[1]
-    r2 = ga.segments[ia].eval(s_a)[1]
-    t_star = _t_formula(r1, r2, b_star - a_star, F_star, G_star)
+    r2 = seg_a.eval(s_a)[1]
+    if _coincident(r1, r2):
+        raise CoincidentInvariants("r1(b) and r2(a) coincide")
+    F, G = (float(v) for v in data._integrals(a_star, b_star)[2:])
     return AbPlaneState(
-        a=a_star, b=b_star, F=F_star, G=G_star, X=X_star,
-        r1=r1, r2=r2, t_star=t_star, s_a=s_a, s_b=s_b_end,
+        a=a_star, b=b_star, X=float(y[0]), r1=r1, r2=r2,
+        t_star=_level(b_star - a_star, r1, r2, F, G), s_a=s_a, s_b=s_b_end,
     )
 
 
@@ -327,11 +399,11 @@ class MarchResult:
     R2: np.ndarray
     a: np.ndarray
     b: np.ndarray
-    F: np.ndarray
-    G: np.ndarray
     knots: list  # x positions where the march crossed a data breakpoint
     status: dict  # per-direction termination reason
     max_drift: float
+    u1: Optional[np.ndarray] = None  # set by general_profile given mobilities
+    u2: Optional[np.ndarray] = None
 
 
 def march_isochrone(
@@ -356,21 +428,21 @@ def march_isochrone(
     max_drift = 0.0
 
     for direction in (+1, -1):
-        y = np.array([seed.s_a, seed.s_b, seed.F, seed.G, seed.X])
+        y = np.array([seed.s_a, seed.s_b, seed.X])
         sign_a = sign_b = 1
         prev_dx_sign = 0.0
         arc_used = 0.0
         reason = "arc-budget"
         while arc_used < max_arc:
             at_edge = (
-                y[0] <= ga.s_min + 1e-12 or y[0] >= ga.s_max - 1e-12
-                or y[1] <= gb.s_min + 1e-12 or y[1] >= gb.s_max - 1e-12
+                y[0] <= ga.s_min + _EDGE or y[0] >= ga.s_max - _EDGE
+                or y[1] <= gb.s_min + _EDGE or y[1] >= gb.s_max - _EDGE
             )
             picked = _pick_segments(data, ga, gb, y, direction, sign_a, sign_b)
             if picked is None:
                 reason = "domain" if at_edge else "fold"
                 break
-            ia, ib, sign_a, sign_b, dx = picked
+            seg_a, seg_b, sign_a, sign_b, dx = picked
             dx_sign = math.copysign(1.0, dx) if dx != 0.0 else 0.0
             if dx_sign == 0.0 or (prev_dx_sign and dx_sign != prev_dx_sign):
                 reason = "fold"
@@ -378,10 +450,10 @@ def march_isochrone(
             prev_dx_sign = dx_sign
 
             run, stop, y, arc = _march_run(
-                data, ga, gb, ia, ib, y, direction, t_star, x_window,
+                data, seg_a, seg_b, y, direction, t_star, x_window,
                 max_arc - arc_used, density,
             )
-            if arc <= 1e-13:
+            if arc <= _ZERO_ARC:
                 reason = "fold" if stop == "fold" else stop
                 break
             arc_used += arc
@@ -401,23 +473,13 @@ def march_isochrone(
                 f"isochrone march folded immediately at the seed (t* = {t_star})"
             )
         raise IntegrationFailure("march produced no samples")
-    out = MarchResult(
-        t_star=t_star,
-        x=np.concatenate([c["x"] for c in chunks]),
-        R1=np.concatenate([c["R1"] for c in chunks]),
-        R2=np.concatenate([c["R2"] for c in chunks]),
-        a=np.concatenate([c["a"] for c in chunks]),
-        b=np.concatenate([c["b"] for c in chunks]),
-        F=np.concatenate([c["F"] for c in chunks]),
-        G=np.concatenate([c["G"] for c in chunks]),
-        knots=sorted(knots),
-        status=status,
-        max_drift=max_drift,
-    )
-    order = np.argsort(out.x, kind="stable")
-    for name in ("x", "R1", "R2", "a", "b", "F", "G"):
-        setattr(out, name, getattr(out, name)[order])
-    return out
+    fields = {
+        name: np.concatenate([c[name] for c in chunks])
+        for name in ("x", "R1", "R2", "a", "b")
+    }
+    order = np.argsort(fields["x"], kind="stable")
+    return MarchResult(t_star=t_star, **{name: v[order] for name, v in fields.items()},
+                       knots=sorted(knots), status=status, max_drift=max_drift)
 
 
 def _pick_segments(data, ga, gb, y, direction, sign_a, sign_b):
@@ -425,67 +487,47 @@ def _pick_segments(data, ga, gb, y, direction, sign_a, sign_b):
 
     At a joint the incoming motion sign proposes the next segment; if the
     tangent there pushes back out, the other side is taken with the flipped
-    sign.  Returns (ia, ib, sign_a, sign_b, dX/dmu) or None if no consistent
-    choice exists (the march cannot continue smoothly).
+    sign.  Returns (seg_a, seg_b, sign_a, sign_b, dX/dmu) or None if no
+    consistent choice exists (the march cannot continue smoothly).
     """
-
-    def tangent(ia, ib):
-        t, t_sa, t_sb, r1, r2, *_ = _parts(
-            data, ga, gb, ia, ib, y[0], y[1], y[2], y[3]
-        )
-        dsa = -t_sb * direction
-        dsb = t_sa * direction
-        dx = (lambda_k(2, r1, r2) - lambda_k(1, r1, r2)) * t_sa * t_sb * direction
-        return dsa, dsb, dx
-
     for try_a in (sign_a, -sign_a):
         for try_b in (sign_b, -sign_b):
-            ia = ga.locate(y[0], direction=try_a)
-            ib = gb.locate(y[1], direction=try_b)
+            seg_a = ga.segments[ga.locate(y[0], direction=try_a)]
+            seg_b = gb.segments[gb.locate(y[1], direction=try_b)]
+            anchor = _anchor(data, seg_a, seg_b, y[0], y[1])
             try:
-                dsa, dsb, dx = tangent(ia, ib)
+                _, t_sa, t_sb, r1, r2 = _parts(seg_a, seg_b, y[0], y[1], anchor)
             except CoincidentInvariants:
                 continue
-            ok_a = _consistent(y[0], ga.segments[ia], dsa)
-            ok_b = _consistent(y[1], gb.segments[ib], dsb)
-            if ok_a and ok_b:
-                return ia, ib, (1 if dsa >= 0 else -1), (1 if dsb >= 0 else -1), dx
+            dsa = -t_sb * direction
+            dsb = t_sa * direction
+            if _consistent(y[0], seg_a, dsa) and _consistent(y[1], seg_b, dsb):
+                dx = (lambda_k(2, r1, r2) - lambda_k(1, r1, r2)) * t_sa * t_sb * direction
+                return seg_a, seg_b, (1 if dsa >= 0 else -1), (1 if dsb >= 0 else -1), dx
     return None
 
 
 def _consistent(s, seg, ds):
     """Motion ds at point s does not immediately leave segment seg."""
-    at_lo = abs(s - seg.s0) < 1e-12 * max(1.0, seg.s1)
-    at_hi = abs(s - seg.s1) < 1e-12 * max(1.0, seg.s1)
-    if at_lo and ds < 0:
+    tol = _EDGE * max(1.0, seg.s1)
+    if (abs(s - seg.s0) < tol and ds < 0) or (abs(s - seg.s1) < tol and ds > 0):
         return False
-    if at_hi and ds > 0:
-        return False
-    return seg.s0 - 1e-12 <= s <= seg.s1 + 1e-12
+    return seg.s0 - _EDGE <= s <= seg.s1 + _EDGE
 
 
-def _march_run(data, ga, gb, ia, ib, y0, direction, t_star, x_window,
+def _march_run(data, seg_a, seg_b, y0, direction, t_star, x_window,
                arc_budget, density):
     """Integrate one smooth run (fixed graph segments) of the march."""
-    seg_a = ga.segments[ia]
-    seg_b = gb.segments[ib]
+    anchor = _anchor(data, seg_a, seg_b, y0[0], y0[1])
 
     def rhs(mu, y):
-        t, t_sa, t_sb, r1, r2, fa, gav, fb, gbv, dXa, dXb = _parts(
-            data, ga, gb, ia, ib, y[0], y[1], y[2], y[3]
-        )
+        _, t_sa, t_sb, r1, r2 = _parts(seg_a, seg_b, y[0], y[1], anchor)
         norm = math.hypot(t_sa, t_sb)
         if norm == 0.0:
-            return (0.0, 0.0, 0.0, 0.0, 0.0)
+            return (0.0, 0.0, 0.0)
         k = direction / norm
         lam = lambda_k(2, r1, r2) - lambda_k(1, r1, r2)
-        return (
-            -t_sb * k,
-            t_sa * k,
-            (fa * dXa * t_sb + fb * dXb * t_sa) * k,
-            (gav * dXa * t_sb + gbv * dXb * t_sa) * k,
-            lam * t_sa * t_sb * k,
-        )
+        return (-t_sb * k, t_sa * k, lam * t_sa * t_sb * k)
 
     d0 = rhs(0.0, y0)
 
@@ -496,13 +538,13 @@ def _march_run(data, ga, gb, ia, ib, y0, direction, t_star, x_window,
         return y[1] - (seg_b.s1 if d0[1] >= 0 else seg_b.s0)
 
     def ev_x_lo(mu, y):
-        return y[4] - x_window[0]
+        return y[2] - x_window[0]
 
     def ev_x_hi(mu, y):
-        return y[4] - x_window[1]
+        return y[2] - x_window[1]
 
     def ev_fold(mu, y):
-        _, t_sa, t_sb, *_ = _parts(data, ga, gb, ia, ib, y[0], y[1], y[2], y[3])
+        _, t_sa, t_sb, *_ = _parts(seg_a, seg_b, y[0], y[1], anchor)
         return t_sa * t_sb
 
     events = (ev_seg_a, ev_seg_b, ev_x_lo, ev_x_hi, ev_fold)
@@ -527,27 +569,28 @@ def _march_run(data, ga, gb, ia, ib, y0, direction, t_star, x_window,
                 first = i
         stop = {0: "segment", 1: "segment", 2: "window", 3: "window", 4: "fold"}[first]
 
-    if mu_end <= 1e-13:
+    if mu_end <= _ZERO_ARC:
         return None, stop, y0, 0.0
 
     n = max(9, int(mu_end * density))
     ys = sol.sol(np.linspace(0.0, mu_end, n))
-    run = _sample_run(seg_a, seg_b, ys, t_star)
+    run = _sample_run(seg_a, seg_b, ys, t_star, anchor)
     y_next = ys[:, -1].copy()
     # Snap the segment coordinate exactly onto the boundary we stopped at.
     if stop == "segment":
         for idx, seg in ((0, seg_a), (1, seg_b)):
             for edge in (seg.s0, seg.s1):
-                if abs(y_next[idx] - edge) < 1e-10:
+                if abs(y_next[idx] - edge) < _SNAP:
                     y_next[idx] = edge
     return run, stop, y_next, mu_end
 
 
-def _sample_run(seg_a, seg_b, ys, t_star):
-    """Fields of one run's dense samples, ys with rows (s_a, s_b, F, G, X).
+def _sample_run(seg_a, seg_b, ys, t_star, anchor):
+    """Fields of one run's dense samples, ys with rows (s_a, s_b, X).
 
-    Evaluates t as _parts does, on whole arrays of the run's fixed segments,
-    and raises LevelDrift if it strays from t_star by more than 1e-8 t*.
+    Evaluates t as _parts does, F and G continued from the run's anchor, on
+    whole arrays of the run's fixed segments, and raises LevelDrift if it
+    strays from t_star by more than _DRIFT t*.
     """
     a, r2 = seg_a.eval(ys[0])[:2]
     b, r1 = seg_b.eval(ys[1])[:2]
@@ -556,16 +599,13 @@ def _sample_run(seg_a, seg_b, ys, t_star):
     d = r1 - r2
     if np.any(np.abs(d) < _COINCIDENT * np.maximum(1.0, np.maximum(np.abs(r1), np.abs(r2)))):
         raise CoincidentInvariants("march entered a coincident-invariant region")
-    # The C library's pow per value, as in _parts: numpy's array power may
-    # round differently in the last bit.
-    d3 = np.array([v**3 for v in d.tolist()])
-    t = (2.0 * (b - a) - (r1 + r2) * ys[2] + 2.0 * r1 * r2 * ys[3]) / d3
+    t = _level(b - a, r1, r2, *_continued(seg_a, seg_b, a, b, anchor))
     drift = np.fmax.reduce(np.abs(t - t_star), initial=0.0)
-    if drift > 1e-8 * max(abs(t_star), 1e-12):
+    if drift > _DRIFT * max(abs(t_star), 1e-12):
         raise LevelDrift(f"isochrone march drifted by {drift} at t* = {t_star}")
     return {
-        "x": ys[4], "R1": r1.copy(), "R2": r2.copy(), "a": a.copy(), "b": b.copy(),
-        "F": ys[2], "G": ys[3], "drift": drift,
+        "x": ys[2], "R1": r1.copy(), "R2": r2.copy(), "a": a.copy(), "b": b.copy(),
+        "drift": drift,
     }
 
 
@@ -575,100 +615,26 @@ def t_ray(data: PiecewiseInitialData, a=None, b=None):
     Give exactly one of a, b.  Returns v -> t(a, v) or v -> t(v, b) for a
     scalar or array v strictly on its side of the fixed foot (v > a, resp.
     v < b; DomainError otherwise), NaN where r1 and r2 coincide (where t_ab
-    raises CoincidentInvariants).
-
-    Every value is bitwise equal to t_ab's: the integrals F, G are summed
-    term by term in _integral's order.  The fixed foot, the data edges
-    between the feet and the value of the fixed foot's invariant do not
-    depend on where v lies inside one gap between consecutive edges, so
-    each gap's terms, constant factors and (r1 - r2)^3 are computed once
-    here and only the term touching v is evaluated per point.
+    raises CoincidentInvariants).  Every value is bitwise equal to t_ab's:
+    both evaluate the data's integral table with one array formula.
     """
     if (a is None) == (b is None):
         raise ValueError("fix exactly one foot of the ray")
-    edges = data._edges()
-    bp = np.asarray(data.breakpoints)
-    last = len(data.r1_values) - 1
-    f = np.array([data.f_piece(i) for i in range(last + 1)])
-    g = np.array([data.g_piece(i) for i in range(last + 1)])
 
-    def terms(cuts):
-        """_integral's summands over consecutive cuts, for F and for G."""
-        out = []
-        for lo, hi in zip(cuts, cuts[1:]):
-            i = data.piece_of(0.5 * (lo + hi))
-            out.append((data.f_piece(i) * (hi - lo), data.g_piece(i) * (hi - lo)))
-        return out
+    def ray(v):
+        lo, hi = (a, v) if b is None else (v, b)
+        if np.any(hi <= lo):
+            raise DomainError(f"a ray needs a < b, got a = {lo}, b = {hi}")
+        return _t_feet(data, lo, hi)
 
-    def factors(r1, r2):
-        """r1 + r2, 2 r1 r2 and (r1 - r2)^3 of _t_formula; NaN if coincident."""
-        d3 = math.nan if _coincident(r1, r2) else (r1 - r2) ** 3
-        return r1 + r2, 2.0 * r1 * r2, d3
-
-    # Gap k holds the points with k edges below them (a-fixed: edges < v;
-    # b-fixed: edges <= v); the piece of the moving foot is k - 1 clipped.
-    if b is None:
-        r2 = data.r2_values[data.piece_of(a)]
-        first = int(np.searchsorted(edges, a, side="right"))
-        cuts = [a, *edges[first:]]  # the last cut below v in gap first + j is cuts[j]
-        pre_f, pre_g = [0.0], [0.0]
-        for tf, tg in terms(cuts):
-            pre_f.append(pre_f[-1] + tf)
-            pre_g.append(pre_g[-1] + tg)
-        s, p, d3 = np.array([
-            factors(data.r1_values[min(max(k - 1, 0), last)], r2)
-            for k in range(first, edges.size + 1)
-        ]).T
-        cuts, pre_f, pre_g = np.array(cuts), np.array(pre_f), np.array(pre_g)
-
-        def along_b(v):
-            if np.any(v <= a):
-                raise DomainError(f"ray from a = {a} needs b > a")
-            j = np.searchsorted(edges, v, side="left") - first
-            c = cuts[j]
-            i = np.searchsorted(bp, 0.5 * (c + v), side="right")
-            F = pre_f[j] + f[i] * (v - c)
-            G = pre_g[j] + g[i] * (v - c)
-            return (2.0 * (v - a) - s[j] * F + p[j] * G) / d3[j]
-
-        return along_b
-
-    r1 = data.r1_values[data.piece_of(b, side="left")]
-    stop = int(np.searchsorted(edges, b, side="left"))
-    cuts = np.array([*edges[:stop], b])  # the first cut above v in gap k is cuts[k]
-    tail = terms(cuts)
-    s, p, d3 = np.array([
-        factors(r1, data.r2_values[min(max(k - 1, 0), last)]) for k in range(stop + 1)
-    ]).T
-
-    def along_a(v):
-        if np.any(v >= b):
-            raise DomainError(f"ray from b = {b} needs a < b")
-        k = np.searchsorted(edges, v, side="right")
-        c = cuts[k]
-        i = np.searchsorted(bp, 0.5 * (v + c), side="right")
-        # 0.0 + as in _integral's running total (it turns -0.0 into 0.0).
-        F = 0.0 + f[i] * (c - v)
-        G = 0.0 + g[i] * (c - v)
-        for j in range(int(np.min(k)), stop):
-            later = k <= j
-            F = np.where(later, F + tail[j][0], F)
-            G = np.where(later, G + tail[j][1], G)
-        return (2.0 * (b - v) - s[k] * F + p[k] * G) / d3[k]
-
-    return along_a
+    return ray
 
 
 def level_map(data: PiecewiseInitialData, rect, resolution=96):
-    """Sampled field t(a, b) over a rectangle, for seed hunting."""
+    """Sampled field t(a, b) over a rectangle, for seed hunting; NaN where b <= a."""
     a = np.linspace(rect[0], rect[1], resolution)
     b = np.linspace(rect[2], rect[3], resolution)
-    T = np.full((resolution, resolution), np.nan)
-    for i, av in enumerate(a):
-        right = b > av
-        if right.any():
-            T[i, right] = t_ray(data, a=av)(b[right])
-    return a, b, T
+    return a, b, np.where(b > a[:, None], _t_feet(data, a[:, None], b), np.nan)
 
 
 def _level_crossings(ray, rows, t_star):
@@ -691,7 +657,8 @@ def _level_crossings(ray, rows, t_star):
             yield vv[k]
         else:
             yield brentq(
-                lambda v: ray(v) - t_star, vv[k], vv[k + 1], xtol=1e-15, rtol=8.9e-16,
+                lambda v: ray(v) - t_star, vv[k], vv[k + 1],
+                xtol=_ROOT_XTOL, rtol=_ROOT_RTOL,
             )
 
 
@@ -709,7 +676,7 @@ def find_seed(data: PiecewiseInitialData, t_star, a_fixed=None, b_fixed=None,
     """
     lo, hi = data.domain
     edges = [lo, *data.breakpoints, hi]
-    eps = 1e-12 * (hi - lo)
+    eps = _EDGE * (hi - lo)
 
     def seeds_along_b(av):
         rows = [
@@ -760,24 +727,16 @@ def general_profile(
 ):
     """End-to-end general Cauchy solve: seed, march, and sample fields.
 
-    Returns a MarchResult augmented with u1/u2 when mobilities are given.
+    Returns a MarchResult with u1/u2 set when mobilities are given.
     """
-    if seed_at is None:
-        a_star, b_star = find_seed(data, t_star)
-    else:
-        a_star, b_star = seed_at
-    seed = seed_point(data, a_star, b_star)
-    if abs(seed.t_star - t_star) > 1e-9 * max(1.0, t_star):
-        # find_seed roots t_ab exactly; seed_point recomputes from integrals.
-        raise LevelDrift(
-            f"seed time {seed.t_star} disagrees with requested {t_star}"
-        )
+    seed = seed_point(data, *(find_seed(data, t_star) if seed_at is None else seed_at))
+    if abs(seed.t_star - t_star) > _SEED_AGREE * max(1.0, t_star):
+        # find_seed roots t_ab; seed_point evaluates t* with the invariants of
+        # the feet's graph segments, which can differ on a breakpoint.
+        raise LevelDrift(f"seed time {seed.t_star} disagrees with requested {t_star}")
     seed = replace(seed, t_star=t_star)
     result = march_isochrone(data, seed, x_window, density=density)
     if mobilities is not None:
-        from .invariants import u_from_mobilities
-
         u1, u2 = u_from_mobilities(mobilities[0], mobilities[1], result.R1, result.R2)
-        result.u1 = np.asarray(u1)
-        result.u2 = np.asarray(u2)
+        result.u1, result.u2 = np.asarray(u1), np.asarray(u2)
     return result

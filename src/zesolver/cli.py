@@ -288,8 +288,9 @@ def cmd_general(cfg: ScenarioConfig, out_dir: Path, times) -> int:
         result = general_profile(data, t, window, mobilities=mobilities)
         tag = _time_tag(t)
         path = out_dir / f"general_t{tag}.csv"
-        u1 = getattr(result, "u1", np.full_like(result.x, np.nan))
-        u2 = getattr(result, "u2", np.full_like(result.x, np.nan))
+        nan = np.full_like(result.x, np.nan)
+        u1 = nan if result.u1 is None else result.u1
+        u2 = nan if result.u2 is None else result.u2
         write_rows(
             csv_rows(
                 result.x, result.R1, result.R2, u1, u2, itertools.repeat("general")

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -44,6 +45,14 @@ def test_t_ab_zero_width(data):
     assert t_ab(data, 0.3, 0.3) == 0.0
 
 
+def test_t_ab_needs_ordered_feet(data):
+    with pytest.raises(DomainError):
+        t_ab(data, 0.5, 0.25)
+    with pytest.raises(DomainError):
+        t_ab(data, 1.0, -1.0)
+    assert t_ab(data, 0.25, 0.5) > 0.0
+
+
 def test_t_ab_scenario_corner(data):
     # Feet exactly on the two jumps: the fan-interaction time.
     assert t_ab(data, -1.0, 1.0) == pytest.approx(0.0125, rel=1e-14)
@@ -73,13 +82,10 @@ def test_frozen_integral_form_matches_hodograph_surface(data, hodo, params):
 def test_seed_point_zero_length(data):
     st = seed_point(data, 0.25, 0.25)
     assert st.X == pytest.approx(0.25, abs=1e-14)
-    assert st.F == 0.0 and st.G == 0.0
 
 
 def test_seed_point_integrals_match_closed_form(data):
     st = seed_point(data, -3.0, 0.5)
-    assert st.F == pytest.approx(data.F(-3.0, 0.5), abs=1e-12)
-    assert st.G == pytest.approx(data.G(-3.0, 0.5), abs=1e-12)
     assert st.t_star == pytest.approx(t_ab(data, -3.0, 0.5), rel=1e-11)
 
 
@@ -185,13 +191,22 @@ def test_march_reports_fold_on_ghost_fan(data, solver, params):
     assert res.x.min() == pytest.approx(params.x1 + lam1 * t_star, abs=1e-6)
 
 
-def test_march_integral_state_integrity(data):
-    t_star = 0.018
+@pytest.mark.parametrize("t_star", [0.005, 0.018, 0.05])
+def test_march_samples_stay_on_the_level(data, t_star):
+    # The march's own drift, checked independently of its post-pass: the
+    # closed form at every sample's feet and invariants gives back t*.
     seed = seed_point(data, *find_seed(data, t_star))
     res = march_isochrone(data, seed, (-4.0, 9.0))
-    for k in range(0, res.x.size, 500):
-        assert res.F[k] == pytest.approx(data.F(res.a[k], res.b[k]), abs=1e-8)
-        assert res.G[k] == pytest.approx(data.G(res.a[k], res.b[k]), abs=1e-8)
+    for k in range(res.x.size):
+        a, b, r1, r2 = res.a[k], res.b[k], res.R1[k], res.R2[k]
+        F, G = data.F(a, b), data.G(a, b)
+        t = (2 * (b - a) - (r1 + r2) * F + 2 * r1 * r2 * G) / (r1 - r2) ** 3
+        assert abs(t - t_star) <= 1e-8 * t_star
+    # Off the jumps the invariants are the data's: t_ab itself must agree.
+    off = ~np.isin(res.a, data.breakpoints) & ~np.isin(res.b, data.breakpoints)
+    assert off.sum() > 100
+    for a, b in zip(res.a[off], res.b[off]):
+        assert abs(t_ab(data, a, b) - t_star) <= 1e-8 * t_star
 
 
 def test_march_three_plateau_data():
@@ -329,6 +344,52 @@ def test_t_ray_needs_one_fixed_foot_and_the_far_side(data):
         t_ray(data, b=0.0)(0.25)
 
 
+def _t_mp(data, a, b):
+    """t(a, b) at 50 digits from the data's pieces, with its conditioning scale.
+
+    The scale (2|b-a| + |r1+r2||F| + 2|r1 r2||G|) / |r1-r2|^3 is what the
+    rounding of the formula's three terms can cost.
+    """
+    bp = data.breakpoints
+    ia = sum(e <= a for e in bp)  # a's piece on its right
+    ib = sum(e < b for e in bp)  # b's piece on its left
+    with mpmath.workdps(50):
+        edges = [mpmath.mpf(e) for e in data._edges()]
+        a_mp, b_mp = mpmath.mpf(a), mpmath.mpf(b)
+        F = G = mpmath.mpf(0)
+        for k in range(ia, ib + 1):
+            width = min(b_mp, edges[k + 1]) - max(a_mp, edges[k])
+            R1, R2 = mpmath.mpf(data.r1_values[k]), mpmath.mpf(data.r2_values[k])
+            F += (R1 + R2) / (R1 * R2) * width
+            G += width / (R1 * R2)
+        r1, r2 = mpmath.mpf(data.r1_values[ib]), mpmath.mpf(data.r2_values[ia])
+        d3 = (r1 - r2) ** 3
+        t = (2 * (b_mp - a_mp) - (r1 + r2) * F + 2 * r1 * r2 * G) / d3
+        scale = (2 * abs(b_mp - a_mp) + abs(r1 + r2) * abs(F) + 2 * abs(r1 * r2) * abs(G)) / abs(d3)
+        return t, scale
+
+
+#: Six pieces: F and G sum up to four whole pieces between the feet.
+MANY = PiecewiseInitialData(
+    (-2.0, -0.5, 0.3, 1.1, 2.5), (5.0, 2.0, 3.0, 1.5, 4.0, 5.0),
+    (8.0, 10.0, 9.0, 12.0, 7.0, 8.0), (-6.0, 9.0),
+)
+
+
+@pytest.mark.parametrize("data", [d for d, _ in LAW] + [MANY])
+def test_t_ab_matches_extended_precision(data):
+    bp = np.asarray(data.breakpoints)
+    feet = np.unique(np.concatenate(
+        [_feet(data), np.nextafter(bp, -np.inf), np.nextafter(bp, np.inf)]
+    ))
+    eps = np.finfo(float).eps
+    for i, a in enumerate(feet):
+        for b in feet[i:]:
+            t_mp, scale = _t_mp(data, a, b)
+            err = abs(mpmath.mpf(t_ab(data, a, b)) - t_mp)
+            assert err <= 8 * eps * scale, (a, b)
+
+
 def _reference_find_seed(data, t_star, a_fixed=None, b_fixed=None, resolution=128):
     """find_seed as a scalar scan: one t_ab call per sample."""
     lo, hi = data.domain
@@ -433,23 +494,21 @@ def test_march_post_pass_matches_per_sample_loop(data, monkeypatch):
     calls = []
     sample_run = cauchy_general._sample_run
 
-    def spy(seg_a, seg_b, ys, t_star):
-        run = sample_run(seg_a, seg_b, ys, t_star)
-        calls.append((seg_a, seg_b, ys, t_star, run))
+    def spy(seg_a, seg_b, ys, t_star, anchor):
+        run = sample_run(seg_a, seg_b, ys, t_star, anchor)
+        calls.append((seg_a, seg_b, ys, t_star, anchor, run))
         return run
 
     monkeypatch.setattr(cauchy_general, "_sample_run", spy)
     res = general_profile(data, 0.018, (-4.0, 9.0))
-    ga, gb = data.graphs()
     kinds = set()
     max_drift = 0.0
-    for seg_a, seg_b, ys, t_star, run in calls:
-        ia, ib = ga.segments.index(seg_a), gb.segments.index(seg_b)
+    for seg_a, seg_b, ys, t_star, anchor, run in calls:
         kinds.add(seg_a.kind + seg_b.kind)
         drift = 0.0
         ref = {"R1": [], "R2": [], "a": [], "b": []}
         for i in range(ys.shape[1]):
-            t, _, _, r1, r2, *_ = _parts(data, ga, gb, ia, ib, *ys[:4, i])
+            t, _, _, r1, r2 = _parts(seg_a, seg_b, ys[0, i], ys[1, i], anchor)
             drift = max(drift, abs(t - t_star))
             ref["R1"].append(r1)
             ref["R2"].append(r2)
@@ -469,12 +528,11 @@ def test_march_post_pass_keeps_its_checks(data):
     s_a = np.linspace(seg_a.s0 + 1.0, seg_a.s0 + 2.0, 9)
     s_b = np.linspace(seg_b.s0 + 0.2, seg_b.s0 + 0.4, 9)
     feet = list(zip(seg_a.x0 + s_a - seg_a.s0, seg_b.x0 + s_b - seg_b.s0))
-    F = [data.F(a, b) for a, b in feet]
-    G = [data.G(a, b) for a, b in feet]
-    ys = np.vstack([s_a, s_b, F, G, np.zeros(9)])
+    anchor = (*feet[0], data.F(*feet[0]), data.G(*feet[0]))
+    ys = np.vstack([s_a, s_b, np.zeros(9)])
     # The feet move off the level line of their first point.
     with pytest.raises(LevelDrift):
-        cauchy_general._sample_run(seg_a, seg_b, ys, t_ab(data, *feet[0]))
+        cauchy_general._sample_run(seg_a, seg_b, ys, t_ab(data, *feet[0]), anchor)
     fa, fb = COINCIDENT.graphs()
     with pytest.raises(CoincidentInvariants):
-        cauchy_general._sample_run(fa.segments[0], fb.segments[-1], ys, 0.01)
+        cauchy_general._sample_run(fa.segments[0], fb.segments[-1], ys, 0.01, anchor)

@@ -251,6 +251,20 @@ def test_general_three_plateaus(tmp_path):
     assert len(rows) > 100
 
 
+def test_general_without_mixture_writes_nan_u(tmp_path):
+    # Without [mixture] there are no mobilities: u1 and u2 are written as nan.
+    path = tmp_path / "general.ini"
+    path.write_text(GOOD_CONFIG[GOOD_CONFIG.index("[general]"):])
+    out = tmp_path / "o"
+    assert main(
+        ["general", "--config", str(path), "--out", str(out), "--times", "0.018"]
+    ) == 0
+    gen = np.genfromtxt(out / "general_t0.018000.csv", delimiter=",", skip_header=1,
+                        usecols=(0, 1, 2, 3, 4))
+    assert gen.shape[0] > 100
+    assert np.all(np.isfinite(gen[:, :3])) and np.all(np.isnan(gen[:, 3:]))
+
+
 def _readme_ini_block():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     return readme.split("```ini\n", 1)[1].split("```", 1)[0]
