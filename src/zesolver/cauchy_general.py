@@ -129,12 +129,15 @@ class _Graph:
             return i - 1
         return i
 
-    def s_of_x(self, x):
-        """Arclength of a horizontal position (off-breakpoint)."""
-        for seg in self.segments:
-            if seg.kind == "h" and seg.x0 <= x <= seg.x1:
-                return seg.s0 + (x - seg.x0)
-        raise DomainError(f"position {x} outside the data domain")
+    def s_of_x(self, x, side="left"):
+        """Arclength of a horizontal position.  On a breakpoint, side picks
+        the end of the piece on the left (x-) or the start of the piece on
+        the right (x+); a jump's vertical segment lies between the two."""
+        hits = [seg.s0 + (x - seg.x0) for seg in self.segments
+                if seg.kind == "h" and seg.x0 <= x <= seg.x1]
+        if not hits:
+            raise DomainError(f"position {x} outside the data domain")
+        return hits[0] if side == "left" else hits[-1]
 
 
 class _Table(NamedTuple):
@@ -352,12 +355,14 @@ def seed_point(data: PiecewiseInitialData, a_star: float, b_star: float):
     Solves dY/db = lambda2(r1(b), r2(a*)) t_b(a*, b) from Y(a*) = a*; jump
     crossings restart the integrator on the next graph segment, each start
     anchoring F and G in the data's integral table.  t* takes F and G at
-    (a*, b*) from the table and r1, r2 from the graph segments of the feet.
+    (a*, b*) from the table and r1, r2 from the graph segments of the feet,
+    with t_ab's one-sided limits on a breakpoint: r1 = R1_0(b*-), r2 =
+    R2_0(a*+).
     """
     if b_star < a_star:
         raise DomainError("seed needs a* <= b*")
     ga, gb = data.graphs()
-    s_a = ga.s_of_x(a_star)
+    s_a = ga.s_of_x(a_star, side="right")
     seg_a = ga.segments[ga.locate(s_a)]
     s_b_end = gb.s_of_x(b_star)
     s_b = gb.s_of_x(a_star)
@@ -731,8 +736,8 @@ def general_profile(
     """
     seed = seed_point(data, *(find_seed(data, t_star) if seed_at is None else seed_at))
     if abs(seed.t_star - t_star) > _SEED_AGREE * max(1.0, t_star):
-        # find_seed roots t_ab; seed_point evaluates t* with the invariants of
-        # the feet's graph segments, which can differ on a breakpoint.
+        # find_seed roots t_ab; seed_point evaluates t* again, from the
+        # invariants of the feet's graph segments.
         raise LevelDrift(f"seed time {seed.t_star} disagrees with requested {t_star}")
     seed = replace(seed, t_star=t_star)
     result = march_isochrone(data, seed, x_window, density=density)

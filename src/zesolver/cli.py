@@ -207,8 +207,7 @@ def _analytic_shocks(solver, t):
     """Positions of the two strong discontinuities at time t."""
     tl = solver.timeline
     return tuple(
-        tl.curves[f"xs{s.k}"].x(t) if t < tl.times[s.shock_event]
-        else solver.shock_boundary(s.k, t * (1 + 1e-9)).X_at(t)
+        tl.curves[f"xs{s.k}" if t < tl.times[s.shock_event] else s.shock].x(t)
         for s in tl.sides.values()
     )
 

@@ -7,15 +7,16 @@ form; on a level line t(R1, R2) = t* the inverse map satisfies the ODE pair
     Delta  = (lambda1 - lambda2) t_R1 t_R2,
 
 integrated between the moving weak boundaries.  The transport zones created
-after the fan deaths are one-parameter families x(rho) at fixed t*, and the
-curved shocks created after T_9 / T_10 obey an implicit ODE for the invariant
-value carried just behind the shock.  This module reconstructs all of them
-and assembles complete profiles across every zone.
+after the fan deaths are one-parameter families x(rho) at fixed t*, bounded
+after T_9 / T_10 by the curved shocks.  A shock carries rho at the time
+beta(rho) = g(rho) / (far - rho)^2 with g rational in rho: the ODE that the
+Rankine-Hugoniot speed imposes on beta is linear (wavefield._shock_curve).
+This module reconstructs every zone and assembles complete profiles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -24,7 +25,6 @@ from scipy.optimize import brentq
 from . import wavefield
 from .errors import (
     DomainError,
-    DomainExit,
     EndpointMismatch,
     IntegrationFailure,
     NoRootInInterval,
@@ -129,36 +129,6 @@ def csv_rows(x, R1, R2, u1, u2, zone):
 
 
 @dataclass
-class ShockBoundaryState:
-    """Trajectory of a curved shock and the invariant value behind it."""
-
-    side: int
-    t_start: float
-    t_end: float
-    t_grid: np.ndarray
-    rho: np.ndarray
-    X: np.ndarray
-    _solver: "ScenarioSolver" = field(repr=False, default=None)
-    _dense: object = field(repr=False, default=None)
-
-    def rho_at(self, t):
-        """Invariant value behind the shock, constraint-projected if drifted."""
-        rho, X = self._dense(t)
-        res, drho = self._solver._shock_constraint(self.side, rho, X, t)
-        if abs(res) > 1e-9 * max(1.0, abs(X)):
-            rho = rho - res / drho
-        return float(rho)
-
-    def X_at(self, t):
-        return float(self._dense(t)[1])
-
-    def constraint_residual(self, t):
-        rho, X = self._dense(t)
-        res, _ = self._solver._shock_constraint(self.side, rho, X, t)
-        return float(res)
-
-
-@dataclass
 class Segment:
     zone: str
     x: np.ndarray
@@ -167,13 +137,12 @@ class Segment:
 
 
 class ScenarioSolver:
-    """Facade: timeline + implicit solution + cached shock trajectories."""
+    """Facade: timeline + implicit solution + isochrone samplers."""
 
     def __init__(self, params: MixtureParams):
         self.params = params
         self.timeline: Timeline = build_timeline(params)
         self.hodograph: ImplicitSolution = self.timeline.hodograph
-        self._shocks = {1: None, 2: None}
 
     # -- moving weak boundaries of Z5 ----------------------------------------
 
@@ -309,7 +278,7 @@ class ScenarioSolver:
         if t_star <= T[side.shock_event]:
             outer = side.start
         else:
-            outer = self.shock_boundary(side.k, t_star).rho_at(t_star)
+            outer = self.timeline.curves[side.shock].rho_of_t(t_star)
         lo, hi = sorted((inner, outer))
         if hi - lo < 1e-14 * max(1.0, abs(hi)):
             rho = np.array([lo])
@@ -344,85 +313,23 @@ class ScenarioSolver:
 
     # -- curved shocks after T_9 / T_10 ----------------------------------------
 
-    def _shock_constraint(self, side, rho, X, beta):
-        """Residual of the parametric shock constraint and its rho-derivative."""
-        s = self.timeline.side(side)
-        R = s.pair(rho)
-        tau = self.hodograph.t(*R)
-        t_rho = self.hodograph.t_partials(*R)[s.index]
-        pos = self.hodograph.x(*R) + s.fixed * rho * rho * (beta - tau)
-        dres = s.fixed * rho * ((s.fixed - rho) * t_rho + 2.0 * (beta - tau))
-        return pos - X, dres
+    def shock_boundary(self, side, t_end):
+        """The curved shock of a side (Phi or Theta) as a timeline curve.
 
-    def _shock_rhs(self, side):
-        p = self.params
-
-        def rhs(beta, y):
-            rho = y[0]
-            R = side.pair(rho)
-            tau = self.hodograph.t(*R)
-            t_rho = self.hodograph.t_partials(*R)[side.index]
-            drho = (side.far - rho) / ((side.fixed - rho) * t_rho + 2.0 * (beta - tau))
-            return (drho, p.mu1 * p.mu2 * rho)
-
-        return rhs
-
-    def shock_boundary(self, side, t_end, n_grid=256) -> ShockBoundaryState:
-        """Curved shock after the shock-weak interaction, as (rho(t), X(t)).
-
-        The Rankine-Hugoniot speed is D = mu1 mu2 rho(t); rho evolves by the
-        explicit ODE obtained by differentiating the parametric constraint.
-        Trajectories are cached and extended on demand.
+        Its rho_of_t is the invariant carried just behind the shock and its
+        x the position; the Rankine-Hugoniot speed is D = mu1 mu2 rho.  The
+        curve is exact at every t after the shock event; t_end only has to
+        follow that event (else DomainError), and evaluating it here builds
+        the curve's table, so a beta(rho) that does not rise raises
+        DomainExit on this call.
         """
         s = self.timeline.side(side)
         t0 = self.timeline.times[s.shock_event]
-        x0 = self.timeline.event_by_label[s.shock_event].X
         if t_end <= t0:
             raise DomainError(f"shock boundary {side} starts at {t0}")
-
-        cached = self._shocks[side]
-        if cached is not None and cached.t_end >= t_end:
-            return cached
-
-        lo, hi = s.lo, s.hi
-        pad = 1e-9 * (hi - lo)
-
-        def out_of_domain(beta, y):
-            return (y[0] - (lo - pad)) * ((hi + pad) - y[0])
-
-        out_of_domain.terminal = True
-
-        sol = solve_ivp(
-            self._shock_rhs(s),
-            (t0, t_end),
-            np.array([s.start, x0]),
-            method="RK45",
-            rtol=ODE_RTOL,
-            atol=ODE_ATOL,
-            dense_output=True,
-            events=out_of_domain,
-        )
-        if sol.status == 1:
-            raise DomainExit(
-                f"shock-side invariant left [{lo}, {hi}] at t = {sol.t_events[0]}"
-            )
-        if not sol.success:
-            raise IntegrationFailure(f"shock boundary ODE failed: {sol.message}")
-
-        t_grid = np.linspace(t0, t_end, n_grid)
-        vals = sol.sol(t_grid)
-        state = ShockBoundaryState(
-            side=side,
-            t_start=t0,
-            t_end=t_end,
-            t_grid=t_grid,
-            rho=vals[0],
-            X=vals[1],
-            _solver=self,
-            _dense=sol.sol,
-        )
-        self._shocks[side] = state
-        return state
+        curve = self.timeline.curves[s.shock]
+        curve.rho_of_t(t_end)
+        return curve
 
     # -- full-profile assembly ---------------------------------------------------
 
@@ -435,17 +342,7 @@ class ScenarioSolver:
         """
         if t_star <= 0.0:
             raise DomainError("profiles exist for t > 0")
-        T = self.timeline.times
-
-        shocks = {}
-        for s in self.timeline.sides.values():
-            t0 = T[s.shock_event]
-            if t_star >= t0:
-                shocks[s.shock] = self.shock_boundary(
-                    s.k, max(t_star, t0 * 1.001) * (1 + 1e-9)
-                ).X_at
-
-        intervals = self.timeline.zones_at(t_star, **shocks)
+        intervals = self.timeline.zones_at(t_star)
 
         x_lo_active = intervals[0].x_right
         x_hi_active = intervals[-1].x_left

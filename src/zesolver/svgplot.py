@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 _WIDTH, _HEIGHT = 720, 480
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 16, 28, 44
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2"]
@@ -47,16 +49,16 @@ class SvgPlot:
         self.vlines = []  # (x, label)
 
     def add_series(self, name, x, y, dashed=False):
-        self.series.append((name, list(map(float, x)), list(map(float, y)), dashed))
+        self.series.append((name, np.array(x, float), np.array(y, float), dashed))
 
     def add_vline(self, x, label=""):
         self.vlines.append((float(x), label))
 
     def _bounds(self):
-        xs = [v for _, x, _, _ in self.series for v in x]
-        ys = [v for _, _, y, _ in self.series for v in y]
-        x_lo, x_hi = min(xs), max(xs)
-        y_lo, y_hi = min(ys), max(ys)
+        x_lo = min(float(x.min()) for _, x, _, _ in self.series)
+        x_hi = max(float(x.max()) for _, x, _, _ in self.series)
+        y_lo = min(float(y.min()) for _, _, y, _ in self.series)
+        y_hi = max(float(y.max()) for _, _, y, _ in self.series)
         pad = 0.05 * max(y_hi - y_lo, 1e-9)
         return x_lo, x_hi, y_lo - pad, y_hi + pad
 
@@ -132,7 +134,9 @@ class SvgPlot:
                 )
         for k, (name, xs, ys, dashed) in enumerate(self.series):
             color = _COLORS[k % len(_COLORS)]
-            pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+            # px and py map whole arrays, in the scalar operation order.
+            pixels = np.column_stack((px(xs), py(ys))).ravel().tolist()
+            pts = " ".join(["%.2f,%.2f"] * len(xs)) % tuple(pixels)
             dash = ' stroke-dasharray="2,3"' if dashed else ""
             out.append(
                 f'<polyline points="{pts}" fill="none" stroke="{color}" '

@@ -4,9 +4,10 @@ The two-point initial discontinuity breaks up into shocks and rarefaction
 fans whose boundaries are straight lines; every later interaction (fan-fan,
 fan death, shock-fan, final separation) happens at a closed-form event
 (T_int, T_3, T_6, T_9, T_10, T_fin).  This module builds the boundary
-curves, the event list, and the zone layout at any time.  The two shock
-boundaries created after T_9 / T_10 require an ODE solve and live in the
-isochrone module; the layout accepts their positions as callables.
+curves, the event list, and the zone layout at any time.  The two curved
+shocks created after T_9 / T_10 are closed forms too: the time beta(rho) at
+which a shock carries the invariant rho solves an ODE linear in beta, whose
+solution is rational in rho (see _shock_curve).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import DomainError, NoRootInInterval, UnexpectedOrdering
+from .errors import DomainError, DomainExit, NoRootInInterval, UnexpectedOrdering
 from .hodograph import ImplicitSolution, interaction_time
 from .invariants import MixtureParams, validate_params
 
@@ -30,6 +31,12 @@ PARAM_MARGIN = 0.02
 #: one (rtol, about 4 ulp) sets the root's precision at any scale of the
 #: invariants (an absolute 1e-15 is some 70 ulp of rho = 0.07).
 ROOT_XTOL = 1e-300
+#: relative tolerance of every boundary root (4 ulp).
+ROOT_RTOL = 8.9e-16
+#: a curved shock's beta table: rho = far - (far - start) s, s geometric
+#: from 1 down to SHOCK_TABLE_DEPTH, so dense toward far.
+SHOCK_TABLE_SIZE = 128
+SHOCK_TABLE_DEPTH = 1e-12
 
 
 @dataclass
@@ -40,7 +47,9 @@ class BoundaryCurve:
     family.  left_state/right_state map t to the (R1, R2) pair on each side
     (equal for weak curves).  Parametric curves carry their (rho, t, x)
     table, rho_of_t (the exact root of t(rho) = t) and param_point
-    (rho -> (x, t)); x(t) queries go through rho_of_t.
+    (rho -> (x, t)); x(t) queries go through rho_of_t.  The curved shocks
+    Phi and Theta carry rho_of_t (the invariant behind the shock) and
+    param_point too, without the tables.
     """
 
     id: str
@@ -326,7 +335,7 @@ def _parametric_curve(sol: ImplicitSolution, side: Side, t_start, t_end):
         for a, b in ((nodes[j - 1], nodes[j]),
                      (nodes[max(j - 2, 0)], nodes[min(j + 1, last)])):
             if (t_of(a) - t) * (t_of(b) - t) <= 0:
-                return brentq(lambda r: t_of(r) - t, a, b, xtol=ROOT_XTOL, rtol=8.9e-16)
+                return brentq(lambda r: t_of(r) - t, a, b, xtol=ROOT_XTOL, rtol=ROOT_RTOL)
         raise NoRootInInterval(f"{side.curve}: time {t} outside the curve's span")
 
     state = lambda t: side.pair(rho_of_t(t))
@@ -335,6 +344,91 @@ def _parametric_curve(sol: ImplicitSolution, side: Side, t_start, t_end):
         lambda t: x_of(rho_of_t(t)), state, state,
         param_grid=grid, t_grid=t_tab, x_grid=x_tab,
         rho_of_t=rho_of_t, param_point=lambda r: (x_of(r), t_of(r)),
+    )
+
+
+def _shock_curve(sol: ImplicitSolution, side: Side, event: Event):
+    """The curved shock of one side in closed form: Phi from T_9, Theta from T_10.
+
+    The invariant rho behind the shock left the Z5 boundary at tau(rho) =
+    t(side.pair(rho)) on a k-characteristic, so the shock passes x(pair) +
+    fixed rho^2 (t - tau).  With the Rankine-Hugoniot speed D = mu1 mu2 rho
+    this gives an ODE for the time beta(rho) at which the shock carries rho,
+    linear in beta; the integrating factor (far - rho)^2 and one integration
+    by parts solve it:
+
+        g(rho) = beta (far - rho)^2 = T_s (far - start)^2
+                 + [(far - r)(fixed - r) tau(r) + (fixed - far) int tau dr]_start^rho,
+
+    rational in rho, since tau = A/e^2 + B/e^3 with e = rho - fixed.
+    rho_of_t(t) solves g(rho) = t (far - rho)^2: bracketed by a table of beta
+    dense toward far (built on first use) and refined by Newton steps with
+    the exact derivative, or bisection where a step leaves the bracket.
+    beta must rise over the table and to infinity at far, else DomainExit.
+    """
+    p = sol.params
+    f, far, start = side.fixed, side.far, side.start
+    # t = C N / (R1 - R2)^3 with N symmetric and R1 - R2 = e (side 1), -e (side 2).
+    C = (1.0 if side.k == 1 else -1.0) * (p.x2 - p.x1) / (p.q1 * p.q2)
+    A = C * (2.0 * f - (p.q1 + p.q2))
+    B = C * 2.0 * (f - p.q1) * (f - p.q2)
+    tau = lambda r: (A * (r - f) + B) / (r - f) ** 3
+
+    def primitive(r):
+        e = r - f
+        return (far - r) * (f - r) * tau(r) - (f - far) * (A + 0.5 * B / e) / e
+
+    w0 = far - start
+    g0, p0 = event.T * w0 * w0, primitive(start)
+    g = lambda r: g0 + (primitive(r) - p0)
+    position = lambda r, t: sol.x(*side.pair(r)) + f * r * r * (t - tau(r))
+    tol = ROOT_RTOL * max(abs(start), abs(far))
+    table = None
+
+    def rho_of_t(t):
+        nonlocal table
+        if t < event.T:
+            raise DomainError(f"shock {side.shock} starts at {event.label} = {event.T}")
+        if table is None:
+            rho = far - w0 * np.geomspace(1.0, SHOCK_TABLE_DEPTH, SHOCK_TABLE_SIZE)
+            rho[0] = start
+            g_tab = np.append(g(rho), g(far))
+            beta = g_tab[:-1] / (far - rho) ** 2
+            if not (np.all(np.diff(beta) > 0) and g_tab[-1] > 0):
+                raise DomainExit(f"shock {side.shock}: beta(rho) does not rise to {far}")
+            table = np.append(rho, far).tolist(), g_tab.tolist(), beta
+        nodes, g_tab, beta = table
+        # F(r) = g(r) - t (far - r)^2 is <= 0 at a, > 0 at b.
+        j = max(int(np.searchsorted(beta, t)), 1)
+        a, b = nodes[j - 1], nodes[j]
+        fa, fb = g_tab[j - 1] - t * (far - a) ** 2, g_tab[j] - t * (far - b) ** 2
+        r = a - fa * (b - a) / (fb - fa)
+        for _ in range(100):
+            w, e = far - r, r - f
+            F = g(r) - t * w * w
+            a, b = (r, b) if F < 0.0 else (a, r)
+            dF = w * (-(f - r) * (2.0 * A * e + 3.0 * B) / e**4 - 2.0 * tau(r) + 2.0 * t)
+            step = F / dF if dF else math.inf
+            if abs(step) <= tol:
+                return r - step
+            r -= step
+            if not (r - a) * (r - b) < 0.0:
+                # Rounding noise in F can stall Newton above tol; bisection cannot.
+                r = 0.5 * (a + b)
+                if abs(b - a) <= tol:
+                    return r
+        raise NoRootInInterval(f"shock {side.shock}: no root of beta(rho) = {t}")
+
+    def param_point(r):
+        beta = g(r) / (far - r) ** 2
+        return position(r, beta), beta
+
+    behind = lambda t: side.pair(rho_of_t(t))
+    plateau = _const_state(p.mu1, p.mu2)
+    return BoundaryCurve(
+        side.shock, "shock", event.T, math.inf, lambda t: position(rho_of_t(t), t),
+        *((plateau, behind) if side.k == 1 else (behind, plateau)),
+        rho_of_t=rho_of_t, param_point=param_point,
     )
 
 
@@ -473,6 +567,8 @@ class Timeline:
         self.curves.update(post_interaction_curves(params, self.hodograph))
         self.curves["xf1"] = xf1
         self.curves["xf2"] = xf2
+        for side, ev in zip(self.sides.values(), (ev9, ev10)):
+            self.curves[side.shock] = _shock_curve(self.hodograph, side, ev)
 
         T = self.times = {e.label: e.T for e in self.events}
         self.zone_lifetimes = {
@@ -515,12 +611,12 @@ class Timeline:
 
     # -- layout --------------------------------------------------------------
 
-    def zones_at(self, t: float, Phi=None, Theta=None) -> list:
+    def zones_at(self, t: float) -> list:
         """Ordered zone intervals tiling the x-axis at time t.
 
         Past T_9 (T_10) the left (right) outer boundary is the curved shock
-        Phi (Theta); their positions must be supplied as callables of t,
-        since they come from an ODE solve outside this module.
+        Phi (Theta), read like every other boundary from its curve, whose
+        position is in closed form up to one root (see _shock_curve).
         """
         if t <= 0.0:
             raise DomainError("zone layout defined for t > 0 only")
@@ -531,21 +627,9 @@ class Timeline:
             return float(c[curve_id].x(t))
 
         chain = []
-        if t < T["T_9"]:
-            left_outer = ("xs1", pos("xs1"))
-        else:
-            if Phi is None:
-                raise DomainError("t >= T_9 requires the Phi shock position")
-            left_outer = ("Phi", float(Phi(t)))
-        if t < T["T_10"]:
-            right_outer = ("xs2", pos("xs2"))
-        else:
-            if Theta is None:
-                raise DomainError("t >= T_10 requires the Theta shock position")
-            right_outer = ("Theta", float(Theta(t)))
-
-        chain.append(ZoneInterval("Z1", None, left_outer[1], None, left_outer[0]))
-        cursor_id, cursor_x = left_outer
+        left_outer = "xs1" if t < T["T_9"] else "Phi"
+        cursor_id, cursor_x = left_outer, pos(left_outer)
+        chain.append(ZoneInterval("Z1", None, cursor_x, None, cursor_id))
 
         def push(zone, right_id, right_x):
             nonlocal cursor_id, cursor_x
@@ -572,7 +656,7 @@ class Timeline:
             push("Z6", "xr1", pos("xr1"))
         if t > T["T_6"]:
             rid = "xw2" if t <= T["T_10"] else "Theta"
-            push("Z10", rid, right_outer[1] if rid == "Theta" else pos(rid))
+            push("Z10", rid, pos(rid))
         if t < T["T_10"]:
             push("Z7", "xs2", pos("xs2"))
         chain.append(ZoneInterval("Z8", cursor_x, None, cursor_id, None))

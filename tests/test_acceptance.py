@@ -207,15 +207,15 @@ def test_criterion_5_jump_and_characteristic_conditions(solver, params):
     s1 = solver.shock_boundary(1, 0.3)
     check_shock(
         np.linspace(T["T_9"] * 1.0001, 0.3, 100),
-        lambda t: params.mu1 * params.mu2 * s1.rho_at(t),
+        lambda t: params.mu1 * params.mu2 * s1.rho_of_t(t),
         lambda t: (params.mu1, params.mu2),
-        lambda t: (s1.rho_at(t), params.mu2), 1,
+        lambda t: (s1.rho_of_t(t), params.mu2), 1,
     )
     s2 = solver.shock_boundary(2, 0.3)
     check_shock(
         np.linspace(T["T_10"] * 1.0001, 0.3, 100),
-        lambda t: params.mu1 * params.mu2 * s2.rho_at(t),
-        lambda t: (params.mu1, s2.rho_at(t)),
+        lambda t: params.mu1 * params.mu2 * s2.rho_of_t(t),
+        lambda t: (params.mu1, s2.rho_of_t(t)),
         lambda t: (params.mu1, params.mu2), 2,
     )
 

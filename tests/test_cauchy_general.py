@@ -106,6 +106,19 @@ def test_seed_point_near_corner_matches_interaction_point(data):
     assert st.X == pytest.approx(1.5, abs=1e-6)
 
 
+@pytest.mark.parametrize("t_star", [0.005, 0.01, 0.05])
+def test_seed_on_a_breakpoint_takes_the_right_limit(data, params, t_star):
+    # a* = x2 exactly: t_ab and find_seed read r2 = R2_0(a*+) = mu2, and so
+    # must seed_point, or its t* disagrees and general_profile raises LevelDrift.
+    a, b = find_seed(data, t_star, a_fixed=1.0)
+    assert a == 1.0
+    st = seed_point(data, a, b)
+    assert st.r2 == params.mu2
+    assert st.t_star == pytest.approx(t_ab(data, a, b), rel=1e-14)
+    res = general_profile(data, t_star, (-4.0, 9.0), seed_at=(a, b))
+    assert res.max_drift <= 1e-8 * t_star
+
+
 def test_find_seed_prefers_cross_piece_brackets(data):
     a, b = find_seed(data, 0.018)
     assert t_ab(data, a, b) == pytest.approx(0.018, rel=1e-12)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from zesolver import MixtureParams, rh_residual
 from zesolver.errors import (
@@ -154,19 +155,19 @@ def test_shock_boundary_initial_speed(solver):
     st = solver.shock_boundary(1, 0.06)
     T9 = solver.timeline.times["T_9"]
     h = 1e-7
-    slope = (st.X_at(T9 + h) - st.X_at(T9)) / h
+    slope = (st.x(T9 + h) - st.x(T9)) / h
     assert slope == pytest.approx(80.0, rel=1e-5)
-    assert st.rho_at(T9) == pytest.approx(2.0, abs=1e-12)
+    assert st.rho_of_t(T9) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_shock_boundary_rankine_hugoniot(solver):
     p = solver.params
     st = solver.shock_boundary(1, 0.3)
     for t in np.linspace(st.t_start * 1.0001, 0.3, 60):
-        rho = st.rho_at(t)
+        rho = st.rho_of_t(t)
         D = p.mu1 * p.mu2 * rho
         res = rh_residual(p, D, InvariantPair(p.mu1, p.mu2), InvariantPair(rho, p.mu2))
-        assert max(abs(res[0]), abs(res[1])) < 1e-8
+        assert max(abs(res[0]), abs(res[1])) < 1e-12
         # Lax admissibility of the 1-shock.
         assert lambda_k(1, p.mu1, p.mu2) > D > lambda_k(1, rho, p.mu2)
 
@@ -175,13 +176,13 @@ def test_shock_boundary_mirror_side(solver):
     p = solver.params
     st = solver.shock_boundary(2, 0.3)
     T10 = solver.timeline.times["T_10"]
-    assert st.rho_at(T10) == pytest.approx(p.q2, abs=1e-12)
-    assert st.X_at(T10) == pytest.approx(33.0, rel=1e-12)
+    assert st.rho_of_t(T10) == pytest.approx(p.q2, abs=1e-12)
+    assert st.x(T10) == pytest.approx(33.0, rel=1e-12)
     for t in np.linspace(T10 * 1.0001, 0.3, 40):
-        rho = st.rho_at(t)
+        rho = st.rho_of_t(t)
         D = p.mu1 * p.mu2 * rho
         res = rh_residual(p, D, InvariantPair(p.mu1, rho), InvariantPair(p.mu1, p.mu2))
-        assert max(abs(res[0]), abs(res[1])) < 1e-8
+        assert max(abs(res[0]), abs(res[1])) < 1e-12
         assert lambda_k(2, p.mu1, rho) > D > lambda_k(2, p.mu1, p.mu2)
 
 
@@ -194,16 +195,23 @@ def test_invalid_side_raises(solver, side):
 
 
 def test_shock_boundary_constraint_drift(solver):
-    st = solver.shock_boundary(1, 0.3)
-    for t in np.linspace(st.t_start * 1.001, 0.3, 30):
-        assert abs(st.constraint_residual(t)) < 1e-9 * max(1.0, abs(st.X_at(t)))
+    # The closed-form position (the transport constraint) against the shock
+    # path integrated from its event at the Rankine-Hugoniot speed.
+    p = solver.params
+    for side in solver.timeline.sides.values():
+        st = solver.shock_boundary(side.k, 0.3)
+        X0 = solver.timeline.event_by_label[side.shock_event].X
+        speed = lambda t: p.mu1 * p.mu2 * st.rho_of_t(t)
+        for t in np.linspace(st.t_start * 1.001, 0.3, 30):
+            moved, _ = quad(speed, st.t_start, t, epsabs=0.0, epsrel=1e-13, limit=200)
+            assert abs(st.x(t) - (X0 + moved)) < 1e-12 * max(1.0, abs(st.x(t)))
 
 
 def test_shock_invariant_approaches_pure_state(solver):
     # Far past separation the shock-side value crawls to mu1 (never exits).
-    st = solver.shock_boundary(1, 5000.0)
-    assert st.rho[-1] > solver.params.mu1 - 0.01
-    assert st.rho[-1] <= solver.params.mu1
+    rho = solver.shock_boundary(1, 5000.0).rho_of_t(5000.0)
+    assert rho > solver.params.mu1 - 0.01
+    assert rho <= solver.params.mu1
 
 
 def test_profile_staircase_before_interaction(solver):

@@ -1,0 +1,191 @@
+"""The curved shocks Phi and Theta in closed form.
+
+A shock carries the invariant rho at the time beta(rho) with
+beta (far - rho)^2 = g(rho), g rational in rho (wavefield._shock_curve).
+These tests hold that closed form to the Rankine-Hugoniot ODE it was
+derived from, to a 50-digit evaluation of its defining integral, and to the
+shock conditions across the parameter cone.
+"""
+
+import mpmath
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
+
+from zesolver import MixtureParams, rh_residual
+from zesolver.errors import DomainError, UnexpectedOrdering
+from zesolver.invariants import InvariantPair, lambda_k
+from zesolver.isochrone import ScenarioSolver
+
+#: The README instance and one with mu2 - mu1 small (t(rho) near its pole).
+INSTANCES = [
+    MixtureParams(mu1=5.0, mu2=8.0, q1=2.0, q2=10.0, x1=-1.0, x2=1.0),
+    MixtureParams(mu1=6.0, mu2=6.1, q1=1.0, q2=8.0, x1=-1.0, x2=1.0),
+]
+
+
+def _sides(solver):
+    tl = solver.timeline
+    return [(side, tl.curves[side.shock]) for side in tl.sides.values()]
+
+
+def _shock_states(p, side, rho):
+    """(left, right) invariant pairs across the shock carrying rho."""
+    behind = InvariantPair(*side.pair(rho))
+    plateau = InvariantPair(p.mu1, p.mu2)
+    return (plateau, behind) if side.k == 1 else (behind, plateau)
+
+
+# -- against the Rankine-Hugoniot ODE ------------------------------------------
+
+
+def _shock_ode(solver, side, t_end):
+    """Integrate the ODE that the shock constraint and D = mu1 mu2 rho give:
+
+        drho/dbeta = (far - rho) / ((fixed - rho) tau'(rho) + 2 (beta - tau)),
+        dX/dbeta = mu1 mu2 rho,
+
+    with tau(rho) = t(side.pair(rho)), from the shock event."""
+    p, h = solver.params, solver.hodograph
+    event = solver.timeline.event_by_label[side.shock_event]
+
+    def rhs(beta, y):
+        R = side.pair(y[0])
+        tau = h.t(*R)
+        t_rho = h.t_partials(*R)[side.index]
+        drho = (side.far - y[0]) / ((side.fixed - y[0]) * t_rho + 2.0 * (beta - tau))
+        return (drho, p.mu1 * p.mu2 * y[0])
+
+    sol = solve_ivp(rhs, (event.T, t_end), [side.start, event.X], method="RK45",
+                    rtol=1e-10, atol=1e-12, dense_output=True)
+    assert sol.success
+    return sol.sol
+
+
+@pytest.mark.parametrize("p", INSTANCES, ids=["readme", "close_mu"])
+def test_closed_form_matches_the_rankine_hugoniot_ode(p):
+    solver = ScenarioSolver(p)
+    for side, curve in _sides(solver):
+        t_end = 20.0 * curve.t_start
+        ode = _shock_ode(solver, side, t_end)
+        for t in np.linspace(curve.t_start, t_end, 41)[1:]:
+            rho_ode, X_ode = ode(t)
+            # The ODE's own error at rtol 1e-10 is a few 1e-10.
+            assert curve.rho_of_t(t) == pytest.approx(rho_ode, rel=1e-9)
+            assert curve.x(t) == pytest.approx(X_ode, rel=1e-9)
+
+
+# -- against a 50-digit reference ------------------------------------------------
+
+
+def _reference(p, side, t_s, rho):
+    """(X, beta) at rho from the defining integral, to 50 digits: t and x
+    are the hodograph's unexpanded formulas and the integral of tau is
+    mpmath quadrature, not the closed-form antiderivative."""
+    mp = mpmath
+    with mp.workdps(50):
+        q1, q2, x1, x2 = (mp.mpf(v) for v in (p.q1, p.q2, p.x1, p.x2))
+        f, far, start = (mp.mpf(v) for v in (side.fixed, side.far, side.start))
+        pair = (lambda r: (r, f)) if side.k == 1 else (lambda r: (f, r))
+
+        def t(R1, R2):
+            N = 2 * R1 * R2 + 2 * q1 * q2 - (q1 + q2) * (R1 + R2)
+            return (x2 - x1) * N / (q1 * q2 * (R1 - R2) ** 3)
+
+        def x(R1, R2):
+            d3 = (R1 - R2) ** 3
+            return ((x2 - x1) * (R1 * R2) ** 2 * (R1 + R2 - 2 * (q1 + q2)) / (q1 * q2 * d3)
+                    + (x1 * R1**3 - x2 * R2**3 + 3 * R1 * R2 * (R2 * x2 - R1 * x1)) / d3)
+
+        tau = lambda r: t(*pair(r))
+        r = mp.mpf(rho)
+        w0, w = far - start, far - r
+        g = (t_s * w0**2 + w * (f - r) * tau(r) - w0 * (f - start) * tau(start)
+             + (f - far) * mp.quad(tau, [start, r]))
+        beta = g / w**2
+        return x(*pair(r)) + f * r * r * (beta - tau(r)), beta
+
+
+def _event_time(p, k):
+    """T_9 (k = 1) or T_10 (k = 2) to 50 digits."""
+    mp = mpmath
+    with mp.workdps(50):
+        q1, q2, mu1, mu2, x1, x2 = (mp.mpf(v) for v in (p.q1, p.q2, p.mu1, p.mu2, p.x1, p.x2))
+        t_int = (x2 - x1) / (q1 * q2 * (q2 - q1))
+        if k == 1:
+            return t_int * (q2 - q1) ** 2 / (mu2 - q1) ** 2 * (mu2 - q1) / (mu1 - q1)
+        return t_int * (q2 - q1) ** 2 / (q2 - mu1) ** 2 * (q2 - mu1) / (q2 - mu2)
+
+
+@pytest.mark.parametrize("p", INSTANCES, ids=["readme", "close_mu"])
+def test_closed_form_matches_50_digit_reference(p):
+    solver = ScenarioSolver(p)
+    for side, curve in _sides(solver):
+        t_s = _event_time(p, side.k)
+        assert curve.t_start == pytest.approx(float(t_s), rel=1e-14)
+        w0 = side.far - side.start
+        for s in (1.0, 0.9, 0.5, 0.1, 1e-2, 1e-4, 1e-6, 1e-9):
+            rho = side.far - w0 * s
+            X, beta = curve.param_point(rho)
+            X_ref, beta_ref = _reference(p, side, t_s, rho)
+            assert abs(X - X_ref) <= 1e-14 * abs(X_ref), (side.k, s)
+            assert abs(beta - beta_ref) <= 1e-14 * abs(beta_ref), (side.k, s)
+        # The root solves the reference's beta(rho) = t to a few ulp of rho.
+        for factor in (1.0 + 1e-9, 1.5, 10.0, 1e4):
+            t = float(t_s) * factor
+            _, beta_ref = _reference(p, side, t_s, curve.rho_of_t(t))
+            assert abs(beta_ref - t) <= 1e-12 * t, (side.k, factor)
+
+
+# -- across the cone --------------------------------------------------------------
+
+_GAP = st.floats(0.05, 5.0)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(q1=st.floats(0.05, 10.0), a=_GAP, b=_GAP, c=_GAP,
+       x1=st.floats(-3.0, 0.0), width=st.floats(1e-2, 10.0))
+def test_shocks_on_the_cone(q1, a, b, c, x1, width):
+    mu1 = q1 * (1 + a)
+    mu2 = mu1 * (1 + b)
+    q2 = mu2 * (1 + c)
+    p = MixtureParams(mu1=mu1, mu2=mu2, q1=q1, q2=q2, x1=x1, x2=x1 + width)
+    try:
+        solver = ScenarioSolver(p)
+    except UnexpectedOrdering:
+        assume(False)
+    h = solver.hodograph
+    for side, curve in _sides(solver):
+        t_s, w0 = curve.t_start, side.far - side.start
+        # beta rises strictly from T_s toward far.
+        betas = [curve.param_point(side.far - w0 * s)[1]
+                 for s in np.geomspace(1.0, 1e-9, 64)]
+        assert np.all(np.diff(betas) > 0), side.k
+        # rho(t) moves toward far and keeps closing in on it.
+        gaps = [abs(side.far - curve.rho_of_t(t_s * k)) for k in (1e1, 1e3, 1e5, 1e7)]
+        assert np.all(np.diff(gaps) < 0), side.k
+        assert gaps[-1] < 1e-2 * abs(w0), side.k
+        for t in t_s * np.array([1.0 + 1e-9, 1.5, 3.0, 10.0, 100.0]):
+            rho = curve.rho_of_t(t)
+            D = p.mu1 * p.mu2 * rho
+            left, right = _shock_states(p, side, rho)
+            # Rankine-Hugoniot (its terms are at most q2^2) and Lax.
+            assert max(map(abs, rh_residual(p, D, left, right))) <= 1e-13 * q2 * q2
+            assert (lambda_k(side.k, left.R1, left.R2) > D
+                    > lambda_k(side.k, right.R1, right.R2)), (side.k, t)
+            # The position is the transport constraint, with tau from the
+            # hodograph rather than the shock's expansion of it.
+            R = side.pair(rho)
+            X = h.x(*R) + lambda_k(side.k, *R) * (t - h.t(*R))
+            assert abs(curve.x(t) - X) <= 1e-13 * max(1.0, abs(X)), (side.k, t)
+            assert abs(curve.param_point(rho)[1] - t) <= 1e-12 * t, (side.k, t)
+
+
+def test_shock_before_its_event_raises(solver):
+    for side, curve in _sides(solver):
+        with pytest.raises(DomainError):
+            solver.shock_boundary(side.k, curve.t_start)
+        with pytest.raises(DomainError):
+            curve.rho_of_t(0.999 * curve.t_start)

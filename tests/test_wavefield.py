@@ -161,8 +161,13 @@ def test_zone_layout_tiles_before_shock_merge(solver):
 
 
 def test_zone_layout_requires_shock_positions_late(solver):
-    with pytest.raises(DomainError, match="Phi"):
-        solver.timeline.zones_at(0.05)
+    # Past T_9 / T_10 the layout reads the curved shocks from the timeline.
+    tl = solver.timeline
+    for t, outer in ((0.05, ("Phi", "xs2")), (0.3, ("Phi", "Theta"))):
+        chain = tl.zones_at(t)
+        assert (chain[0].right_curve, chain[-1].left_curve) == outer
+        assert chain[0].x_right == tl.curves[outer[0]].x(t)
+        assert chain[-1].x_left == tl.curves[outer[1]].x(t)
 
 
 def test_rh_and_lax_along_straight_shocks(params):
