@@ -41,10 +41,6 @@ class IntegrationFailure(SolverError):
     """An ODE integration failed or did not reach its endpoint."""
 
 
-class EndpointMismatch(SolverError):
-    """Isochrone integration endpoint missed the expected boundary state."""
-
-
 class NoRootInInterval(SolverError):
     """Root solve found no root in the bracketing interval."""
 

@@ -18,25 +18,31 @@ partial derivatives, and a generic quadrature-based Goursat evaluator.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
-from .errors import CoincidentInvariants, QuadratureFailure
+from .errors import CoincidentInvariants, NoRootInInterval, QuadratureFailure
 from .invariants import MixtureParams, lambda_k, validate_params
 
 #: |R1 - R2| below this (times scale) counts as a coincident-invariant misuse.
 COINCIDENT_RTOL = 1e-9
+#: invert stops when every Newton step is below this fraction of the state:
+#: convergence is quadratic, so the error left is far below round-off.
+NEWTON_STOP = 1e-10
+#: invert raises after this many Newton steps; a converging solve takes <= 5.
+NEWTON_MAX_ITER = 30
 
 
 def _check_separated(R1, R2):
     """Raise where |R1 - R2| < COINCIDENT_RTOL * max(1, |R1|, |R2|).
 
-    Scalars and 0-d arrays take a plain-float path: the ODE right-hand sides
-    and root solves call the evaluators one point at a time, and there the
-    numpy version of the test costs more than the formula it guards.
+    Scalars and 0-d arrays take a plain-float path: root solves call the
+    evaluators one point at a time, and there the numpy version of the test
+    costs more than the formula it guards.
     """
     try:
         r1, r2 = float(R1), float(R2)
@@ -129,6 +135,49 @@ class ImplicitSolution:
         t_r1, t_r2 = self.t_partials(R1, R2)
         return lambda_k(2, R1, R2) * t_r1, lambda_k(1, R1, R2) * t_r2
 
+    # -- inverse map on an isochrone --------------------------------------------
+
+    def _t_x_partials(self, R1, R2):
+        """(t, x, dt/dR1, dt/dR2) of arrays in one pass: the formulas of t, x
+        and t_partials sharing d = R1 - R2 and N, with products for powers."""
+        p = self.params
+        C, S = (p.x2 - p.x1) / (p.q1 * p.q2), p.q1 + p.q2
+        d, P = R1 - R2, R1 * R2
+        d3 = d * d * d
+        N = 2.0 * P + 2.0 * p.q1 * p.q2 - S * (R1 + R2)
+        x = C * P * P * (R2 + R1 - 2.0 * S) / d3 + (
+            p.x1 * R1 * R1 * R1 - p.x2 * R2 * R2 * R2 + 3.0 * P * (R2 * p.x2 - R1 * p.x1)
+        ) / d3
+        t_r1 = C * ((2.0 * R2 - S) * d - 3.0 * N) / (d3 * d)
+        t_r2 = C * ((2.0 * R1 - S) * d + 3.0 * N) / (d3 * d)
+        return C * N / d3, x, t_r1, t_r2
+
+    def invert(self, t_star, x, left, right):
+        """The states (R1, R2) with t(R1, R2) = t* and x(R1, R2) = x, x an array.
+
+        The states of the isochrone points left = (x_l, R1_l, R2_l) and right
+        = (x_r, R1_r, R2_r) bound the solution componentwise.  Newton starts
+        on the chord between them, in proportion to x, and clips each iterate
+        to their box (rtsafe's bracket safeguard).  The Jacobian [[t_R1, t_R2],
+        [lambda2 t_R1, lambda1 t_R2]] has determinant (lambda1 - lambda2) t_R1
+        t_R2, where lambda1 - lambda2 = R1 R2 (R1 - R2).
+        """
+        (xl, R1l, R2l), (xr, R1r, R2r) = left, right
+        if not R2l - R1r >= COINCIDENT_RTOL * max(1.0, abs(R2l)):
+            raise CoincidentInvariants(f"state box reaches R1 = R2 ({R1r}, {R2l})")
+        s = (x - xl) / (xr - xl)
+        R1, R2 = R1l + s * (R1r - R1l), R2l + s * (R2r - R2l)
+        for _ in range(NEWTON_MAX_ITER):
+            t, xx, t_r1, t_r2 = self._t_x_partials(R1, R2)
+            P = R1 * R2
+            dR1 = (P * R1 * (t - t_star) - (xx - x)) / (t_r1 * P * (R1 - R2))
+            dR2 = ((xx - x) - P * R2 * (t - t_star)) / (t_r2 * P * (R1 - R2))
+            R1 = np.clip(R1 - dR1, R1l, R1r)
+            R2 = np.clip(R2 - dR2, R2l, R2r)
+            if np.all((abs(dR1) <= NEWTON_STOP * R1) & (abs(dR2) <= NEWTON_STOP * R2)):
+                return R1, R2
+        raise NoRootInInterval(f"isochrone t* = {t_star}: Newton did not converge")
+
     # -- characteristic boundary restrictions -------------------------------
 
     def t_on_phi(self, R2):
@@ -205,10 +254,6 @@ def goursat_solution(data: CharacteristicBoundaryData, R1: float, R2: float) -> 
 def _boundary_integral(fn, a, b):
     if a == b:
         return 0.0
-    import warnings
-
-    from scipy.integrate import IntegrationWarning
-
     with warnings.catch_warnings():
         warnings.simplefilter("error", IntegrationWarning)
         try:

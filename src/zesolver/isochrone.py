@@ -1,17 +1,13 @@
 """Explicit profiles on isochrones t = t* of the implicit solution.
 
-Inside the interaction zone the map (R1, R2) -> (t, x) is known in closed
-form; on a level line t(R1, R2) = t* the inverse map satisfies the ODE pair
-
-    dR1/dx = -t_R2 / Delta,   dR2/dx = t_R1 / Delta,
-    Delta  = (lambda1 - lambda2) t_R1 t_R2,
-
-integrated between the moving weak boundaries.  The transport zones created
-after the fan deaths are one-parameter families x(rho) at fixed t*, bounded
-after T_9 / T_10 by the curved shocks.  A shock carries rho at the time
-beta(rho) = g(rho) / (far - rho)^2 with g rational in rho: the ODE that the
-Rankine-Hugoniot speed imposes on beta is linear (wavefield._shock_curve).
-This module reconstructs every zone and assembles complete profiles.
+Inside the interaction zone Z5 the map (R1, R2) -> (t, x) is known in closed
+form, so the state at (x, t*) is the root of t(R1, R2) = t*, x(R1, R2) = x
+(ImplicitSolution.invert).  The transport zones created after the fan deaths
+are one-parameter families x(rho) at fixed t*, bounded after T_9 / T_10 by
+the curved shocks.  A shock carries rho at the time beta(rho) = g(rho) /
+(far - rho)^2 with g rational in rho: the ODE that the Rankine-Hugoniot
+speed imposes on beta is linear (wavefield._shock_curve).  This module
+reconstructs every zone and assembles complete profiles.
 """
 
 from __future__ import annotations
@@ -19,14 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from . import wavefield
 from .errors import (
     DomainError,
-    EndpointMismatch,
-    IntegrationFailure,
+    DomainMismatch,
     NoRootInInterval,
     NonMonotoneParametrization,
     PhaseGap,
@@ -35,10 +29,18 @@ from .hodograph import ImplicitSolution
 from .invariants import MixtureParams, concentrations_from_invariants, lambda_k
 from .wavefield import Timeline, build_timeline
 
-ODE_RTOL = 1e-10
-ODE_ATOL = 1e-12
 #: |interval| below this counts as a degenerate (point) zone.
 DEGENERATE_WIDTH = 1e-12
+#: a transport zone born with zero width: parameter range below this (relative).
+DEGENERATE_RHO = 1e-14
+#: relative slack on a lifetime: an event time and a t* from it differ in ulps.
+LIFETIME_SLACK = 1e-12
+#: largest gap (relative) between neighbouring zone segments, which share an edge.
+ASSEMBLY_GAP = 1e-6
+#: Profile.interp's slack outside its sampled x range, for ranges from its ends.
+INTERP_SLACK = 1e-12
+#: brentq tolerances of tau_root (rtol is about 4 ulp).
+TAU_XTOL, TAU_RTOL = 1e-15, 8.9e-16
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
@@ -93,9 +95,7 @@ class Profile:
         position resolves to the left zone's value.
         """
         xq = np.atleast_1d(np.asarray(xq, dtype=float))
-        if xq.min() < self.x[0] - 1e-12 or xq.max() > self.x[-1] + 1e-12:
-            from .errors import DomainMismatch
-
+        if xq.min() < self.x[0] - INTERP_SLACK or xq.max() > self.x[-1] + INTERP_SLACK:
             raise DomainMismatch(
                 f"queries outside profile range [{self.x[0]}, {self.x[-1]}]"
             )
@@ -158,7 +158,7 @@ class ScenarioSolver:
         """The boundary curve of Z5 on a side at time t: the early (radical)
         curve up to the side's fan death, the parametric curve after it."""
         T = self.timeline.times
-        if t < T["T_int"] * (1 - 1e-12) or t > T["T_fin"] * (1 + 1e-12):
+        if t < T["T_int"] * (1 - LIFETIME_SLACK) or t > T["T_fin"] * (1 + LIFETIME_SLACK):
             raise DomainError(f"{side.curve} defined on [T_int, T_fin]")
         return self.timeline.curves[side.early if t <= T[side.death] else side.curve]
 
@@ -172,16 +172,16 @@ class ScenarioSolver:
         """Mirror root of t(mu1, rho) = t* near [mu2, q2]: theta's rho_of_t."""
         return self.timeline.curves["theta"].rho_of_t(t_star)
 
-    # -- zone Z5: isochrone ODE ------------------------------------------------
+    # -- zone Z5: the implicit solution on the isochrone -------------------------
 
     def z5_profile(self, t_star, n=64) -> Segment:
-        """Integrate the level-line ODEs across Z5 at time t*.
+        """Sample Z5 at time t*: n states at uniform x between its edges.
 
         Each end's position and state come from one boundary curve (the
         side's _z5_edge), so on a parametric curve both rest on the same
-        root rho_of_t(t*).  The ODE starts at phi(t*) with the left state
-        and integrates to theta(t*); the terminal state must hit the right
-        boundary value within 1e-6 or EndpointMismatch is raised.
+        root rho_of_t(t*).  The states between are read from the implicit
+        solution itself, t(R1, R2) = t* and x(R1, R2) = x, by
+        ImplicitSolution.invert; the ends are pinned to the edge states.
         """
         # _z5_edge raises DomainError outside [T_int, T_fin].
         edge_l, edge_r = (
@@ -193,44 +193,17 @@ class ScenarioSolver:
         if xr - xl < DEGENERATE_WIDTH * max(1.0, abs(xl)):
             return Segment("Z5", np.array([xl]), np.array([left[0]]), np.array([left[1]]))
 
-        sol = solve_ivp(
-            self._z5_rhs,
-            (xl, xr),
-            np.array(left),
-            method="RK45",
-            rtol=ODE_RTOL,
-            atol=ODE_ATOL,
-            dense_output=True,
-        )
-        if not sol.success:
-            raise IntegrationFailure(f"Z5 isochrone ODE failed: {sol.message}")
-        end = sol.y[:, -1]
-        if t_star <= self.timeline.times["T_6"]:
-            mismatch = abs(end[1] - right[1])
-        else:
-            mismatch = abs(end[0] - right[0])
-        if mismatch > 1e-6:
-            raise EndpointMismatch(
-                f"Z5 endpoint missed the boundary state by {mismatch} at t* = {t_star}"
-            )
         xs = np.linspace(xl, xr, max(n, 2))
-        ys = sol.sol(xs)
-        # Pin the endpoints to the exact boundary states.
-        ys[:, 0] = left
-        ys[:, -1] = right
+        R1, R2 = self.hodograph.invert(t_star, xs, (xl, *left), (xr, *right))
+        R1[0], R2[0] = left
+        R1[-1], R2[-1] = right
         # Both invariants rise monotonically across Z5; a violation means
-        # the integration went wrong, not that the solution looks unusual.
-        if np.any(np.diff(ys[0]) < 0) or np.any(np.diff(ys[1]) < 0):
-            raise IntegrationFailure(
+        # the solve went wrong, not that the solution looks unusual.
+        if np.any(np.diff(R1) < 0) or np.any(np.diff(R2) < 0):
+            raise NonMonotoneParametrization(
                 f"Z5 invariants lost monotonicity at t* = {t_star}"
             )
-        return Segment("Z5", xs, ys[0], ys[1])
-
-    def _z5_rhs(self, x, y):
-        R1, R2 = y
-        t_r1, t_r2 = self.hodograph.t_partials(R1, R2)
-        delta = (lambda_k(1, R1, R2) - lambda_k(2, R1, R2)) * t_r1 * t_r2
-        return (-t_r2 / delta, t_r1 / delta)
+        return Segment("Z5", xs, R1, R2)
 
     # -- zones Z9 / Z10: one-parameter transport ---------------------------------
 
@@ -269,7 +242,7 @@ class ScenarioSolver:
         transport_x; they must increase strictly.
         """
         T = self.timeline.times
-        if t_star < T[side.death] * (1 - 1e-12):
+        if t_star < T[side.death] * (1 - LIFETIME_SLACK):
             raise DomainError(f"{side.zone} exists for t >= {side.death} only")
         if t_star <= T["T_fin"]:
             inner = self.timeline.curves[side.curve].rho_of_t(t_star)
@@ -280,7 +253,7 @@ class ScenarioSolver:
         else:
             outer = self.timeline.curves[side.shock].rho_of_t(t_star)
         lo, hi = sorted((inner, outer))
-        if hi - lo < 1e-14 * max(1.0, abs(hi)):
+        if hi - lo < DEGENERATE_RHO * max(1.0, abs(hi)):
             rho = np.array([lo])
             x = np.array([self.transport_x(side.k, lo, t_star)])
         else:
@@ -308,7 +281,7 @@ class ScenarioSolver:
         f_lo, f_hi = f(p.q1), f(rho_hi)
         if f_lo * f_hi > 0:
             raise NoRootInInterval(f"({x}, {t}) is not inside zone Z9")
-        rho = brentq(f, p.q1, rho_hi, xtol=1e-15, rtol=8.9e-16)
+        rho = brentq(f, p.q1, rho_hi, xtol=TAU_XTOL, rtol=TAU_RTOL)
         return float(self.hodograph.t(rho, p.mu2))
 
     # -- curved shocks after T_9 / T_10 ----------------------------------------
@@ -350,20 +323,14 @@ class ScenarioSolver:
         if window is None:
             window = (x_lo_active - 0.1 * span, x_hi_active + 0.1 * span)
 
-        widths = []
-        for iv in intervals:
-            xl = window[0] if iv.x_left is None else iv.x_left
-            xr = window[1] if iv.x_right is None else iv.x_right
-            widths.append(max(xr - xl, 0.0))
+        ends = [(window[0] if iv.x_left is None else iv.x_left,
+                 window[1] if iv.x_right is None else iv.x_right) for iv in intervals]
+        widths = [max(xr - xl, 0.0) for xl, xr in ends]
         total = sum(widths) or 1.0
-
-        segments = []
-        for iv, w in zip(intervals, widths):
-            xl = window[0] if iv.x_left is None else iv.x_left
-            xr = window[1] if iv.x_right is None else iv.x_right
-            n_k = max(2, int(round(n * w / total)))
-            segments.append(self._zone_segment(iv.zone, xl, xr, t_star, n_k))
-
+        segments = [
+            self._zone_segment(iv.zone, xl, xr, t_star, max(2, int(round(n * w / total))))
+            for iv, (xl, xr), w in zip(intervals, ends, widths)
+        ]
         return self._merge_segments(t_star, segments)
 
     def _zone_segment(self, zone, xl, xr, t_star, n_k) -> Segment:
@@ -388,7 +355,7 @@ class ScenarioSolver:
 
     def _merge_segments(self, t_star, segments) -> Profile:
         for a, b in zip(segments, segments[1:]):
-            if abs(a.x[-1] - b.x[0]) > 1e-6 * max(1.0, abs(a.x[-1])):
+            if abs(a.x[-1] - b.x[0]) > ASSEMBLY_GAP * max(1.0, abs(a.x[-1])):
                 raise PhaseGap(
                     f"assembly gap between {a.zone} ({a.x[-1]}) and {b.zone} ({b.x[0]})"
                 )

@@ -129,11 +129,13 @@ def test_criterion_4_isochrone_fidelity(solver, params):
             np.abs(hodo.x(seg.R1, seg.R2) - seg.x)
             / np.maximum(1.0, np.abs(seg.x))
         )
-        end = abs(seg.R2[-1] - params.q2)
+        edge = solver._z5_edge(solver.timeline.side(2), t_star)
+        end = max(abs(seg.R1[-1] - edge.left_state(t_star)[0]),
+                  abs(seg.R2[-1] - edge.left_state(t_star)[1]))
         worst_t = max(worst_t, t_res / t_star)
         worst_x = max(worst_x, x_res)
         worst_end = max(worst_end, end)
-        if t_res > 1e-8 * t_star or x_res > 1e-6 or end > 1e-6:
+        if t_res > 1e-13 * t_star or x_res > 1e-13 or end != 0.0:
             failures.append(f"Z5@{t_star}")
 
     # Transport zones: each sample satisfies its defining transported
@@ -166,8 +168,8 @@ def test_criterion_4_isochrone_fidelity(solver, params):
     report(
         4,
         not failures,
-        f"isochrone fidelity: Z5 t-res {worst_t:.2e} (tol 1e-8), x-res "
-        f"{worst_x:.2e} (tol 1e-6), endpoint {worst_end:.2e} (tol 1e-6), "
+        f"isochrone fidelity: Z5 t-res {worst_t:.2e} (tol 1e-13), x-res "
+        f"{worst_x:.2e} (tol 1e-13), endpoint {worst_end:.2e} (tol 0), "
         f"transport residual {worst_trans:.2e} (tol 1e-6); failures: {failures or 'none'}",
     )
 

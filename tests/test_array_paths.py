@@ -62,6 +62,11 @@ def test_hodograph_array_matches_per_point(solver):
     per_point = [hodo.t_partials(a, b) for a, b in pairs]
     _assert_matches(d1, [d[0] for d in per_point])
     _assert_matches(d2, [d[1] for d in per_point])
+    # The one-pass evaluation of the Z5 inverse against the separate ones
+    # (products for powers: a few ulp of the largest value).
+    fused = hodo._t_x_partials(R1, R2)
+    for got, ref in zip(fused, (hodo.t(R1, R2), hodo.x(R1, R2), d1, d2)):
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("solver", CONE, ids=lambda s: f"mu1={s.params.mu1:.3f}")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
 from zesolver import MixtureParams, rh_residual
 from zesolver.errors import (
@@ -31,17 +31,34 @@ def test_z5_collapses_at_separation_point(solver):
     assert seg.x[0] == pytest.approx(31.0, rel=1e-10)
 
 
-def test_z5_profile_satisfies_implicit_solution(solver):
+#: Largest level residual |t - t*| / t* and x residual |x(R) - x| / max(1, |x|)
+#: of a Z5 sample: the inverse is exact up to the rounding of t and x.
+Z5_RESIDUAL = 1e-13
+#: The rounding of t and x themselves: their (R1 - R2)^3 denominators divide
+#: numerators that cancel from size R^3, so even the float state nearest the
+#: solution leaves residuals of about eps / g^3, g = (R2 - R1) / R2.  Near
+#: the cone's narrow gaps 19 of the 503 Z5 segments below exceed Z5_RESIDUAL
+#: (up to 5e-12, 0.63 of this bound); further Newton steps do not lower them.
+Z5_ROUNDING = 128 * np.finfo(float).eps
+
+
+def _z5_residuals(solver, seg, t_star):
+    """Per-sample (level, x) residuals of a Z5 segment, relative as above."""
     h = solver.hodograph
+    t_res = np.abs(h.t(seg.R1, seg.R2) - t_star) / t_star
+    x_res = np.abs(h.x(seg.R1, seg.R2) - seg.x) / np.maximum(1.0, np.abs(seg.x))
+    return t_res, x_res
+
+
+def test_z5_profile_satisfies_implicit_solution(solver):
     for t_star in (0.014, 0.018, 0.022):
         seg = solver.z5_profile(t_star, n=80)
-        t_res = np.abs(h.t(seg.R1, seg.R2) - t_star)
-        x_res = np.abs(h.x(seg.R1, seg.R2) - seg.x)
-        assert t_res.max() <= 1e-8 * t_star
-        assert x_res.max() <= 1e-6 * np.maximum(1.0, np.abs(seg.x)).max()
+        t_res, x_res = _z5_residuals(solver, seg, t_star)
+        assert t_res.max() <= Z5_RESIDUAL
+        assert x_res.max() <= Z5_RESIDUAL
         # Boundary values: (q1, .) at phi and (., q2) at theta.
-        assert seg.R1[0] == pytest.approx(solver.params.q1, abs=1e-12)
-        assert seg.R2[-1] == pytest.approx(solver.params.q2, abs=1e-6)
+        assert seg.R1[0] == solver.params.q1
+        assert seg.R2[-1] == solver.params.q2
         # Monotone invariants along the isochrone.
         assert np.all(np.diff(seg.R1) > 0)
         assert np.all(np.diff(seg.R2) > 0)
@@ -51,10 +68,47 @@ def test_z5_profile_after_both_fan_deaths(solver):
     # Between T_6 and T_fin both Z5 ends ride the parametric boundaries.
     t_star = 0.05
     seg = solver.z5_profile(t_star, n=50)
-    assert seg.R2[0] == pytest.approx(solver.params.mu2, abs=1e-12)
-    assert seg.R1[-1] == pytest.approx(solver.params.mu1, abs=1e-6)
+    assert seg.R2[0] == solver.params.mu2
+    assert seg.R1[-1] == solver.params.mu1
+    assert max(r.max() for r in _z5_residuals(solver, seg, t_star)) <= Z5_RESIDUAL
+
+
+#: The README instance (T_3 < T_6) and three drawn from acceptance 9's law,
+#: T_6 < T_3 in the first two and T_3 < T_6 in the third.
+LEVEL_LINE_INSTANCES = [
+    MixtureParams(mu1=5.0, mu2=8.0, q1=2.0, q2=10.0, x1=-1.0, x2=1.0),
+    MixtureParams(mu1=2.818, mu2=5.055, q1=1.129, q2=10.151, x1=-1.443, x2=0.466),
+    MixtureParams(mu1=5.326, mu2=9.024, q1=0.791, q2=18.231, x1=-0.123, x2=0.712),
+    MixtureParams(mu1=3.784, mu2=5.978, q1=0.789, q2=7.984, x1=-1.978, x2=0.766),
+]
+
+
+@pytest.mark.parametrize("p", LEVEL_LINE_INSTANCES, ids=["readme", "cone_a", "cone_b", "cone_c"])
+def test_z5_profile_matches_the_level_line_ode(p):
+    # The paper's method: on t(R1, R2) = t* the inverse map satisfies
+    #     dR1/dx = -t_R2 / Delta,  dR2/dx = t_R1 / Delta,
+    #     Delta = (lambda1 - lambda2) t_R1 t_R2,
+    # integrated here from phi(t*) with the left edge state to theta(t*).
+    solver = ScenarioSolver(p)
     h = solver.hodograph
-    assert np.abs(h.t(seg.R1[1:-1], seg.R2[1:-1]) - t_star).max() <= 1e-8 * t_star
+    T = solver.timeline.times
+    first, last = sorted((T["T_3"], T["T_6"]))
+
+    def rhs(x, y):
+        t_r1, t_r2 = h.t_partials(*y)
+        delta = (lambda_k(1, *y) - lambda_k(2, *y)) * t_r1 * t_r2
+        return (-t_r2 / delta, t_r1 / delta)
+
+    for t_star in (0.5 * (T["T_int"] + first), 0.5 * (first + last),
+                   0.5 * (last + T["T_fin"])):
+        seg = solver.z5_profile(t_star, n=200)
+        ode = solve_ivp(rhs, (seg.x[0], seg.x[-1]), [seg.R1[0], seg.R2[0]],
+                        method="RK45", rtol=1e-10, atol=1e-12, dense_output=True)
+        assert ode.success
+        R1, R2 = ode.sol(seg.x)
+        # The ODE's own error at rtol 1e-10 is a few 1e-10.
+        assert np.max(np.abs(R1 - seg.R1) / seg.R1) <= 1e-8
+        assert np.max(np.abs(R2 - seg.R2) / seg.R2) <= 1e-8
 
 
 def test_rho_star_examples(solver):
@@ -93,12 +147,28 @@ def test_boundary_roots_solve_the_level_on_the_cone(q1, a, b, c, x1, width, u):
         assume(False)
     T = solver.timeline.times
     roots = (solver.rho_star, solver.sigma_star)
+    z5_times = [T["T_int"] + u * (min(T["T_3"], T["T_6"]) - T["T_int"])]
     for side, root in zip(solver.timeline.sides.values(), roots):
         t0 = T[side.death]
+        z5_times.append(t0 + u * (T["T_fin"] - t0))
         for t in (t0, t0 + u * (T["T_fin"] - t0), T["T_fin"]):
             rho = root(t)
             residual = abs(solver.hodograph.t(*side.pair(rho)) - t)
             assert residual <= 1e-12 * max(1.0, t), (p, side.k, t)
+    # Z5 read from the implicit solution: monotone, on the level line, and
+    # pinned to the edge states.
+    for t in z5_times:
+        seg = solver.z5_profile(t, n=64)
+        if seg.x.size == 1:
+            continue
+        assert np.all(np.diff(seg.R1) >= 0) and np.all(np.diff(seg.R2) >= 0), (p, t)
+        g = (seg.R2 - seg.R1) / seg.R2
+        bound = np.maximum(Z5_RESIDUAL, Z5_ROUNDING / g**3)
+        for res in _z5_residuals(solver, seg, t):
+            assert np.all(res <= bound), (p, t)
+        for i, side in ((0, 1), (-1, 2)):
+            edge = solver._z5_edge(solver.timeline.side(side), t)
+            assert (seg.x[i], seg.R1[i], seg.R2[i]) == (edge.x(t), *edge.left_state(t))
 
 
 def test_z9_profile_boundaries(solver):
