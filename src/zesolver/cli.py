@@ -63,10 +63,9 @@ from pathlib import Path
 import numpy as np
 
 from . import fv_reference
-from .cauchy_general import PiecewiseInitialData, general_profile
 from .errors import CFLViolation, DomainError, InputError, OrderingViolation, SolverError
 from .invariants import MixtureParams, validate_params
-from .isochrone import ScenarioSolver, csv_rows
+from .isochrone import PROFILE_HEADER, ScenarioSolver, csv_rows
 from .svgplot import SvgPlot
 
 
@@ -127,7 +126,9 @@ class ScenarioConfig:
             return self.cp.get(section, key)
         return fallback
 
-    def general_data(self) -> PiecewiseInitialData:
+    def general_data(self):
+        from .cauchy_general import PiecewiseInitialData  # scipy loads for `general` only
+
         sec = self.cp["general"]
         try:
             return PiecewiseInitialData(
@@ -252,16 +253,15 @@ def cmd_compare(cfg: ScenarioConfig, out_dir: Path, times, cells_list, cfl) -> i
         tag = _time_tag(t)
         R1, R2 = fv_reference.invariants_field(params, result.u1, result.u2)
         write_rows(
-            csv_rows(result.x, R1, R2, result.u1, result.u2, itertools.repeat("fv")),
+            csv_rows(PROFILE_HEADER, (result.x, R1, R2, result.u1, result.u2),
+                     itertools.repeat("fv")),
             out_dir / f"fv_t{tag}.csv",
         )
-        with open(out_dir / f"compare_t{tag}.csv", "w", encoding="utf-8") as fh:
-            fh.write("x,u1_fv,u2_fv,u1_exact,u2_exact\n")
-            for i in range(result.x.size):
-                fh.write(
-                    f"{float(result.x[i])!r},{float(result.u1[i])!r},"
-                    f"{float(result.u2[i])!r},{float(ua1[i])!r},{float(ua2[i])!r}\n"
-                )
+        write_rows(
+            csv_rows("x,u1_fv,u2_fv,u1_exact,u2_exact",
+                     (result.x, result.u1, result.u2, ua1, ua2)),
+            out_dir / f"compare_t{tag}.csv",
+        )
         plot = SvgPlot(title=f"exact vs finite-volume, t = {tag}", xlabel="x")
         plot.add_series("u1 exact", profile.x, profile.u1)
         plot.add_series("u2 exact", profile.x, profile.u2)
@@ -276,6 +276,8 @@ def cmd_compare(cfg: ScenarioConfig, out_dir: Path, times, cells_list, cfl) -> i
 
 
 def cmd_general(cfg: ScenarioConfig, out_dir: Path, times) -> int:
+    from .cauchy_general import general_profile
+
     data = cfg.general_data()
     window = _parse_pair(cfg.get("general", "window", "-10 10"), "[general] window")
     mobilities = None
@@ -291,9 +293,8 @@ def cmd_general(cfg: ScenarioConfig, out_dir: Path, times) -> int:
         u1 = nan if result.u1 is None else result.u1
         u2 = nan if result.u2 is None else result.u2
         write_rows(
-            csv_rows(
-                result.x, result.R1, result.R2, u1, u2, itertools.repeat("general")
-            ),
+            csv_rows(PROFILE_HEADER, (result.x, result.R1, result.R2, u1, u2),
+                     itertools.repeat("general")),
             path,
         )
         print(

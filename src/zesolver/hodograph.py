@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .errors import CoincidentInvariants, NoRootInInterval, QuadratureFailure
 from .invariants import MixtureParams, lambda_k, validate_params
@@ -252,6 +251,9 @@ def goursat_solution(data: CharacteristicBoundaryData, R1: float, R2: float) -> 
 
 
 def _boundary_integral(fn, a, b):
+    # scipy is imported here so that only the Goursat check loads it.
+    from scipy.integrate import IntegrationWarning, quad
+
     if a == b:
         return 0.0
     with warnings.catch_warnings():

@@ -12,10 +12,10 @@ reconstructs every zone and assembles complete profiles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import wavefield
 from .errors import (
@@ -39,8 +39,8 @@ LIFETIME_SLACK = 1e-12
 ASSEMBLY_GAP = 1e-6
 #: Profile.interp's slack outside its sampled x range, for ranges from its ends.
 INTERP_SLACK = 1e-12
-#: brentq tolerances of tau_root (rtol is about 4 ulp).
-TAU_XTOL, TAU_RTOL = 1e-15, 8.9e-16
+#: header of the profile CSV.
+PROFILE_HEADER = "x,R1,R2,u1,u2,zone"
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
@@ -51,7 +51,8 @@ class Profile:
 
     x is non-decreasing; it is strictly increasing within each zone run and
     repeats only at zone boundaries, where both one-sided states are kept
-    (shocks are genuinely two-valued there).
+    (shocks are genuinely two-valued there).  The zone runs are found once,
+    on construction.
     """
 
     t_star: float
@@ -61,22 +62,22 @@ class Profile:
     u1: np.ndarray
     u2: np.ndarray
     zone: list
+    _runs: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if np.any(np.diff(self.x) < 0):
             raise PhaseGap("profile samples are not ordered by x")
-        for _, sl in self.zone_runs():
-            if np.any(np.diff(self.x[sl]) <= 0) and sl.stop - sl.start > 1:
+        self._runs, start = [], 0
+        for label, run in itertools.groupby(self.zone):
+            stop = start + len(list(run))
+            if stop - start > 1 and np.any(np.diff(self.x[start:stop]) <= 0):
                 raise PhaseGap("x not strictly increasing inside a zone run")
+            self._runs.append((label, slice(start, stop)))
+            start = stop
 
     def zone_runs(self):
         """Contiguous runs of equal zone label, as (label, slice) pairs."""
-        if len(self.zone) == 0:
-            return []
-        labels = np.asarray(self.zone)
-        cuts = (np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist()
-        bounds = [0, *cuts, len(labels)]
-        return [(self.zone[a], slice(a, b)) for a, b in zip(bounds, bounds[1:])]
+        return list(self._runs)
 
     def mass(self):
         """(integral of u1 dx, integral of u2 dx) by per-zone trapezoid."""
@@ -114,18 +115,20 @@ class Profile:
         return u1, u2
 
     def csv_rows(self):
-        return csv_rows(self.x, self.R1, self.R2, self.u1, self.u2, self.zone)
-
-
-def csv_rows(x, R1, R2, u1, u2, zone):
-    """The x,R1,R2,u1,u2,zone CSV as lines: the header, then one row per
-    sample with every number written as its shortest round-trip decimal."""
-    yield "x,R1,R2,u1,u2,zone"
-    for xi, r1, r2, v1, v2, z in zip(x, R1, R2, u1, u2, zone):
-        yield (
-            f"{float(xi)!r},{float(r1)!r},{float(r2)!r},"
-            f"{float(v1)!r},{float(v2)!r},{z}"
+        return csv_rows(
+            PROFILE_HEADER, (self.x, self.R1, self.R2, self.u1, self.u2), self.zone
         )
+
+
+def csv_rows(header, columns, labels=None):
+    """A CSV as lines: the header, then one row per sample of the numeric
+    columns, each number written as its shortest round-trip decimal, and
+    the sample's label last when labels are given."""
+    yield header
+    cells = [map(repr, np.asarray(col, dtype=float).tolist()) for col in columns]
+    if labels is not None:
+        cells.append(labels)
+    yield from map(",".join, zip(*cells))
 
 
 @dataclass
@@ -172,23 +175,32 @@ class ScenarioSolver:
         """Mirror root of t(mu1, rho) = t* near [mu2, q2]: theta's rho_of_t."""
         return self.timeline.curves["theta"].rho_of_t(t_star)
 
+    def _root(self, curve_id, t, roots):
+        """A curve's rho_of_t(t), from roots (curve id -> root) if it is there."""
+        rho = roots.get(curve_id) if roots else None
+        return self.timeline.curves[curve_id].rho_of_t(t) if rho is None else rho
+
     # -- zone Z5: the implicit solution on the isochrone -------------------------
 
-    def z5_profile(self, t_star, n=64) -> Segment:
+    def z5_profile(self, t_star, n=64, roots=None) -> Segment:
         """Sample Z5 at time t*: n states at uniform x between its edges.
 
         Each end's position and state come from one boundary curve (the
         side's _z5_edge), so on a parametric curve both rest on the same
-        root rho_of_t(t*).  The states between are read from the implicit
-        solution itself, t(R1, R2) = t* and x(R1, R2) = x, by
+        root rho_of_t(t*) (see _root).  The states between are read from
+        the implicit solution itself, t(R1, R2) = t* and x(R1, R2) = x, by
         ImplicitSolution.invert; the ends are pinned to the edge states.
         """
-        # _z5_edge raises DomainError outside [T_int, T_fin].
-        edge_l, edge_r = (
-            self._z5_edge(s, t_star) for s in self.timeline.sides.values()
-        )
-        xl, left = edge_l.x(t_star), edge_l.left_state(t_star)
-        xr, right = edge_r.x(t_star), edge_r.left_state(t_star)
+        ends = []
+        for side in self.timeline.sides.values():
+            # _z5_edge raises DomainError outside [T_int, T_fin].
+            edge = self._z5_edge(side, t_star)
+            if edge.rho_of_t is None:
+                ends.append((edge.x(t_star), edge.left_state(t_star)))
+            else:
+                rho = self._root(edge.id, t_star, roots)
+                ends.append((edge.position(rho, t_star), side.pair(rho)))
+        (xl, left), (xr, right) = ends
 
         if xr - xl < DEGENERATE_WIDTH * max(1.0, abs(xl)):
             return Segment("Z5", np.array([xl]), np.array([left[0]]), np.array([left[1]]))
@@ -207,18 +219,18 @@ class ScenarioSolver:
 
     # -- zones Z9 / Z10: one-parameter transport ---------------------------------
 
-    def z9_profile(self, t_star, n=64) -> Segment:
+    def z9_profile(self, t_star, n=64, roots=None) -> Segment:
         """One-parameter representation of Z9 at time t*.
 
         x(rho) = x(rho, mu2) + rho^2 mu2 (t* - t(rho, mu2)) for rho between
         the left-boundary value (q1, or the shock value after T_9) and the
-        isochrone root rho* (mu1 after T_fin).
+        isochrone root rho* (mu1 after T_fin); roots as for z5_profile.
         """
-        return self._transport_segment(self.timeline.side(1), t_star, n)
+        return self._transport_segment(self.timeline.side(1), t_star, n, roots)
 
-    def z10_profile(self, t_star, n=64) -> Segment:
+    def z10_profile(self, t_star, n=64, roots=None) -> Segment:
         """Mirror of z9_profile: Z10 with R2 = rho between sigma* and q2 or Theta."""
-        return self._transport_segment(self.timeline.side(2), t_star, n)
+        return self._transport_segment(self.timeline.side(2), t_star, n, roots)
 
     def transport_x(self, side, rho, t_star):
         """Position reached at t* by the value rho leaving the Z5 boundary.
@@ -232,26 +244,21 @@ class ScenarioSolver:
         x0 = self.hodograph.x(*R)
         return x0 + lambda_k(s.k, *R) * (t_star - tau)
 
-    def _transport_segment(self, side, t_star, n):
+    def _transport_segment(self, side, t_star, n, roots):
         """Sample a side's transport zone at n parameter values.
 
         The parameter runs from the Z5 boundary root (the side's parametric
         curve's rho_of_t(t*); the side's far value after T_fin) to the
-        shock-side value (side.start before the shock forms).  The
-        positions x(rho) of all samples come from one array evaluation of
-        transport_x; they must increase strictly.
+        shock-side value (side.start before the shock forms), roots as in
+        _root.  The positions x(rho) of all samples come from one array
+        evaluation of transport_x; they must increase strictly.
         """
         T = self.timeline.times
         if t_star < T[side.death] * (1 - LIFETIME_SLACK):
             raise DomainError(f"{side.zone} exists for t >= {side.death} only")
-        if t_star <= T["T_fin"]:
-            inner = self.timeline.curves[side.curve].rho_of_t(t_star)
-        else:
-            inner = side.far
-        if t_star <= T[side.shock_event]:
-            outer = side.start
-        else:
-            outer = self.timeline.curves[side.shock].rho_of_t(t_star)
+        inner = side.far if t_star > T["T_fin"] else self._root(side.curve, t_star, roots)
+        outer = (side.start if t_star <= T[side.shock_event]
+                 else self._root(side.shock, t_star, roots))
         lo, hi = sorted((inner, outer))
         if hi - lo < DEGENERATE_RHO * max(1.0, abs(hi)):
             rho = np.array([lo])
@@ -275,14 +282,19 @@ class ScenarioSolver:
         Solves x = phi(tau) + R1^2 mu2 (t - tau) by inverting the transport
         map in the parameter rho; returns tau = t(rho, mu2).
         """
-        p = self.params
+        p, h = self.params, self.hodograph
         rho_hi = self.rho_star(t) if t <= self.timeline.times["T_fin"] else p.mu1
-        f = lambda r: self.transport_x(1, r, t) - x
-        f_lo, f_hi = f(p.q1), f(rho_hi)
+
+        def level(r):  # d/drho uses x_R1 = lambda2 t_R1
+            lam = lambda_k(2, r, p.mu2) - lambda_k(1, r, p.mu2)
+            return (self.transport_x(1, r, t) - x, lam * h.t_partials(r, p.mu2)[0]
+                    + 2.0 * r * p.mu2 * (t - h.t(r, p.mu2)))
+
+        f_lo, f_hi = level(p.q1)[0], level(rho_hi)[0]
         if f_lo * f_hi > 0:
             raise NoRootInInterval(f"({x}, {t}) is not inside zone Z9")
-        rho = brentq(f, p.q1, rho_hi, xtol=TAU_XTOL, rtol=TAU_RTOL)
-        return float(self.hodograph.t(rho, p.mu2))
+        rho = wavefield.bracketed_newton(level, p.q1, rho_hi, f_lo, f_hi)
+        return float(h.t(rho, p.mu2))
 
     # -- curved shocks after T_9 / T_10 ----------------------------------------
 
@@ -327,13 +339,18 @@ class ScenarioSolver:
                  window[1] if iv.x_right is None else iv.x_right) for iv in intervals]
         widths = [max(xr - xl, 0.0) for xl, xr in ends]
         total = sum(widths) or 1.0
+        # The layout's roots, so that no sampler solves one again.
+        roots = {iv.right_curve: iv.right_rho for iv in intervals
+                 if iv.right_rho is not None}
         segments = [
-            self._zone_segment(iv.zone, xl, xr, t_star, max(2, int(round(n * w / total))))
+            self._zone_segment(
+                iv.zone, xl, xr, t_star, max(2, int(round(n * w / total))), roots
+            )
             for iv, (xl, xr), w in zip(intervals, ends, widths)
         ]
         return self._merge_segments(t_star, segments)
 
-    def _zone_segment(self, zone, xl, xr, t_star, n_k) -> Segment:
+    def _zone_segment(self, zone, xl, xr, t_star, n_k, roots) -> Segment:
         p = self.params
         desc = wavefield.zone_descriptor(p, zone)
         degenerate = (xr - xl) < DEGENERATE_WIDTH * max(1.0, abs(xl))
@@ -346,11 +363,11 @@ class ScenarioSolver:
                   else np.full_like(xs, desc.R2))
             return Segment(zone, xs, R1, R2)
         if desc.content == "goursat":
-            return self.z5_profile(t_star, n_k)
+            return self.z5_profile(t_star, n_k, roots)
         if desc.content == "transport1":
-            return self.z9_profile(t_star, n_k)
+            return self.z9_profile(t_star, n_k, roots)
         if desc.content == "transport2":
-            return self.z10_profile(t_star, n_k)
+            return self.z10_profile(t_star, n_k, roots)
         raise PhaseGap(f"no sampler for zone {zone}")
 
     def _merge_segments(self, t_star, segments) -> Profile:

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError, DomainExit, NoRootInInterval, UnexpectedOrdering
 from .hodograph import ImplicitSolution, interaction_time
@@ -27,12 +26,11 @@ from .invariants import MixtureParams, validate_params
 PARAM_TABLE_SIZE = 512
 #: relative bracket extension for root solves just beyond a curve's endpoint.
 PARAM_MARGIN = 0.02
-#: absolute brentq tolerance of rho_of_t: negligible, so that the relative
-#: one (rtol, about 4 ulp) sets the root's precision at any scale of the
-#: invariants (an absolute 1e-15 is some 70 ulp of rho = 0.07).
-ROOT_XTOL = 1e-300
-#: relative tolerance of every boundary root (4 ulp).
+#: relative tolerance of every root (4 ulp), on the step and the bracket.
 ROOT_RTOL = 8.9e-16
+#: bracketed_newton raises after this many steps; bisection alone takes
+#: about 50 to shrink a bracket at the root's scale to ROOT_RTOL.
+ROOT_MAX_ITER = 100
 #: a curved shock's beta table: rho = far - (far - start) s, s geometric
 #: from 1 down to SHOCK_TABLE_DEPTH, so dense toward far.
 SHOCK_TABLE_SIZE = 128
@@ -46,10 +44,10 @@ class BoundaryCurve:
     kind is "shock", "weak-1" or "weak-2"; the digit is the characteristic
     family.  left_state/right_state map t to the (R1, R2) pair on each side
     (equal for weak curves).  Parametric curves carry their (rho, t, x)
-    table, rho_of_t (the exact root of t(rho) = t) and param_point
-    (rho -> (x, t)); x(t) queries go through rho_of_t.  The curved shocks
-    Phi and Theta carry rho_of_t (the invariant behind the shock) and
-    param_point too, without the tables.
+    table, rho_of_t (the exact root of t(rho) = t), position ((rho, t) ->
+    x, so that x(t) = position(rho_of_t(t), t)) and param_point (rho ->
+    (x, t)).  The curved shocks Phi and Theta carry rho_of_t (the invariant
+    behind the shock), position and param_point too, without the tables.
     """
 
     id: str
@@ -63,6 +61,7 @@ class BoundaryCurve:
     t_grid: Optional[np.ndarray] = field(default=None, repr=False)
     x_grid: Optional[np.ndarray] = field(default=None, repr=False)
     rho_of_t: Optional[Callable[[float], float]] = field(default=None, repr=False)
+    position: Optional[Callable[[float, float], float]] = field(default=None, repr=False)
     param_point: Optional[Callable[[float], tuple]] = field(default=None, repr=False)
 
     @property
@@ -288,6 +287,32 @@ def zone_death_events(p: MixtureParams):
     )
 
 
+def bracketed_newton(fn, a, b, fa, fb):
+    """The root of F in [a, b], fn(r) = (F(r), F'(r)), fa = F(a) and fb = F(b)
+    not of one sign: Newton from the chord of (a, fa) and (b, fb), bisecting
+    where a step leaves the bracket or F' = 0 (rtsafe, Numerical Recipes
+    9.4).  It stops on a step or a bracket below ROOT_RTOL of the ends'
+    scale, so rounding noise in F cannot stall it."""
+    if fa == 0.0 or fb == 0.0:
+        return a if fa == 0.0 else b
+    tol = ROOT_RTOL * max(abs(a), abs(b))
+    r = a - fa * (b - a) / (fb - fa)
+    if fa > 0.0:  # keep F(a) < 0 < F(b)
+        a, b = b, a
+    for _ in range(ROOT_MAX_ITER):
+        F, dF = fn(r)
+        a, b = (r, b) if F < 0.0 else (a, r)
+        step = F / dF if dF else math.inf
+        if abs(step) <= tol:
+            return r - step
+        r -= step
+        if not (r - a) * (r - b) < 0.0:
+            r = 0.5 * (a + b)
+        if abs(b - a) <= tol:
+            return r
+    raise NoRootInInterval(f"no convergence in the bracket [{a}, {b}]")
+
+
 def _parametric_curve(sol: ImplicitSolution, side: Side, t_start, t_end):
     """Build the Z5 boundary of one side, given parametrically by the hodograph.
 
@@ -297,14 +322,16 @@ def _parametric_curve(sol: ImplicitSolution, side: Side, t_start, t_end):
     side.pair(rho).  The t(rho) and x(rho) tables are each one array
     evaluation of the hodograph over the whole rho grid.  The t(rho) table
     must be strictly monotone.  rho_of_t is the one solver of
-    t(side.pair(rho)) = t: it brackets the parameter between two adjacent
-    grid nodes and refines it with brentq; x(t), the states and the
+    t(side.pair(rho)) = t: the table of t at the bracket nodes picks the
+    cell holding t and gives the ends' values, and bracketed_newton refines
+    the root with dt/drho from t_partials; x(t), the states and the
     isochrone's rho*/sigma* all read it.  A time outside the curve's span
     (beyond the bracket margin) raises NoRootInInterval.
     """
     lo, hi = side.lo, side.hi
     t_of = lambda r: sol.t(*side.pair(r))
     x_of = lambda r: sol.x(*side.pair(r))
+    level = lambda r, t: (t_of(r) - t, sol.t_partials(*side.pair(r))[side.index])
 
     grid = np.linspace(lo, hi, PARAM_TABLE_SIZE)
     t_tab = t_of(grid)
@@ -322,28 +349,32 @@ def _parametric_curve(sol: ImplicitSolution, side: Side, t_start, t_end):
     nodes = grid.copy()
     nodes[0] -= min(PARAM_MARGIN * (hi - lo), 0.5 * abs(lo - side.fixed))
     nodes[-1] += min(PARAM_MARGIN * (hi - lo), 0.5 * abs(hi - side.fixed))
-    rising = d[0] > 0
-    t_rising = t_tab if rising else t_tab[::-1]
+    t_nodes = t_tab.copy()
+    t_nodes[[0, -1]] = t_of(nodes[[0, -1]])
+    if d[0] < 0:
+        nodes, t_nodes = nodes[::-1], t_nodes[::-1]
+    node_list, t_list = nodes.tolist(), t_nodes.tolist()
     last = PARAM_TABLE_SIZE - 1
 
     def rho_of_t(t):
-        k = min(max(int(np.searchsorted(t_rising, t)), 1), last)
-        j = k if rising else PARAM_TABLE_SIZE - k
-        # The table and a scalar evaluation may differ in the last bit, so a
-        # time on an interior node can miss its cell; the wider bracket
-        # around that node then holds it.
-        for a, b in ((nodes[j - 1], nodes[j]),
-                     (nodes[max(j - 2, 0)], nodes[min(j + 1, last)])):
-            if (t_of(a) - t) * (t_of(b) - t) <= 0:
-                return brentq(lambda r: t_of(r) - t, a, b, xtol=ROOT_XTOL, rtol=ROOT_RTOL)
-        raise NoRootInInterval(f"{side.curve}: time {t} outside the curve's span")
+        # The cell comes from the table, so a time equal to a node's table
+        # value is that node's root even where a scalar evaluation of t
+        # differs from the table in the last bit.
+        j = min(max(int(np.searchsorted(t_nodes, t)), 1), last)
+        fa, fb = t_list[j - 1] - t, t_list[j] - t
+        if fa * fb > 0.0:
+            raise NoRootInInterval(f"{side.curve}: time {t} outside the curve's span")
+        return bracketed_newton(
+            lambda r: level(r, t), node_list[j - 1], node_list[j], fa, fb
+        )
 
     state = lambda t: side.pair(rho_of_t(t))
     return BoundaryCurve(
         side.curve, f"weak-{3 - side.k}", t_start, t_end,
         lambda t: x_of(rho_of_t(t)), state, state,
         param_grid=grid, t_grid=t_tab, x_grid=x_tab,
-        rho_of_t=rho_of_t, param_point=lambda r: (x_of(r), t_of(r)),
+        rho_of_t=rho_of_t, position=lambda r, t: x_of(r),
+        param_point=lambda r: (x_of(r), t_of(r)),
     )
 
 
@@ -361,10 +392,9 @@ def _shock_curve(sol: ImplicitSolution, side: Side, event: Event):
                  + [(far - r)(fixed - r) tau(r) + (fixed - far) int tau dr]_start^rho,
 
     rational in rho, since tau = A/e^2 + B/e^3 with e = rho - fixed.
-    rho_of_t(t) solves g(rho) = t (far - rho)^2: bracketed by a table of beta
-    dense toward far (built on first use) and refined by Newton steps with
-    the exact derivative, or bisection where a step leaves the bracket.
-    beta must rise over the table and to infinity at far, else DomainExit.
+    rho_of_t(t) solves g(rho) = t (far - rho)^2 by bracketed_newton, in the
+    cell of a table of beta dense toward far (built on first use).  beta
+    must rise over the table and to infinity at far, else DomainExit.
     """
     p = sol.params
     f, far, start = side.fixed, side.far, side.start
@@ -382,8 +412,12 @@ def _shock_curve(sol: ImplicitSolution, side: Side, event: Event):
     g0, p0 = event.T * w0 * w0, primitive(start)
     g = lambda r: g0 + (primitive(r) - p0)
     position = lambda r, t: sol.x(*side.pair(r)) + f * r * r * (t - tau(r))
-    tol = ROOT_RTOL * max(abs(start), abs(far))
     table = None
+
+    def level(r, t):  # g(r) - t (far - r)^2 and its derivative
+        w, e = far - r, r - f
+        dF = w * (-(f - r) * (2.0 * A * e + 3.0 * B) / e**4 - 2.0 * tau(r) + 2.0 * t)
+        return g(r) - t * w * w, dF
 
     def rho_of_t(t):
         nonlocal table
@@ -398,26 +432,10 @@ def _shock_curve(sol: ImplicitSolution, side: Side, event: Event):
                 raise DomainExit(f"shock {side.shock}: beta(rho) does not rise to {far}")
             table = np.append(rho, far).tolist(), g_tab.tolist(), beta
         nodes, g_tab, beta = table
-        # F(r) = g(r) - t (far - r)^2 is <= 0 at a, > 0 at b.
         j = max(int(np.searchsorted(beta, t)), 1)
         a, b = nodes[j - 1], nodes[j]
         fa, fb = g_tab[j - 1] - t * (far - a) ** 2, g_tab[j] - t * (far - b) ** 2
-        r = a - fa * (b - a) / (fb - fa)
-        for _ in range(100):
-            w, e = far - r, r - f
-            F = g(r) - t * w * w
-            a, b = (r, b) if F < 0.0 else (a, r)
-            dF = w * (-(f - r) * (2.0 * A * e + 3.0 * B) / e**4 - 2.0 * tau(r) + 2.0 * t)
-            step = F / dF if dF else math.inf
-            if abs(step) <= tol:
-                return r - step
-            r -= step
-            if not (r - a) * (r - b) < 0.0:
-                # Rounding noise in F can stall Newton above tol; bisection cannot.
-                r = 0.5 * (a + b)
-                if abs(b - a) <= tol:
-                    return r
-        raise NoRootInInterval(f"shock {side.shock}: no root of beta(rho) = {t}")
+        return bracketed_newton(lambda r: level(r, t), a, b, fa, fb)
 
     def param_point(r):
         beta = g(r) / (far - r) ** 2
@@ -428,7 +446,7 @@ def _shock_curve(sol: ImplicitSolution, side: Side, event: Event):
     return BoundaryCurve(
         side.shock, "shock", event.T, math.inf, lambda t: position(rho_of_t(t), t),
         *((plateau, behind) if side.k == 1 else (behind, plateau)),
-        rho_of_t=rho_of_t, param_point=param_point,
+        rho_of_t=rho_of_t, position=position, param_point=param_point,
     )
 
 
@@ -538,6 +556,8 @@ class ZoneInterval:
     x_right: Optional[float]
     left_curve: Optional[str]
     right_curve: Optional[str]
+    #: the right curve's root rho_of_t(t) where it has one, else None.
+    right_rho: Optional[float] = None
 
 
 class Timeline:
@@ -616,7 +636,8 @@ class Timeline:
 
         Past T_9 (T_10) the left (right) outer boundary is the curved shock
         Phi (Theta), read like every other boundary from its curve, whose
-        position is in closed form up to one root (see _shock_curve).
+        position is in closed form up to one root (see _shock_curve).  Each
+        root is solved once, and kept as right_rho of the zone it ends.
         """
         if t <= 0.0:
             raise DomainError("zone layout defined for t > 0 only")
@@ -624,41 +645,41 @@ class Timeline:
         c = self.curves
 
         def pos(curve_id):
-            return float(c[curve_id].x(t))
+            curve = c[curve_id]
+            if curve.rho_of_t is None:
+                return float(curve.x(t)), None
+            rho = curve.rho_of_t(t)
+            return float(curve.position(rho, t)), rho
 
         chain = []
-        left_outer = "xs1" if t < T["T_9"] else "Phi"
-        cursor_id, cursor_x = left_outer, pos(left_outer)
-        chain.append(ZoneInterval("Z1", None, cursor_x, None, cursor_id))
+        cursor_id = "xs1" if t < T["T_9"] else "Phi"
+        cursor_x, rho = pos(cursor_id)
+        chain.append(ZoneInterval("Z1", None, cursor_x, None, cursor_id, rho))
 
-        def push(zone, right_id, right_x):
+        def push(zone, right_id):
             nonlocal cursor_id, cursor_x
-            chain.append(ZoneInterval(zone, cursor_x, right_x, cursor_id, right_id))
+            right_x, rho = pos(right_id)
+            chain.append(ZoneInterval(zone, cursor_x, right_x, cursor_id, right_id, rho))
             cursor_id, cursor_x = right_id, right_x
 
         if t < T["T_9"]:
-            rid = "xl2" if t <= T["T_3"] else "xw1"
-            push("Z2", rid, pos(rid))
+            push("Z2", "xl2" if t <= T["T_3"] else "xw1")
         if t <= T["T_3"]:
-            rid = "xr2" if t <= T["T_int"] else "phi_early"
-            push("Z3", rid, pos(rid))
+            push("Z3", "xr2" if t <= T["T_int"] else "phi_early")
         if t <= T["T_int"]:
-            push("Z4", "xl1", pos("xl1"))
+            push("Z4", "xl1")
         if t > T["T_3"]:
-            rid = "phi" if t <= T["T_fin"] else "xf1"
-            push("Z9", rid, pos(rid))
+            push("Z9", "phi" if t <= T["T_fin"] else "xf1")
         if T["T_int"] <= t <= T["T_fin"]:
-            rid = "theta_early" if t <= T["T_6"] else "theta"
-            push("Z5", rid, pos(rid))
+            push("Z5", "theta_early" if t <= T["T_6"] else "theta")
         if t > T["T_fin"]:
-            push("Z11", "xf2", pos("xf2"))
+            push("Z11", "xf2")
         if t <= T["T_6"]:
-            push("Z6", "xr1", pos("xr1"))
+            push("Z6", "xr1")
         if t > T["T_6"]:
-            rid = "xw2" if t <= T["T_10"] else "Theta"
-            push("Z10", rid, pos(rid))
+            push("Z10", "xw2" if t <= T["T_10"] else "Theta")
         if t < T["T_10"]:
-            push("Z7", "xs2", pos("xs2"))
+            push("Z7", "xs2")
         chain.append(ZoneInterval("Z8", cursor_x, None, cursor_id, None))
 
         self._check_tiling(chain)

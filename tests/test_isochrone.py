@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
-from zesolver import MixtureParams, rh_residual
+from zesolver import MixtureParams, rh_residual, wavefield
 from zesolver.errors import (
     DomainError,
     DomainMismatch,
@@ -12,7 +12,7 @@ from zesolver.errors import (
     UnexpectedOrdering,
 )
 from zesolver.invariants import InvariantPair, lambda_k
-from zesolver.isochrone import ScenarioSolver, profile_at
+from zesolver.isochrone import ScenarioSolver, csv_rows, profile_at
 
 
 def test_z5_degenerate_at_interaction_time(solver):
@@ -349,3 +349,28 @@ def test_profile_csv_rows(solver):
     fields = rows[1].split(",")
     assert len(fields) == 6
     float(fields[0])
+
+
+def test_csv_rows_match_per_row_reference():
+    cols = (np.array([0.1, -0.0, 1e-300, np.nan]), np.array([np.inf, 2.0, 1 / 3, -5e20]))
+    labels = ["Z1", "Z1", "Z5", "fv"]
+    numbers = [",".join(f"{float(v)!r}" for v in row) for row in zip(*cols)]
+    assert list(csv_rows("a,b", cols)) == ["a,b", *numbers]
+    assert list(csv_rows("a,b,zone", cols, labels)) == [
+        "a,b,zone", *(f"{row},{z}" for row, z in zip(numbers, labels))
+    ]
+
+
+def test_profile_solves_each_boundary_root_once(solver, monkeypatch):
+    # The zone layout solves the root of each parametric or shock boundary
+    # alive at t* (phi after T_3, theta after T_6, both until T_fin; Phi
+    # after T_9, Theta after T_10) and the samplers reuse it.
+    calls = []
+    solve = wavefield.bracketed_newton
+    monkeypatch.setattr(
+        wavefield, "bracketed_newton", lambda *args: calls.append(args) or solve(*args)
+    )
+    for t, roots in ((0.03, 1), (0.05, 3), (0.1, 4), (0.3, 2)):
+        calls.clear()
+        solver.profile_at(t, n=1024)
+        assert len(calls) == roots, t

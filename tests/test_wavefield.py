@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ from zesolver.errors import DomainError, UnexpectedOrdering
 from zesolver.hodograph import ImplicitSolution
 from zesolver.invariants import InvariantPair, lambda_k
 from zesolver.wavefield import (
+    ROOT_MAX_ITER,
+    ROOT_RTOL,
+    bracketed_newton,
     final_event,
     initial_breakup,
     interaction_point,
@@ -238,3 +242,32 @@ def test_zone_descriptors(params):
     assert zone_descriptor(params, "Z2").R1 == params.q1
     assert zone_descriptor(params, "Z5").content == "goursat"
     assert zone_descriptor(params, "Z9").R2 == params.mu2
+
+
+@pytest.mark.parametrize("noise", [1e-12, 1e-9, 1e-6])
+def test_bracketed_newton_ends_inside_its_bracket_under_rounding_noise(noise):
+    # Noise far above ROOT_RTOL keeps Newton's steps large near the root, as
+    # rounding does near the R1 = R2 pole; the shrinking bracket ends the solve.
+    rng = np.random.default_rng(3)
+    root = 0.3
+    calls = []
+
+    def fn(r):
+        calls.append(r)
+        return r - root + noise * rng.standard_normal(), 1.0
+
+    for a, b in ((0.0, 1.0), (1.0, 0.0)):
+        calls.clear()
+        r = bracketed_newton(fn, a, b, a - root, b - root)
+        assert 0.0 <= r <= 1.0
+        assert abs(r - root) <= 10 * noise
+        assert len(calls) < ROOT_MAX_ITER
+
+
+def test_bracketed_newton_bisects_on_a_zero_derivative():
+    root = 1 / 3
+    r = bracketed_newton(lambda r: (math.tanh(r - root), 0.0), 0.0, 1.0,
+                         math.tanh(-root), math.tanh(1.0 - root))
+    assert abs(r - root) <= ROOT_RTOL
+    # A zero at a bracket end is the root.
+    assert bracketed_newton(lambda r: (r - 2.0, 1.0), 2.0, 3.0, 0.0, 1.0) == 2.0
