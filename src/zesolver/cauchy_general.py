@@ -7,14 +7,15 @@ For initial invariants R1_0(x), R2_0(x) the implicit solution is
 with r1 = R1_0(b), r2 = R2_0(a), F = int_a^b f, G = int_a^b g,
 f = (R1_0 + R2_0)/(R1_0 R2_0) and g = 1/(R1_0 R2_0).  For piecewise-constant
 data F and G are closed forms of the feet a <= b, piecewise linear in each,
-read from one table of the data (PiecewiseInitialData).  An isochrone
-t(a, b) = t* is traced by the marching system
+read from one table of the data (PiecewiseInitialData).  So is the position
+X(a, b) where the two characteristics meet (_position): along the
+2-characteristic from a, dX = lambda2 dt, integrated by parts.  An isochrone
+t(a, b) = t* is traced by the level-line system
 
     da/dmu = -t_b,  db/dmu = t_a,
-    dX/dmu = (lambda2(r1,r2) - lambda1(r1,r2)) t_a t_b,
 
 which preserves t exactly; the solution along it is R1 = R1_0(b(mu)),
-R2 = R2_0(a(mu)) at x = X(mu).
+R2 = R2_0(a(mu)) at x = X(a(mu), b(mu)).
 
 Jumps of the data are handled by walking the completed graph of each
 R-profile: a jump becomes a zero-width vertical segment swept in the
@@ -34,7 +35,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .errors import (
     CoincidentInvariants,
@@ -45,8 +45,9 @@ from .errors import (
     NoRootInInterval,
 )
 from .invariants import MixtureParams, lambda_k, u_from_mobilities
+from .wavefield import bracketed_newton
 
-#: solve_ivp tolerances of the seed and march ODEs in their arclength variable.
+#: solve_ivp tolerances of the march ODE in its arclength variable.
 _MU_RTOL = 1e-11
 _MU_ATOL = 1e-13
 #: minimum |r1 - r2| (relative) tolerated along a march: t has a pole there.
@@ -59,13 +60,8 @@ _SEED_AGREE = 1e-9
 _EDGE = 1e-12
 #: a march run shorter than this arclength made no progress.
 _ZERO_ARC = 1e-13
-#: the seed ODE stops this short of b*: the rest is below round-off.
-_SEED_END = 1e-14
 #: a run end this close to a segment end is moved onto it: the next run starts there.
 _SNAP = 1e-10
-#: brentq tolerances of the seed scan: roots to the last bits (rtol's floor is 4 eps).
-_ROOT_XTOL = 1e-15
-_ROOT_RTOL = 8.9e-16
 
 
 @dataclass(frozen=True)
@@ -306,9 +302,19 @@ def t_ab(data: PiecewiseInitialData, a: float, b: float) -> float:
 
 
 def _anchor(data, seg_a, seg_b, s_a, s_b):
-    """The start of a run: its feet (a0, b0) with their exact F0, G0."""
+    """The start of a run: its feet (a0, b0), their exact F0 and G0, then
+    per R1_0 jump x_k between the feet (right of seg_a's start, not right of
+    seg_b's) the tuple (x_k, R1_0(x_k-), R1_0(x_k+), F(a0, x_k), G(a0, x_k)),
+    with None for R1_0(x_k+) on b's own jump (seg_b a vertical)."""
     a0, b0 = seg_a.eval(s_a)[0], seg_b.eval(s_b)[0]
-    return (a0, b0, *(float(v) for v in data._integrals(a0, b0)[2:]))
+    tab = data._table
+    k = np.flatnonzero((seg_a.x0 < tab.breakpoints) & (tab.breakpoints <= seg_b.x0))
+    F, G = (v.tolist() for v in data._integrals(a0, np.append(b0, tab.breakpoints[k]))[2:])
+    r_hi = tab.r1[k + 1].tolist()
+    if seg_b.kind == "v" and seg_a.x0 < seg_b.x0:
+        r_hi[-1] = None
+    jumps = zip(tab.breakpoints[k].tolist(), tab.r1[k].tolist(), r_hi, F[1:], G[1:])
+    return (a0, b0, F[0], G[0], *jumps)
 
 
 def _continued(seg_a, seg_b, a, b, anchor):
@@ -316,11 +322,41 @@ def _continued(seg_a, seg_b, a, b, anchor):
 
     Inside a run F = F0 - f(a) (a - a0) + f(b) (b - b0), exactly; G alike.
     """
-    a0, b0, F0, G0 = anchor
+    a0, b0, F0, G0, *_ = anchor
     return (
         F0 - seg_a.f * (a - a0) + seg_b.f * (b - b0),
         G0 - seg_a.g * (a - a0) + seg_b.g * (b - b0),
     )
+
+
+def _position(seg_a, a, r1, r2, t, anchor):
+    """X(a, b) at feet a, invariants r1, r2 and time t = t(a, b) of a run,
+    scalars or arrays: where the 2-characteristic from a meets the
+    1-characteristic from b.  Along the former dX = r1 r2^2 dt from X = a,
+    so X = a + r2^2 (r1 t - int t dr1).  r1 changes only on the R1_0 jumps
+    x_k between the feet, where t = alpha/e^3 + beta/e^2 in e = r1 - r2 with
+    alpha = 2 ((x_k - a) - r2 F_k + r2^2 G_k), beta = 2 r2 G_k - F_k and
+    F_k = F(a, x_k), G_k alike, continued from the anchor as in _continued.
+    A jump adds alpha/(2e^2) + beta/e between its limits, upper r1 - r2 on
+    b's own jump.
+    """
+    a0, _, _, _, *jumps = anchor
+    total = r1 * t
+    for xk, r_lo, r_hi, Fk, Gk in jumps:
+        Fk, Gk = Fk - seg_a.f * (a - a0), Gk - seg_a.g * (a - a0)
+        alpha = 2.0 * ((xk - a) - r2 * Fk + r2 * r2 * Gk)
+        beta = 2.0 * r2 * Gk - Fk
+        for e, sign in (((r1 if r_hi is None else r_hi) - r2, 1.0), (r_lo - r2, -1.0)):
+            total = total + sign * (0.5 * alpha / e + beta) / e
+    return a + r2 * r2 * total
+
+
+def _x_at(seg_a, seg_b, s_a, s_b, anchor):
+    """X at a point (s_a, s_b) of a run, by _sample_run's arithmetic."""
+    a, r2 = seg_a.eval(s_a)[:2]
+    b, r1 = seg_b.eval(s_b)[:2]
+    t = _level(b - a, r1, r2, *_continued(seg_a, seg_b, a, b, anchor))
+    return _position(seg_a, a, r1, r2, t, anchor)
 
 
 def _parts(seg_a, seg_b, s_a, s_b, anchor):
@@ -350,47 +386,18 @@ def _parts(seg_a, seg_b, s_a, s_b, anchor):
 
 
 def seed_point(data: PiecewiseInitialData, a_star: float, b_star: float):
-    """Integrate along the characteristic a = a* to get X* and t*.
-
-    Solves dY/db = lambda2(r1(b), r2(a*)) t_b(a*, b) from Y(a*) = a*; jump
-    crossings restart the integrator on the next graph segment, each start
-    anchoring F and G in the data's integral table.  t* takes F and G at
-    (a*, b*) from the table and r1, r2 from the graph segments of the feet,
-    with t_ab's one-sided limits on a breakpoint: r1 = R1_0(b*-), r2 =
-    R2_0(a*+).
-    """
-    if b_star < a_star:
-        raise DomainError("seed needs a* <= b*")
+    """The (a, b)-plane point at feet (a*, b*): t* = t_ab(a*, b*) and X* by
+    _position.  As in t_ab, r1 = R1_0(b*-) and r2 = R2_0(a*+)."""
+    t_star = t_ab(data, a_star, b_star)  # DomainError for b* < a*
     ga, gb = data.graphs()
     s_a = ga.s_of_x(a_star, side="right")
+    s_b = gb.s_of_x(b_star)
     seg_a = ga.segments[ga.locate(s_a)]
-    s_b_end = gb.s_of_x(b_star)
-    s_b = gb.s_of_x(a_star)
-
-    y = np.array([a_star])  # Y
-    while s_b < s_b_end - _SEED_END:
-        seg_b = gb.segments[gb.locate(s_b, direction=1)]
-        seg_end = min(seg_b.s1, s_b_end)
-        anchor = _anchor(data, seg_a, seg_b, s_a, s_b)
-
-        def rhs(s, yv):
-            _, _, t_sb, r1, r2 = _parts(seg_a, seg_b, s_a, s, anchor)
-            return (lambda_k(2, r1, r2) * t_sb,)
-
-        sol = solve_ivp(rhs, (s_b, seg_end), y, method="RK45", rtol=_MU_RTOL, atol=_MU_ATOL)
-        if not sol.success:
-            raise IntegrationFailure(f"seed integration failed: {sol.message}")
-        y = sol.y[:, -1]
-        s_b = seg_end
-
-    r1 = gb.segments[gb.locate(s_b_end, direction=-1)].eval(s_b_end)[1]
-    r2 = seg_a.eval(s_a)[1]
-    if _coincident(r1, r2):
-        raise CoincidentInvariants("r1(b) and r2(a) coincide")
-    F, G = (float(v) for v in data._integrals(a_star, b_star)[2:])
+    seg_b = gb.segments[gb.locate(s_b, direction=-1)]
+    r1, r2 = seg_b.eval(s_b)[1], seg_a.eval(s_a)[1]
+    X = _position(seg_a, a_star, r1, r2, t_star, _anchor(data, seg_a, seg_b, s_a, s_b))
     return AbPlaneState(
-        a=a_star, b=b_star, X=float(y[0]), r1=r1, r2=r2,
-        t_star=_level(b_star - a_star, r1, r2, F, G), s_a=s_a, s_b=s_b_end,
+        a=a_star, b=b_star, X=X, r1=r1, r2=r2, t_star=t_star, s_a=s_a, s_b=s_b,
     )
 
 
@@ -423,7 +430,9 @@ def march_isochrone(
     Each direction runs until the physical position leaves x_window, a data
     graph ends, or the map folds (t_sa * t_sb changes sign, i.e. the
     Jacobian proxy (lambda2 - lambda1) t_a t_b vanishes); folds terminate
-    the direction without continuation and are recorded in status.
+    the direction without continuation and are recorded in status.  A seed
+    outside x_window marches into it; a march with no sample inside
+    x_window raises DomainError.
     """
     ga, gb = data.graphs()
     t_star = seed.t_star
@@ -433,7 +442,7 @@ def march_isochrone(
     max_drift = 0.0
 
     for direction in (+1, -1):
-        y = np.array([seed.s_a, seed.s_b, seed.X])
+        y = np.array([seed.s_a, seed.s_b])
         sign_a = sign_b = 1
         prev_dx_sign = 0.0
         arc_used = 0.0
@@ -482,6 +491,9 @@ def march_isochrone(
         name: np.concatenate([c[name] for c in chunks])
         for name in ("x", "R1", "R2", "a", "b")
     }
+    if not np.any((fields["x"] >= x_window[0]) & (fields["x"] <= x_window[1])):
+        raise DomainError(f"no sample of the isochrone t = {t_star} lies in the window "
+                          f"[{x_window[0]:g}, {x_window[1]:g}] (status {status})")
     order = np.argsort(fields["x"], kind="stable")
     return MarchResult(t_star=t_star, **{name: v[order] for name, v in fields.items()},
                        knots=sorted(knots), status=status, max_drift=max_drift)
@@ -522,42 +534,49 @@ def _consistent(s, seg, ds):
 
 def _march_run(data, seg_a, seg_b, y0, direction, t_star, x_window,
                arc_budget, density):
-    """Integrate one smooth run (fixed graph segments) of the march."""
+    """Integrate one smooth run (fixed graph segments) of the march.
+
+    The ODE state u is the feet's arclength moved since the run's start
+    y0, so the ODE's relative tolerance does not depend on where the graphs'
+    arclength begins (the data domain's left edge).
+    """
     anchor = _anchor(data, seg_a, seg_b, y0[0], y0[1])
 
-    def rhs(mu, y):
-        _, t_sa, t_sb, r1, r2 = _parts(seg_a, seg_b, y[0], y[1], anchor)
+    def rhs(mu, u):
+        _, t_sa, t_sb, _, _ = _parts(seg_a, seg_b, y0[0] + u[0], y0[1] + u[1], anchor)
         norm = math.hypot(t_sa, t_sb)
         if norm == 0.0:
-            return (0.0, 0.0, 0.0)
+            return (0.0, 0.0)
         k = direction / norm
-        lam = lambda_k(2, r1, r2) - lambda_k(1, r1, r2)
-        return (-t_sb * k, t_sa * k, lam * t_sa * t_sb * k)
+        return (-t_sb * k, t_sa * k)
 
-    d0 = rhs(0.0, y0)
+    d0 = rhs(0.0, (0.0, 0.0))
 
-    def ev_seg_a(mu, y):
-        return y[0] - (seg_a.s1 if d0[0] >= 0 else seg_a.s0)
+    def ev_seg_a(mu, u):
+        return y0[0] + u[0] - (seg_a.s1 if d0[0] >= 0 else seg_a.s0)
 
-    def ev_seg_b(mu, y):
-        return y[1] - (seg_b.s1 if d0[1] >= 0 else seg_b.s0)
+    def ev_seg_b(mu, u):
+        return y0[1] + u[1] - (seg_b.s1 if d0[1] >= 0 else seg_b.s0)
 
-    def ev_x_lo(mu, y):
-        return y[2] - x_window[0]
+    # The window events fire on leaving the window only, so a run that
+    # starts outside it marches in.
+    def ev_x_lo(mu, u):
+        return _x_at(seg_a, seg_b, y0[0] + u[0], y0[1] + u[1], anchor) - x_window[0]
 
-    def ev_x_hi(mu, y):
-        return y[2] - x_window[1]
+    def ev_x_hi(mu, u):
+        return _x_at(seg_a, seg_b, y0[0] + u[0], y0[1] + u[1], anchor) - x_window[1]
 
-    def ev_fold(mu, y):
-        _, t_sa, t_sb, *_ = _parts(seg_a, seg_b, y[0], y[1], anchor)
+    def ev_fold(mu, u):
+        _, t_sa, t_sb, *_ = _parts(seg_a, seg_b, y0[0] + u[0], y0[1] + u[1], anchor)
         return t_sa * t_sb
 
     events = (ev_seg_a, ev_seg_b, ev_x_lo, ev_x_hi, ev_fold)
     for ev in events:
         ev.terminal = True
+    ev_x_lo.direction, ev_x_hi.direction = -1, 1
 
     sol = solve_ivp(
-        rhs, (0.0, arc_budget), y0, method="RK45",
+        rhs, (0.0, arc_budget), (0.0, 0.0), method="RK45",
         rtol=_MU_RTOL, atol=_MU_ATOL, dense_output=True,
         events=events,
     )
@@ -578,7 +597,7 @@ def _march_run(data, seg_a, seg_b, y0, direction, t_star, x_window,
         return None, stop, y0, 0.0
 
     n = max(9, int(mu_end * density))
-    ys = sol.sol(np.linspace(0.0, mu_end, n))
+    ys = y0[:, None] + sol.sol(np.linspace(0.0, mu_end, n))
     run = _sample_run(seg_a, seg_b, ys, t_star, anchor)
     y_next = ys[:, -1].copy()
     # Snap the segment coordinate exactly onto the boundary we stopped at.
@@ -591,11 +610,11 @@ def _march_run(data, seg_a, seg_b, y0, direction, t_star, x_window,
 
 
 def _sample_run(seg_a, seg_b, ys, t_star, anchor):
-    """Fields of one run's dense samples, ys with rows (s_a, s_b, X).
+    """Fields of one run's dense samples, ys with rows (s_a, s_b).
 
-    Evaluates t as _parts does, F and G continued from the run's anchor, on
-    whole arrays of the run's fixed segments, and raises LevelDrift if it
-    strays from t_star by more than _DRIFT t*.
+    Evaluates t as _parts does, F and G continued from the run's anchor,
+    and x (_position) on whole arrays of the run's fixed segments, and
+    raises LevelDrift if t strays from t_star by more than _DRIFT t*.
     """
     a, r2 = seg_a.eval(ys[0])[:2]
     b, r1 = seg_b.eval(ys[1])[:2]
@@ -609,8 +628,8 @@ def _sample_run(seg_a, seg_b, ys, t_star, anchor):
     if drift > _DRIFT * max(abs(t_star), 1e-12):
         raise LevelDrift(f"isochrone march drifted by {drift} at t* = {t_star}")
     return {
-        "x": ys[2], "R1": r1.copy(), "R2": r2.copy(), "a": a.copy(), "b": b.copy(),
-        "drift": drift,
+        "x": _position(seg_a, a, r1, r2, t, anchor), "R1": r1.copy(), "R2": r2.copy(),
+        "a": a.copy(), "b": b.copy(), "drift": drift,
     }
 
 
@@ -646,8 +665,10 @@ def _level_crossings(ray, rows, t_star):
     """Points where ray(v) = t_star, scanning each row of v in order.
 
     A sample that hits t_star exactly counts when its right neighbour is a
-    number; a sign change between neighbours is refined by brentq on the
-    ray itself.  Neighbours in different rows never form a bracket.
+    number; a sign change between neighbours is refined on the ray itself
+    by bracketed_newton with the chord's slope (within a row both feet stay
+    in their pieces, so t is affine in the free foot).  Neighbours in
+    different rows never form a bracket.
     """
     if not rows:
         return
@@ -657,21 +678,18 @@ def _level_crossings(ray, rows, t_star):
     pair[np.cumsum([len(r) for r in rows])[:-1] - 1] = False
     hit = pair & (vals[:-1] == 0.0) & ~np.isnan(vals[1:])
     cross = pair & (vals[:-1] * vals[1:] < 0)
-    for k in np.flatnonzero(hit | cross):
-        if hit[k]:
-            yield vv[k]
-        else:
-            yield brentq(
-                lambda v: ray(v) - t_star, vv[k], vv[k + 1],
-                xtol=_ROOT_XTOL, rtol=_ROOT_RTOL,
-            )
+    for k in np.flatnonzero(hit | cross):  # a hit is its own root
+        slope = (vals[k + 1] - vals[k]) / (vv[k + 1] - vv[k])
+        yield bracketed_newton(
+            lambda v: (ray(v) - t_star, slope), vv[k], vv[k + 1], vals[k], vals[k + 1]
+        )
 
 
 def find_seed(data: PiecewiseInitialData, t_star, a_fixed=None, b_fixed=None,
               resolution=128):
-    """Locate (a*, b*) with t(a*, b*) = t* by scan plus bisection.
+    """Locate (a*, b*) with t(a*, b*) = t* by a scan and a root per bracket.
 
-    With a_fixed (or b_fixed) given, bisection runs along that ray;
+    With a_fixed (or b_fixed) given, the scan runs along that ray;
     otherwise rows of a coarse level map are scanned piece by piece and
     refined.  Brackets never straddle a breakpoint.  Seeds whose feet sit
     in different data pieces are preferred: a bracket with both feet in one
@@ -736,8 +754,7 @@ def general_profile(
     """
     seed = seed_point(data, *(find_seed(data, t_star) if seed_at is None else seed_at))
     if abs(seed.t_star - t_star) > _SEED_AGREE * max(1.0, t_star):
-        # find_seed roots t_ab; seed_point evaluates t* again, from the
-        # invariants of the feet's graph segments.
+        # A seed_at off the level, or a find_seed root short of it.
         raise LevelDrift(f"seed time {seed.t_star} disagrees with requested {t_star}")
     seed = replace(seed, t_star=t_star)
     result = march_isochrone(data, seed, x_window, density=density)

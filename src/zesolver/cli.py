@@ -44,8 +44,12 @@ Exit codes:
        inside it, R1 < R2 and R1 R2 != 0 on every piece), a grid with
        fewer than 4 cells or x_min >= x_max, a CFL number outside (0, 1)
     3  the solver failed on valid input (for example no seed at the
-       requested time, a fold at the seed, level drift); the error type is
-       printed
+       requested time, a fold at the seed, level drift, or no sample of a
+       `general` isochrone inside the window); the error type is printed
+
+`general` marches each isochrone from its seed in both directions; each
+direction stops when its position leaves [general] window, so a seed
+outside the window marches into it.
 
 Any other status is an uncaught exception, that is, a bug.
 """

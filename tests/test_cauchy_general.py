@@ -1,14 +1,16 @@
 import mpmath
 import numpy as np
 import pytest
-from scipy.optimize import brentq
+from scipy.integrate import solve_ivp
 
 from zesolver import MixtureParams
 from zesolver import cauchy_general
 from zesolver.cauchy_general import (
     AbPlaneState,
     PiecewiseInitialData,
+    _anchor,
     _parts,
+    _x_at,
     find_seed,
     general_profile,
     level_map,
@@ -23,6 +25,8 @@ from zesolver.errors import (
     LevelDrift,
     NoRootInInterval,
 )
+from zesolver.invariants import lambda_k
+from zesolver.wavefield import bracketed_newton
 
 
 @pytest.fixture(scope="module")
@@ -115,8 +119,25 @@ def test_seed_on_a_breakpoint_takes_the_right_limit(data, params, t_star):
     st = seed_point(data, a, b)
     assert st.r2 == params.mu2
     assert st.t_star == pytest.approx(t_ab(data, a, b), rel=1e-14)
+    if t_star == 0.05:
+        # This seed's isochrone branch lies wholly right of the window, on
+        # [17, 31]: no sample to return.
+        with pytest.raises(DomainError):
+            general_profile(data, t_star, (-4.0, 9.0), seed_at=(a, b))
+        return
     res = general_profile(data, t_star, (-4.0, 9.0), seed_at=(a, b))
     assert res.max_drift <= 1e-8 * t_star
+
+
+def test_seed_outside_the_window_marches_into_it(data):
+    # The seed of t* = 0.018 lies at x = -0.381, left of the window; the
+    # march enters the window and stops where it leaves it.
+    lo, hi = 1.6, 3.6
+    res = general_profile(data, 0.018, (lo, hi))
+    assert res.x.min() == pytest.approx(-0.424, abs=1e-9)  # the fold, left of the seed
+    assert res.x.max() == pytest.approx(hi, abs=1e-9)
+    assert np.sum((res.x > lo) & (res.x < hi)) > 100
+    assert res.status == {1: "fold", -1: "window"}
 
 
 def test_find_seed_prefers_cross_piece_brackets(data):
@@ -403,6 +424,167 @@ def test_t_ab_matches_extended_precision(data):
             assert err <= 8 * eps * scale, (a, b)
 
 
+# -- X(a, b) against the ODEs it replaced and a 50-digit reference -----------
+
+#: Tolerances of the seed and march ODEs that integrated X before it had a
+#: closed form.
+_ODE = {"method": "RK45", "rtol": 1e-11, "atol": 1e-13}
+
+THREE = PiecewiseInitialData((-1.0, 0.0, 1.0), (5.0, 2.0, 3.0, 5.0), (8.0, 10.0, 9.0, 8.0),
+                             (-21.0, 21.0))
+
+
+def _seed_x_ode(data, a_star, b_star):
+    """X(a*, b*) by the seed ODE dY/ds_b = lambda2(r1, r2) t_sb along a = a*
+    from Y = a*, restarted on each graph segment of b."""
+    ga, gb = data.graphs()
+    s_a = ga.s_of_x(a_star, side="right")
+    seg_a = ga.segments[ga.locate(s_a)]
+    s_b, s_b_end = gb.s_of_x(a_star), gb.s_of_x(b_star)
+    y = np.array([a_star])
+    while s_b < s_b_end - 1e-14:
+        seg_b = gb.segments[gb.locate(s_b, direction=1)]
+        seg_end = min(seg_b.s1, s_b_end)
+        anchor = _anchor(data, seg_a, seg_b, s_a, s_b)
+
+        def rhs(s, yv):
+            _, _, t_sb, r1, r2 = _parts(seg_a, seg_b, s_a, s, anchor)
+            return (lambda_k(2, r1, r2) * t_sb,)
+
+        sol = solve_ivp(rhs, (s_b, seg_end), y, **_ODE)
+        assert sol.success
+        y, s_b = sol.y[:, -1], seg_end
+    return float(y[0])
+
+
+@pytest.mark.parametrize("data", [LAW[0][0], LAW[1][0], MANY, THREE])
+def test_seed_x_matches_the_seed_ode(data):
+    rng = np.random.default_rng(11)
+    lo, hi = data.domain
+    for a, b in np.sort(rng.uniform(lo + 0.1 * (hi - lo), hi, (12, 2)), axis=1):
+        x = seed_point(data, a, b).X
+        assert abs(x - _seed_x_ode(data, a, b)) <= 1e-9 * max(1.0, abs(x)), (a, b)
+    for a in data.breakpoints:  # feet on jumps, both sides
+        b = a + 0.37 * (hi - a)
+        for a_, b_ in ((a, b), (lo + 0.5 * (a - lo), a)):
+            x = seed_point(data, a_, b_).X
+            assert abs(x - _seed_x_ode(data, a_, b_)) <= 1e-9 * max(1.0, abs(x)), (a_, b_)
+
+
+@pytest.mark.parametrize("case, t_star, window", [
+    ("readme", 0.018, (-4.0, 9.0)), ("readme", 0.05, (-2.0, 6.0)), (THREE, 0.01, (-3.0, 5.0)),
+])
+def test_march_x_matches_the_three_state_march(case, t_star, window, request, monkeypatch):
+    # The march before X had a closed form carried X as a third state,
+    # dX/dmu = (lambda2 - lambda1) t_sa t_sb / |grad t|, from the seed's X
+    # through every run of a direction.
+    data = request.getfixturevalue("data") if case == "readme" else case
+    runs = []
+    march_run = cauchy_general._march_run
+
+    def spy(data_, seg_a, seg_b, y0, direction, *args):
+        out = march_run(data_, seg_a, seg_b, y0, direction, *args)
+        runs.append((seg_a, seg_b, y0, direction, out))
+        return out
+
+    monkeypatch.setattr(cauchy_general, "_march_run", spy)
+    seed = seed_point(data, *find_seed(data, t_star))
+    march_isochrone(data, seed, window)
+    x_ref, last_direction, checked = seed.X, None, 0
+    for seg_a, seg_b, y0, direction, (run, _, _, mu_end) in runs:
+        if direction != last_direction:
+            x_ref, last_direction = seed.X, direction
+        if run is None:
+            continue
+        anchor = _anchor(data, seg_a, seg_b, y0[0], y0[1])
+
+        def rhs(mu, y):
+            _, t_sa, t_sb, r1, r2 = _parts(seg_a, seg_b, y[0], y[1], anchor)
+            k = direction / np.hypot(t_sa, t_sb)
+            lam = lambda_k(2, r1, r2) - lambda_k(1, r1, r2)
+            return (-t_sb * k, t_sa * k, lam * t_sa * t_sb * k)
+
+        sol = solve_ivp(rhs, (0.0, mu_end), [y0[0], y0[1], x_ref], dense_output=True, **_ODE)
+        assert sol.success
+        ref = sol.sol(np.linspace(0.0, mu_end, run["x"].size))[2]
+        assert np.max(np.abs(run["x"] - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
+        x_ref, checked = sol.y[2, -1], checked + run["x"].size
+    assert checked > 500
+
+
+def test_march_drift_ignores_the_arclength_origin():
+    # The march's ODE state is the arclength moved since each run's start,
+    # so moving the domain's left edge (where the graphs' arclength starts)
+    # far out leaves the ODE's error control, and so the drift, unchanged.
+    drifts = [
+        general_profile(
+            PiecewiseInitialData((-1.0, 1.0), (5.0, 2.0, 5.0), (8.0, 10.0, 8.0), (left, 21.0)),
+            0.03, (-2.0, 6.0),
+        ).max_drift
+        for left in (-21.0, -1001.0)
+    ]
+    assert drifts[1] <= 2.0 * drifts[0]
+
+
+def _x_mp(data, a, b):
+    """X(a, b) at 50 digits with its conditioning scale.
+
+    Sums dX = r1 r2^2 dt along the 2-characteristic from a: r1 (t(a, e1) -
+    t(a, e0)) over each piece [e0, e1] of b' in [a, b], and on each jump
+    int r1 dt = [3 alpha/(2e^2) + 2 beta/e + r2 (alpha/e^3 + beta/e^2)] in
+    e = r1 - r2.  The scale sums the magnitudes of the terms of the formula
+    under test, X = a + r2^2 (r1 t + sum [alpha/(2e^2) + beta/e]), which is
+    what their rounding can cost.
+    """
+    bp = data.breakpoints
+    ia = sum(e <= a for e in bp)
+    with mpmath.workdps(50):
+        mp = mpmath.mpf
+        edges = [mp(e) for e in data._edges()]
+        a_mp, b_mp, r2 = mp(a), mp(b), mp(data.r2_values[ia])
+        F = G = mp(0)
+        X, scale, k, start = a_mp, abs(a_mp), ia, a_mp
+        while True:
+            end = min(b_mp, edges[k + 1])
+            r1, R2 = mp(data.r1_values[k]), mp(data.r2_values[k])
+            width = end - start
+            t0 = (2 * (start - a_mp) - (r1 + r2) * F + 2 * r1 * r2 * G) / (r1 - r2) ** 3
+            F += (r1 + R2) / (r1 * R2) * width
+            G += width / (r1 * R2)
+            t1 = (2 * (end - a_mp) - (r1 + r2) * F + 2 * r1 * r2 * G) / (r1 - r2) ** 3
+            X += r2 * r2 * r1 * (t1 - t0)
+            if end == b_mp:
+                break
+            alpha = 2 * ((end - a_mp) - r2 * F + r2 * r2 * G)
+            beta = 2 * r2 * G - F
+            a_s = 2 * (abs(end - a_mp) + abs(r2 * F) + r2 * r2 * abs(G))
+            b_s = 2 * abs(r2 * G) + abs(F)
+            for sign, r in ((1, mp(data.r1_values[k + 1])), (-1, r1)):
+                e = r - r2
+                X += sign * r2 * r2 * (3 * alpha / (2 * e * e) + 2 * beta / e
+                                       + r2 * (alpha / e ** 3 + beta / e ** 2))
+                scale += r2 * r2 * (a_s / (2 * e * e) + b_s / abs(e))
+            k, start = k + 1, end
+        t_scale = _t_mp(data, a, b)[1]
+        r1 = mp(data.r1_values[sum(e < b for e in bp)])
+        scale += r2 * r2 * abs(r1) * t_scale + abs(X)
+        return X, scale
+
+
+@pytest.mark.parametrize("data", [d for d, _ in LAW] + [MANY])
+def test_x_ab_matches_extended_precision(data):
+    bp = np.asarray(data.breakpoints)
+    feet = np.unique(np.concatenate(
+        [_feet(data), np.nextafter(bp, -np.inf), np.nextafter(bp, np.inf)]
+    ))
+    eps = np.finfo(float).eps
+    for i, a in enumerate(feet):
+        for b in feet[i:]:
+            x_mp, scale = _x_mp(data, a, b)
+            err = abs(mpmath.mpf(seed_point(data, a, b).X) - x_mp)
+            assert err <= 8 * eps * scale, (a, b)
+
+
 def _reference_find_seed(data, t_star, a_fixed=None, b_fixed=None, resolution=128):
     """find_seed as a scalar scan: one t_ab call per sample."""
     lo, hi = data.domain
@@ -410,6 +592,11 @@ def _reference_find_seed(data, t_star, a_fixed=None, b_fixed=None, resolution=12
 
     def values(points, t_of):
         return np.array([_scalar_t(data, *t_of(v)) - t_star for v in points])
+
+    def root(t_of, vv, vals, k):
+        slope = (vals[k + 1] - vals[k]) / (vv[k + 1] - vv[k])
+        return bracketed_newton(lambda v: (t_ab(data, *t_of(v)) - t_star, slope),
+                                vv[k], vv[k + 1], vals[k], vals[k + 1])
 
     def brackets_along_b(av):
         hits = []
@@ -424,9 +611,7 @@ def _reference_find_seed(data, t_star, a_fixed=None, b_fixed=None, resolution=12
                 if vals[k] == 0.0:
                     hits.append((av, bb[k]))
                 elif vals[k] * vals[k + 1] < 0:
-                    root = brentq(lambda bv: t_ab(data, av, bv) - t_star,
-                                  bb[k], bb[k + 1], xtol=1e-15, rtol=8.9e-16)
-                    hits.append((av, root))
+                    hits.append((av, root(lambda bv: (av, bv), bb, vals, k)))
         return hits
 
     def cross_piece(av, bv):
@@ -445,9 +630,7 @@ def _reference_find_seed(data, t_star, a_fixed=None, b_fixed=None, resolution=12
             vals = values(aa, lambda av: (av, b_fixed))
             for k in range(len(aa) - 1):
                 if vals[k] * vals[k + 1] < 0:
-                    root = brentq(lambda av: t_ab(data, av, b_fixed) - t_star,
-                                  aa[k], aa[k + 1], xtol=1e-15, rtol=8.9e-16)
-                    return root, b_fixed
+                    return root(lambda av: (av, b_fixed), aa, vals, k), b_fixed
         raise NoRootInInterval("b ray")
     fallback = None
     for av in np.linspace(lo, hi, resolution):
@@ -519,10 +702,11 @@ def test_march_post_pass_matches_per_sample_loop(data, monkeypatch):
     for seg_a, seg_b, ys, t_star, anchor, run in calls:
         kinds.add(seg_a.kind + seg_b.kind)
         drift = 0.0
-        ref = {"R1": [], "R2": [], "a": [], "b": []}
+        ref = {"x": [], "R1": [], "R2": [], "a": [], "b": []}
         for i in range(ys.shape[1]):
             t, _, _, r1, r2 = _parts(seg_a, seg_b, ys[0, i], ys[1, i], anchor)
             drift = max(drift, abs(t - t_star))
+            ref["x"].append(_x_at(seg_a, seg_b, ys[0, i], ys[1, i], anchor))
             ref["R1"].append(r1)
             ref["R2"].append(r2)
             ref["a"].append(seg_a.eval(ys[0, i])[0])

@@ -193,6 +193,16 @@ def test_general_solver_failure_exit_3(config, tmp_path, capsys):
     assert "NoRootInInterval" in capsys.readouterr().err
 
 
+def test_general_window_without_samples_exits_3(tmp_path, capsys):
+    # The isochrone ends (fold and domain edge) left of the window.
+    path = tmp_path / "far.ini"
+    path.write_text(GOOD_CONFIG.replace("window = -2, 6", "window = 100, 200"))
+    code = main(["general", "--config", str(path), "--out", str(tmp_path / "o"),
+                 "--times", "0.018"])
+    assert code == 3
+    assert "DomainError" in capsys.readouterr().err
+
+
 def test_compare_mode(config, tmp_path):
     out = tmp_path / "cmp"
     assert main(

@@ -1,6 +1,6 @@
 """The profile path runs without scipy.
 
-Only the `general` marcher (its ODE and seed roots) and the Goursat
+Only the `general` marcher (its level-line ODE) and the Goursat
 quadrature import scipy, inside the functions that use it.  The check runs
 in a fresh interpreter, since the test session itself imports scipy.
 """
