@@ -8,21 +8,21 @@ with r1 = R1_0(b), r2 = R2_0(a), F = int_a^b f, G = int_a^b g,
 f = (R1_0 + R2_0)/(R1_0 R2_0) and g = 1/(R1_0 R2_0).  For piecewise-constant
 data F and G are closed forms of the feet a <= b, piecewise linear in each,
 read from one table of the data (PiecewiseInitialData).  So is the position
-X(a, b) where the two characteristics meet (_position): along the
-2-characteristic from a, dX = lambda2 dt, integrated by parts.  An isochrone
-t(a, b) = t* is traced by the level-line system
+X(a, b) where the two characteristics meet (_position).  The paper traces an
+isochrone t(a, b) = t* by the level-line system
 
     da/dmu = -t_b,  db/dmu = t_a,
 
-which preserves t exactly; the solution along it is R1 = R1_0(b(mu)),
-R2 = R2_0(a(mu)) at x = X(a(mu), b(mu)).
-
-Jumps of the data are handled by walking the completed graph of each
-R-profile: a jump becomes a zero-width vertical segment swept in the
-invariant value with positions, and so F and G, frozen.  That is what
-turns a data jump into a rarefaction fan in the marched profile; with both
-feet pinned on verticals the formula above reduces exactly to the closed
-hodograph solution of the two-point scenario.
+and reads the solution R1 = R1_0(b), R2 = R2_0(a) at x = X(a, b) along it.
+Jumps of the data are walked on the completed graph of each R-profile: a
+jump is a vertical segment swept in the invariant with the position, and so
+F and G, frozen; that turns a data jump into a rarefaction fan, and with
+both feet on verticals t(a, b) is the two-point hodograph solution.  A march
+run keeps both feet on fixed graph segments, and there the level line is
+explicit (_level_line): a straight line with both feet horizontal, the
+moving foot rational in the swept invariant with one foot on a jump, and a
+root of a cubic with both on jumps.  So each run is solved in closed form;
+the tests keep the RK45 march of the system above as its reference.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (
     CoincidentInvariants,
@@ -47,9 +46,6 @@ from .errors import (
 from .invariants import MixtureParams, lambda_k, u_from_mobilities
 from .wavefield import bracketed_newton
 
-#: solve_ivp tolerances of the march ODE in its arclength variable.
-_MU_RTOL = 1e-11
-_MU_ATOL = 1e-13
 #: minimum |r1 - r2| (relative) tolerated along a march: t has a pole there.
 _COINCIDENT = 1e-9
 #: largest |t - t*| along a march, relative to t*: beyond it the level line is lost.
@@ -58,10 +54,6 @@ _DRIFT = 1e-8
 _SEED_AGREE = 1e-9
 #: a point this close (relative) to a graph joint or a data edge sits on it.
 _EDGE = 1e-12
-#: a march run shorter than this arclength made no progress.
-_ZERO_ARC = 1e-13
-#: a run end this close to a segment end is moved onto it: the next run starts there.
-_SNAP = 1e-10
 
 
 @dataclass(frozen=True)
@@ -80,7 +72,7 @@ class _Seg:
 
     def eval(self, s):
         if self.kind == "h":
-            return self.x0 + (s - self.s0), self.r0, 1.0, 0.0
+            return s - (self.s0 - self.x0), self.r0, 1.0, 0.0
         frac = (s - self.s0) / (self.s1 - self.s0)
         slope = (self.r1 - self.r0) / (self.s1 - self.s0)
         return self.x0, self.r0 + frac * (self.r1 - self.r0), 0.0, slope
@@ -95,22 +87,18 @@ class _Graph:
 
     def __init__(self, breakpoints, values, domain, f_vals, g_vals):
         self.segments = []
-        s = 0.0
         x_lo, x_hi = domain
+        s = float(x_lo)  # so s - x is the sum of the jumps left of x: s keeps x's rounding
         edges = [x_lo, *breakpoints, x_hi]
         for i, r in enumerate(values):
             a, b = edges[i], edges[i + 1]
-            self.segments.append(
-                _Seg(s, s + (b - a), "h", a, b, r, r, f_vals[i], g_vals[i])
-            )
+            self.segments.append(_Seg(s, s + (b - a), "h", a, b, r, r, f_vals[i], g_vals[i]))
             s += b - a
             if i < len(values) - 1 and values[i + 1] != r:
                 dr = abs(values[i + 1] - r)
-                self.segments.append(
-                    _Seg(s, s + dr, "v", b, b, r, values[i + 1], 0.0, 0.0)
-                )
+                self.segments.append(_Seg(s, s + dr, "v", b, b, r, values[i + 1], 0.0, 0.0))
                 s += dr
-        self.s_min = 0.0
+        self.s_min = float(x_lo)
         self.s_max = s
         self._starts = np.array([seg.s0 for seg in self.segments])
 
@@ -129,7 +117,7 @@ class _Graph:
         """Arclength of a horizontal position.  On a breakpoint, side picks
         the end of the piece on the left (x-) or the start of the piece on
         the right (x+); a jump's vertical segment lies between the two."""
-        hits = [seg.s0 + (x - seg.x0) for seg in self.segments
+        hits = [x + (seg.s0 - seg.x0) for seg in self.segments
                 if seg.kind == "h" and seg.x0 <= x <= seg.x1]
         if not hits:
             raise DomainError(f"position {x} outside the data domain")
@@ -351,16 +339,8 @@ def _position(seg_a, a, r1, r2, t, anchor):
     return a + r2 * r2 * total
 
 
-def _x_at(seg_a, seg_b, s_a, s_b, anchor):
-    """X at a point (s_a, s_b) of a run, by _sample_run's arithmetic."""
-    a, r2 = seg_a.eval(s_a)[:2]
-    b, r1 = seg_b.eval(s_b)[:2]
-    t = _level(b - a, r1, r2, *_continued(seg_a, seg_b, a, b, anchor))
-    return _position(seg_a, a, r1, r2, t, anchor)
-
-
 def _parts(seg_a, seg_b, s_a, s_b, anchor):
-    """t, its s-derivatives and (r1, r2) at a point of a run.
+    """t, its s-derivatives and (r1, r2) at points of a run, scalars or arrays.
 
     F and G continue the run's anchor (_continued).  Within a segment the
     chain rule gives
@@ -369,11 +349,10 @@ def _parts(seg_a, seg_b, s_a, s_b, anchor):
         t_sa = (-2 + (r1+r2) f(a) - 2 r1 r2 g(a)) / d^3 * x'(s_a) + t_r2 r'(s_a)
 
     with t_r1 = (-F + 2 r2 G)/d^3 - 3t/d and t_r2 = (-F + 2 r1 G)/d^3 + 3t/d.
+    The caller rules out d = r1 - r2 = 0.
     """
     a, r2, dXa, dr2 = seg_a.eval(s_a)
     b, r1, dXb, dr1 = seg_b.eval(s_b)
-    if _coincident(r1, r2):
-        raise CoincidentInvariants("march entered a coincident-invariant region")
     F, G = _continued(seg_a, seg_b, a, b, anchor)
     d = r1 - r2
     d3 = d * d * d
@@ -396,9 +375,7 @@ def seed_point(data: PiecewiseInitialData, a_star: float, b_star: float):
     seg_b = gb.segments[gb.locate(s_b, direction=-1)]
     r1, r2 = seg_b.eval(s_b)[1], seg_a.eval(s_a)[1]
     X = _position(seg_a, a_star, r1, r2, t_star, _anchor(data, seg_a, seg_b, s_a, s_b))
-    return AbPlaneState(
-        a=a_star, b=b_star, X=X, r1=r1, r2=r2, t_star=t_star, s_a=s_a, s_b=s_b,
-    )
+    return AbPlaneState(a=a_star, b=b_star, X=X, r1=r1, r2=r2, t_star=t_star, s_a=s_a, s_b=s_b)
 
 
 @dataclass
@@ -418,13 +395,8 @@ class MarchResult:
     u2: Optional[np.ndarray] = None
 
 
-def march_isochrone(
-    data: PiecewiseInitialData,
-    seed: AbPlaneState,
-    x_window,
-    max_arc: float = 1e4,
-    density: float = 256.0,
-) -> MarchResult:
+def march_isochrone(data: PiecewiseInitialData, seed: AbPlaneState, x_window,
+                    max_arc: float = 1e4, density: float = 256.0) -> MarchResult:
     """Trace the isochrone through the seed in both directions.
 
     Each direction runs until the physical position leaves x_window, a data
@@ -467,13 +439,12 @@ def march_isochrone(
                 data, seg_a, seg_b, y, direction, t_star, x_window,
                 max_arc - arc_used, density,
             )
-            if arc <= _ZERO_ARC:
-                reason = "fold" if stop == "fold" else stop
+            if run is None:  # the run ended where it started
+                reason = stop
                 break
             arc_used += arc
-            if run is not None:
-                chunks.append(run)
-                max_drift = max(max_drift, run["drift"])
+            chunks.append(run)
+            max_drift = max(max_drift, run["drift"])
             if stop == "segment":
                 knots.add(float(run["x"][-1]))
                 continue
@@ -511,11 +482,10 @@ def _pick_segments(data, ga, gb, y, direction, sign_a, sign_b):
         for try_b in (sign_b, -sign_b):
             seg_a = ga.segments[ga.locate(y[0], direction=try_a)]
             seg_b = gb.segments[gb.locate(y[1], direction=try_b)]
-            anchor = _anchor(data, seg_a, seg_b, y[0], y[1])
-            try:
-                _, t_sa, t_sb, r1, r2 = _parts(seg_a, seg_b, y[0], y[1], anchor)
-            except CoincidentInvariants:
+            if _coincident(seg_b.eval(y[1])[1], seg_a.eval(y[0])[1]):
                 continue
+            anchor = _anchor(data, seg_a, seg_b, y[0], y[1])
+            _, t_sa, t_sb, r1, r2 = _parts(seg_a, seg_b, y[0], y[1], anchor)
             dsa = -t_sb * direction
             dsb = t_sa * direction
             if _consistent(y[0], seg_a, dsa) and _consistent(y[1], seg_b, dsb):
@@ -526,7 +496,7 @@ def _pick_segments(data, ga, gb, y, direction, sign_a, sign_b):
 
 def _consistent(s, seg, ds):
     """Motion ds at point s does not immediately leave segment seg."""
-    tol = _EDGE * max(1.0, seg.s1)
+    tol = _EDGE * max(1.0, abs(seg.s0), abs(seg.s1))
     if (abs(s - seg.s0) < tol and ds < 0) or (abs(s - seg.s1) < tol and ds > 0):
         return False
     return seg.s0 - _EDGE <= s <= seg.s1 + _EDGE
@@ -534,83 +504,103 @@ def _consistent(s, seg, ds):
 
 def _march_run(data, seg_a, seg_b, y0, direction, t_star, x_window,
                arc_budget, density):
-    """Integrate one smooth run (fixed graph segments) of the march.
+    """One run of the march, in closed form: the feet stay on seg_a, seg_b.
 
-    The ODE state u is the feet's arclength moved since the run's start
-    y0, so the ODE's relative tolerance does not depend on where the graphs'
-    arclength begins (the data domain's left edge).
+    From y0 = (s_a, s_b) the run moves along (-t_sb, t_sa) direction.  Its
+    free coordinate s_i is the arclength of the foot on a vertical (b's if
+    both are), else of the faster foot; the other, s_j, is explicit
+    (_level_line).  The run ends where s_i ends its segment or, first, where
+    s_j does ("segment"), X leaves the window ("window"), t_sa t_sb changes
+    sign ("fold") or the chord from y0 exceeds arc_budget ("arc-budget"):
+    roots in s_i bracketed on a grid (its ends if both feet are horizontal,
+    where the run is straight) and refined by bracketed_newton with the
+    bracket's slope.  The run has max(9, int(density * chord)) samples,
+    uniform in s_i.
     """
     anchor = _anchor(data, seg_a, seg_b, y0[0], y0[1])
+    _, t_sa, t_sb, r1, r2 = _parts(seg_a, seg_b, y0[0], y0[1], anchor)
+    motion = (-t_sb * direction, t_sa * direction)
+    x_up = (lambda_k(2, r1, r2) - lambda_k(1, r1, r2)) * t_sa * t_sb * direction > 0
+    straight = seg_a.kind == seg_b.kind == "h"
+    i = int(abs(motion[1]) > abs(motion[0]) if straight else seg_b.kind == "v")
+    j, p0 = 1 - i, y0[i]
+    p_end, q_end = ((seg_a, seg_b)[k].s1 if motion[k] > 0 else (seg_a, seg_b)[k].s0
+                    for k in (i, j))
 
-    def rhs(mu, u):
-        _, t_sa, t_sb, _, _ = _parts(seg_a, seg_b, y0[0] + u[0], y0[1] + u[1], anchor)
-        norm = math.hypot(t_sa, t_sb)
-        if norm == 0.0:
-            return (0.0, 0.0)
-        k = direction / norm
-        return (-t_sb * k, t_sa * k)
+    def line(p):
+        return _level_line(seg_a, seg_b, anchor, t_star, y0, i, p)
 
-    d0 = rhs(0.0, (0.0, 0.0))
+    def events(p):
+        ys = line(p)
+        t, t_sa, t_sb, r1, r2 = _parts(seg_a, seg_b, ys[0], ys[1], anchor)
+        x = _position(seg_a, seg_a.eval(ys[0])[0], r1, r2, t, anchor)
+        return np.vstack(np.broadcast_arrays(
+            (ys[j] - q_end) * motion[j],
+            x - x_window[1] if x_up else x_window[0] - x,
+            t_sa * t_sb * motion[0] * motion[1],
+            np.hypot(ys[0] - y0[0], ys[1] - y0[1]) - arc_budget,
+        ))
 
-    def ev_seg_a(mu, u):
-        return y0[0] + u[0] - (seg_a.s1 if d0[0] >= 0 else seg_a.s0)
-
-    def ev_seg_b(mu, u):
-        return y0[1] + u[1] - (seg_b.s1 if d0[1] >= 0 else seg_b.s0)
-
-    # The window events fire on leaving the window only, so a run that
-    # starts outside it marches in.
-    def ev_x_lo(mu, u):
-        return _x_at(seg_a, seg_b, y0[0] + u[0], y0[1] + u[1], anchor) - x_window[0]
-
-    def ev_x_hi(mu, u):
-        return _x_at(seg_a, seg_b, y0[0] + u[0], y0[1] + u[1], anchor) - x_window[1]
-
-    def ev_fold(mu, u):
-        _, t_sa, t_sb, *_ = _parts(seg_a, seg_b, y0[0] + u[0], y0[1] + u[1], anchor)
-        return t_sa * t_sb
-
-    events = (ev_seg_a, ev_seg_b, ev_x_lo, ev_x_hi, ev_fold)
-    for ev in events:
-        ev.terminal = True
-    ev_x_lo.direction, ev_x_hi.direction = -1, 1
-
-    sol = solve_ivp(
-        rhs, (0.0, arc_budget), (0.0, 0.0), method="RK45",
-        rtol=_MU_RTOL, atol=_MU_ATOL, dense_output=True,
-        events=events,
-    )
-    if not sol.success and sol.status != 1:
-        raise IntegrationFailure(f"march run failed: {sol.message}")
-
-    stop = "arc-budget"
-    mu_end = sol.t[-1]
-    if sol.status == 1:
-        first = None
-        for i, te in enumerate(sol.t_events):
-            if te.size and (first is None or te[0] < mu_end):
-                mu_end = te[0]
-                first = i
-        stop = {0: "segment", 1: "segment", 2: "window", 3: "window", 4: "fold"}[first]
-
-    if mu_end <= _ZERO_ARC:
+    grid = np.linspace(p0, p_end, 2 if straight else max(9, int(density * abs(p_end - p0))))
+    with np.errstate(divide="ignore", invalid="ignore"):  # past the run's end
+        g = events(grid)
+    past = (g >= 0.0) & (g[:, :1] < 0.0)
+    stop, p_stop, hit = "segment", p_end, None
+    if past.any():
+        k = int(np.argmax(past.any(axis=0)))
+        slope = (g[:, k] - g[:, k - 1]) / (grid[k] - grid[k - 1])  # exact on a straight run
+        roots = {e: bracketed_newton(lambda p: (events(np.array([p]))[e, 0], slope[e]),
+                                     grid[k - 1], grid[k], g[e, k - 1], g[e, k])
+                 for e in np.flatnonzero(past[:, k])}
+        hit = min(roots, key=lambda e: abs(roots[e] - p0))  # the first event ends the run
+        p_stop, stop = roots[hit], ("segment", "window", "fold", "arc-budget")[hit]
+    if p_stop == p0:
         return None, stop, y0, 0.0
+    arc = math.hypot(*(line(np.array([p_stop]))[:, 0] - y0))
+    ys = line(np.linspace(p0, p_stop, max(9, int(density * arc))))
+    if hit == 0:
+        ys[j, -1] = q_end
+    return _sample_run(seg_a, seg_b, ys, t_star, anchor), stop, ys[:, -1].copy(), arc
 
-    n = max(9, int(mu_end * density))
-    ys = y0[:, None] + sol.sol(np.linspace(0.0, mu_end, n))
-    run = _sample_run(seg_a, seg_b, ys, t_star, anchor)
-    y_next = ys[:, -1].copy()
-    # Snap the segment coordinate exactly onto the boundary we stopped at.
-    if stop == "segment":
-        for idx, seg in ((0, seg_a), (1, seg_b)):
-            for edge in (seg.s0, seg.s1):
-                if abs(y_next[idx] - edge) < _SNAP:
-                    y_next[idx] = edge
-    return run, stop, y_next, mu_end
+
+def _level_line(seg_a, seg_b, anchor, t_star, y0, i, p):
+    """Rows (s_a, s_b) of a run's level line t = t* where s_i = p (an array).
+
+    At s_i = p and the other foot at y0, t d^3 = N = 2 (b - a) - (r1 + r2) F
+    + 2 r1 r2 G.  A horizontal other foot changes N by c = +-(2 - (r1 + r2)
+    f + 2 r1 r2 g) per unit (+ for b), so it lies (t* d^3 - N) / c away.  On
+    two verticals (i = b) e = r1 - r2 solves t* e^3 - (F - 2 r1 G) e =
+    2 (b - a) - 2 r1 F + 2 r1^2 G, the root with r2 in seg_a's range.
+    """
+    ys = np.empty((2, p.size))
+    ys[i], ys[1 - i] = p, y0[1 - i]
+    a, r2 = seg_a.eval(ys[0])[:2]
+    b, r1 = seg_b.eval(ys[1])[:2]
+    F, G = _continued(seg_a, seg_b, a, b, anchor)
+    seg = (seg_a, seg_b)[1 - i]
+    if seg.kind == "h":
+        d = r1 - r2
+        N = 2.0 * (b - a) - (r1 + r2) * F + 2.0 * r1 * r2 * G
+        c = (2.0 - (r1 + r2) * seg.f + 2.0 * r1 * r2 * seg.g) * (1.0 if i == 0 else -1.0)
+        ys[1 - i] += (t_star * d * d * d - N) / c
+        return ys
+    P = (2.0 * r1 * G - F) / t_star
+    Q = (2.0 * r1 * (F - r1 * G) - 2.0 * (b - a)) / t_star
+    # Cardano: e = u - P / (3 u) over the three cube roots u of -Q/2 -+ sqrt(D).
+    D = Q * Q / 4.0 + P * P * P / 27.0
+    u = (-0.5 * Q - np.copysign(1.0, Q) * np.sqrt(D + 0j)) ** (1.0 / 3.0)
+    u = u[:, None] * np.exp(2j * np.pi / 3.0 * np.arange(3))
+    roots = u - P[:, None] / (3.0 * u)
+    r2 = r1[:, None] - roots.real
+    lo, hi = sorted((seg.r0, seg.r1))
+    miss = np.abs(roots.imag) + np.fmax(lo - r2, 0.0) + np.fmax(r2 - hi, 0.0)
+    e = roots.real[np.arange(p.size), np.argmin(miss, axis=1)]
+    ys[0] = seg.s0 + (r1 - e - seg.r0) / (seg.r1 - seg.r0) * (seg.s1 - seg.s0)
+    return ys
 
 
 def _sample_run(seg_a, seg_b, ys, t_star, anchor):
-    """Fields of one run's dense samples, ys with rows (s_a, s_b).
+    """Fields of one run's samples, ys with rows (s_a, s_b).
 
     Evaluates t as _parts does, F and G continued from the run's anchor,
     and x (_position) on whole arrays of the run's fixed segments, and
@@ -654,13 +644,6 @@ def t_ray(data: PiecewiseInitialData, a=None, b=None):
     return ray
 
 
-def level_map(data: PiecewiseInitialData, rect, resolution=96):
-    """Sampled field t(a, b) over a rectangle, for seed hunting; NaN where b <= a."""
-    a = np.linspace(rect[0], rect[1], resolution)
-    b = np.linspace(rect[2], rect[3], resolution)
-    return a, b, np.where(b > a[:, None], _t_feet(data, a[:, None], b), np.nan)
-
-
 def _level_crossings(ray, rows, t_star):
     """Points where ray(v) = t_star, scanning each row of v in order.
 
@@ -686,7 +669,7 @@ def _level_crossings(ray, rows, t_star):
 
 
 def find_seed(data: PiecewiseInitialData, t_star, a_fixed=None, b_fixed=None,
-              resolution=128):
+              resolution=128, x_window=None):
     """Locate (a*, b*) with t(a*, b*) = t* by a scan and a root per bracket.
 
     With a_fixed (or b_fixed) given, the scan runs along that ray;
@@ -695,7 +678,9 @@ def find_seed(data: PiecewiseInitialData, t_star, a_fixed=None, b_fixed=None,
     in different data pieces are preferred: a bracket with both feet in one
     piece lies on a constant-state arc, which is trivial and usually a
     characteristic-crossing ghost rather than the branch carrying the wave
-    structure.  Each row is evaluated by one t_ray call.
+    structure.  Each row is evaluated by one t_ray call.  Given x_window,
+    the rows of a span only its domain of dependence, |X - a| <= L t*, where
+    L = r1 r2 max(r1, r2) at the data's largest |r1|, |r2| bounds |lambda_k|.
     """
     lo, hi = data.domain
     edges = [lo, *data.breakpoints, hi]
@@ -730,29 +715,29 @@ def find_seed(data: PiecewiseInitialData, t_star, a_fixed=None, b_fixed=None,
         for av in _level_crossings(t_ray(data, b=b_fixed), rows, t_star):
             return av, b_fixed
         raise NoRootInInterval(f"no seed with t = {t_star} on b = {b_fixed}")
-    seed = preferred(
-        itertools.chain.from_iterable(
-            seeds_along_b(av) for av in np.linspace(lo, hi, resolution)
-        )
-    )
+    if x_window is not None:
+        r1, r2 = (max(map(abs, v)) for v in (data.r1_values, data.r2_values))
+        reach = t_star * r1 * r2 * max(r1, r2)
+        lo, hi = max(lo, x_window[0] - reach), min(hi, x_window[1] + reach)
+        if not lo <= hi:
+            raise DomainError(f"the window [{x_window[0]:g}, {x_window[1]:g}] depends on "
+                              f"no data at t = {t_star}")
+    rows = np.linspace(lo, hi, resolution)
+    seed = preferred(itertools.chain.from_iterable(seeds_along_b(av) for av in rows))
     if seed is None:
         raise NoRootInInterval(f"no seed found for t = {t_star} in the data domain")
     return seed
 
 
-def general_profile(
-    data: PiecewiseInitialData,
-    t_star: float,
-    x_window,
-    mobilities: Optional[tuple] = None,
-    seed_at=None,
-    density: float = 256.0,
-):
+def general_profile(data: PiecewiseInitialData, t_star: float, x_window,
+                    mobilities: Optional[tuple] = None, seed_at=None, density: float = 256.0):
     """End-to-end general Cauchy solve: seed, march, and sample fields.
 
     Returns a MarchResult with u1/u2 set when mobilities are given.
     """
-    seed = seed_point(data, *(find_seed(data, t_star) if seed_at is None else seed_at))
+    if seed_at is None:
+        seed_at = find_seed(data, t_star, x_window=x_window)
+    seed = seed_point(data, *seed_at)
     if abs(seed.t_star - t_star) > _SEED_AGREE * max(1.0, t_star):
         # A seed_at off the level, or a find_seed root short of it.
         raise LevelDrift(f"seed time {seed.t_star} disagrees with requested {t_star}")

@@ -131,7 +131,7 @@ class ScenarioConfig:
         return fallback
 
     def general_data(self):
-        from .cauchy_general import PiecewiseInitialData  # scipy loads for `general` only
+        from .cauchy_general import PiecewiseInitialData  # loaded for `general` only
 
         sec = self.cp["general"]
         try:

@@ -38,7 +38,7 @@ class QuadratureFailure(SolverError):
 
 
 class IntegrationFailure(SolverError):
-    """An ODE integration failed or did not reach its endpoint."""
+    """An isochrone march produced no samples."""
 
 
 class NoRootInInterval(SolverError):

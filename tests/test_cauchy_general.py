@@ -1,3 +1,6 @@
+import math
+from functools import partial
+
 import mpmath
 import numpy as np
 import pytest
@@ -10,10 +13,9 @@ from zesolver.cauchy_general import (
     PiecewiseInitialData,
     _anchor,
     _parts,
-    _x_at,
+    _position,
     find_seed,
     general_profile,
-    level_map,
     march_isochrone,
     seed_point,
     t_ab,
@@ -154,9 +156,21 @@ def test_find_seed_along_ray(data, params):
         find_seed(data, 1e9, a_fixed=-5.0)
 
 
+def _level_map(data, rect, resolution):
+    """t(a, b) over a rectangle, one t_ray per row of a; NaN where b <= a."""
+    a = np.linspace(rect[0], rect[1], resolution)
+    b = np.linspace(rect[2], rect[3], resolution)
+    T = np.full((a.size, b.size), np.nan)
+    for i, av in enumerate(a):
+        right = b > av
+        if right.any():
+            T[i, right] = t_ray(data, a=av)(b[right])
+    return a, b, T
+
+
 def test_level_map_translation_invariance():
     flat = PiecewiseInitialData((), (3.0,), (7.0,), (-5.0, 5.0))
-    a, b, T = level_map(flat, (-4, 0, -4, 4), resolution=21)
+    a, b, T = _level_map(flat, (-4, 0, -4, 4), resolution=21)
     for i in range(0, 21, 5):
         for j in range(0, 21, 5):
             if b[j] <= a[i]:
@@ -165,9 +179,9 @@ def test_level_map_translation_invariance():
 
 
 def test_level_map_monotone_along_b(data):
-    a, b, T = level_map(data, (-0.9, -0.9, -0.5, 0.9), resolution=33)
-    col = T[0]
+    col = t_ray(data, a=-0.9)(np.linspace(-0.5, 0.9, 33))
     vals = col[~np.isnan(col)]
+    assert vals.size == 33
     assert np.all(np.diff(vals) > 0)
 
 
@@ -212,7 +226,7 @@ def test_march_knots_match_weak_discontinuities(data, solver):
     ]
     for target in expected:
         nearest = min(res.knots, key=lambda k: abs(k - target))
-        assert nearest == pytest.approx(target, abs=1e-5)
+        assert nearest == pytest.approx(target, abs=1e-13)
 
 
 def test_march_reports_fold_on_ghost_fan(data, solver, params):
@@ -235,12 +249,12 @@ def test_march_samples_stay_on_the_level(data, t_star):
         a, b, r1, r2 = res.a[k], res.b[k], res.R1[k], res.R2[k]
         F, G = data.F(a, b), data.G(a, b)
         t = (2 * (b - a) - (r1 + r2) * F + 2 * r1 * r2 * G) / (r1 - r2) ** 3
-        assert abs(t - t_star) <= 1e-8 * t_star
+        assert abs(t - t_star) <= 1e-13 * t_star
     # Off the jumps the invariants are the data's: t_ab itself must agree.
     off = ~np.isin(res.a, data.breakpoints) & ~np.isin(res.b, data.breakpoints)
     assert off.sum() > 100
     for a, b in zip(res.a[off], res.b[off]):
-        assert abs(t_ab(data, a, b) - t_star) <= 1e-8 * t_star
+        assert abs(t_ab(data, a, b) - t_star) <= 1e-13 * t_star
 
 
 def test_march_three_plateau_data():
@@ -471,51 +485,187 @@ def test_seed_x_matches_the_seed_ode(data):
             assert abs(x - _seed_x_ode(data, a_, b_)) <= 1e-9 * max(1.0, abs(x)), (a_, b_)
 
 
+def _recorder(run_fn, log):
+    """run_fn, appending (seg_a, seg_b, y0, direction, its output) to log."""
+
+    def run(data, seg_a, seg_b, y0, direction, *args):
+        out = run_fn(data, seg_a, seg_b, y0, direction, *args)
+        log.append((seg_a, seg_b, y0, direction, out))
+        return out
+
+    return run
+
+
+def _level_rhs(seg_a, seg_b, anchor, direction, with_x=False):
+    """The paper's level-line system ds_a/dmu = -t_sb, ds_b/dmu = t_sa in
+    arclength mu, and dX/dmu = (lambda2 - lambda1) t_sa t_sb with_x."""
+
+    def rhs(mu, y):
+        _, t_sa, t_sb, r1, r2 = _parts(seg_a, seg_b, y[0], y[1], anchor)
+        k = direction / math.hypot(t_sa, t_sb)
+        if not with_x:
+            return (-t_sb * k, t_sa * k)
+        lam = lambda_k(2, r1, r2) - lambda_k(1, r1, r2)
+        return (-t_sb * k, t_sa * k, lam * t_sa * t_sb * k)
+
+    return rhs
+
+
+def _ode_run(data, seg_a, seg_b, y0, direction, t_star, x_window, arc_budget, density,
+             log=None):
+    """A march run by RK45 on the level-line system, as the march ran
+    before its runs had a closed form: samples uniform in arclength,
+    terminal events at the segments' ends, on leaving x_window and where
+    t_sa t_sb changes sign, and a run end snapped onto its joint.  Appends
+    (dense solution, its end) to log."""
+    anchor = _anchor(data, seg_a, seg_b, y0[0], y0[1])
+    rhs = _level_rhs(seg_a, seg_b, anchor, direction)
+    d0 = rhs(0.0, y0)
+
+    def x_at(y):
+        t, _, _, r1, r2 = _parts(seg_a, seg_b, y[0], y[1], anchor)
+        return _position(seg_a, seg_a.eval(y[0])[0], r1, r2, t, anchor)
+
+    events = [
+        lambda mu, y: y[0] - (seg_a.s1 if d0[0] >= 0 else seg_a.s0),
+        lambda mu, y: y[1] - (seg_b.s1 if d0[1] >= 0 else seg_b.s0),
+        lambda mu, y: x_at(y) - x_window[0],
+        lambda mu, y: x_at(y) - x_window[1],
+        lambda mu, y: np.prod(_parts(seg_a, seg_b, y[0], y[1], anchor)[1:3]),
+    ]
+    for ev, sense in zip(events, (0, 0, -1, 1, 0)):
+        ev.terminal, ev.direction = True, sense
+    sol = solve_ivp(rhs, (0.0, arc_budget), y0, dense_output=True, events=events, **_ODE)
+    assert sol.status in (0, 1)
+    mu_end, first = min([(te[0], i) for i, te in enumerate(sol.t_events) if te.size],
+                        default=(sol.t[-1], 5))
+    stop = ("segment", "segment", "window", "window", "fold", "arc-budget")[first]
+    if mu_end <= 1e-13:
+        return None, stop, y0, 0.0
+    ys = sol.sol(np.linspace(0.0, mu_end, max(9, int(mu_end * density))))
+    y_next = ys[:, -1].copy()
+    if stop == "segment":
+        for idx, seg in ((0, seg_a), (1, seg_b)):
+            for edge in (seg.s0, seg.s1):
+                if abs(y_next[idx] - edge) < 1e-10:
+                    y_next[idx] = edge
+    if log is not None:
+        log.append((sol, mu_end))
+    return cauchy_general._sample_run(seg_a, seg_b, ys, t_star, anchor), stop, y_next, mu_end
+
+
+def _sample_rows(seg_a, seg_b, run):
+    """The (s_a, s_b) rows of a run's samples, from their feet and invariants."""
+
+    def s(seg, x, r):
+        if seg.kind == "h":
+            return x + (seg.s0 - seg.x0)
+        return seg.s0 + (r - seg.r0) / (seg.r1 - seg.r0) * (seg.s1 - seg.s0)
+
+    return np.array([s(seg_a, run["a"], run["R2"]), s(seg_b, run["b"], run["R1"])])
+
+
+def _dense_at(sol, k, targets):
+    """The dense solution where its coordinate k, monotone along it, takes
+    the values targets: mu from a table, then Newton on the interpolant."""
+    mu = np.linspace(sol.t[0], sol.t[-1], 16 * targets.size + 2)
+    sk = sol.sol(mu)[k]
+    order = np.argsort(sk)
+    mu = np.interp(targets, sk[order], mu[order])
+    h = 1e-6 * (sol.t[-1] - sol.t[0])
+    for _ in range(3):
+        slope = (sol.sol(mu + h)[k] - sol.sol(mu - h)[k]) / (2.0 * h)
+        mu = mu - (sol.sol(mu)[k] - targets) / slope
+    return sol.sol(mu)
+
+
+_MARCHES = [("readme", 0.005, (-4.0, 9.0), {"hh", "vh", "hv"}),
+            ("readme", 0.018, (-4.0, 9.0), {"hh", "vh", "vv", "hv"}),
+            ("readme", 0.05, (-2.0, 6.0), {"hh", "hv:window"}),
+            (THREE, 0.01, (-3.0, 5.0), {"hh", "vh", "vv", "hv"})]
+
+
+@pytest.mark.parametrize("case, t_star, window, kinds", _MARCHES)
+def test_march_matches_the_level_line_ode(case, t_star, window, kinds, request, monkeypatch):
+    # The paper's method: RK45 on da/dmu = -t_b, db/dmu = t_a along each run.
+    # Both marches pass the same runs (graph segments and stops); each
+    # closed-form sample lies on the ODE's level line, read off its dense
+    # output where the foot that moves most in the run is the sample's.
+    data = request.getfixturevalue("data") if case == "readme" else case
+    seed = seed_point(data, *find_seed(data, t_star, x_window=window))
+    marches = {}
+    for name, run_fn in (("closed", cauchy_general._march_run), ("ode", _ode_run)):
+        runs, sols = [], []
+        fn = run_fn if name == "closed" else partial(run_fn, log=sols)
+        monkeypatch.setattr(cauchy_general, "_march_run", _recorder(fn, runs))
+        marches[name] = (march_isochrone(data, seed, window), runs, sols)
+    (res, runs, _), (ref, ref_runs, sols) = marches["closed"], marches["ode"]
+    assert res.status == ref.status
+    assert np.allclose(res.knots, ref.knots, rtol=1e-9, atol=1e-9)
+    assert [(a.kind + b.kind, out[1]) for a, b, *_, out in runs] == [
+        (a.kind + b.kind, out[1]) for a, b, *_, out in ref_runs]
+    seen = {a.kind + b.kind for a, b, *_ in runs}
+    seen |= {a.kind + b.kind + ":" + out[1] for a, b, *_, out in runs}
+    assert kinds <= seen
+    sols = iter(sols)
+    for (seg_a, seg_b, y0, _, (run, _, y_next, _)), ref_run in zip(runs, ref_runs):
+        assert np.allclose(y0, ref_run[2], rtol=0.0, atol=1e-9)
+        if run is None:
+            continue
+        sol, _ = next(sols)
+        assert np.allclose(y_next, ref_run[4][2], rtol=0.0, atol=1e-9)
+        ys = _sample_rows(seg_a, seg_b, run)
+        k = int(np.argmax(np.abs(y_next - y0)))
+        at = _dense_at(sol, k, ys[k])
+        assert np.max(np.abs(at - ys)) <= 1e-9
+        anchor = _anchor(data, seg_a, seg_b, y0[0], y0[1])
+        t, _, _, r1, r2 = _parts(seg_a, seg_b, at[0], at[1], anchor)
+        x = _position(seg_a, seg_a.eval(at[0])[0], r1, r2, t, anchor)
+        assert np.max(np.abs(run["x"] - x)) <= 1e-9 * max(1.0, np.max(np.abs(x)))
+
+
 @pytest.mark.parametrize("case, t_star, window", [
     ("readme", 0.018, (-4.0, 9.0)), ("readme", 0.05, (-2.0, 6.0)), (THREE, 0.01, (-3.0, 5.0)),
 ])
 def test_march_x_matches_the_three_state_march(case, t_star, window, request, monkeypatch):
     # The march before X had a closed form carried X as a third state,
     # dX/dmu = (lambda2 - lambda1) t_sa t_sb / |grad t|, from the seed's X
-    # through every run of a direction.
+    # through every run of a direction.  Each run's ODE stops where the foot
+    # that moves most in the run ends it; each sample is read off the dense
+    # output where that foot is the sample's.
     data = request.getfixturevalue("data") if case == "readme" else case
     runs = []
-    march_run = cauchy_general._march_run
-
-    def spy(data_, seg_a, seg_b, y0, direction, *args):
-        out = march_run(data_, seg_a, seg_b, y0, direction, *args)
-        runs.append((seg_a, seg_b, y0, direction, out))
-        return out
-
-    monkeypatch.setattr(cauchy_general, "_march_run", spy)
+    monkeypatch.setattr(cauchy_general, "_march_run", _recorder(cauchy_general._march_run, runs))
     seed = seed_point(data, *find_seed(data, t_star))
     march_isochrone(data, seed, window)
     x_ref, last_direction, checked = seed.X, None, 0
-    for seg_a, seg_b, y0, direction, (run, _, _, mu_end) in runs:
+    for seg_a, seg_b, y0, direction, (run, _, y_next, _) in runs:
         if direction != last_direction:
             x_ref, last_direction = seed.X, direction
         if run is None:
             continue
-        anchor = _anchor(data, seg_a, seg_b, y0[0], y0[1])
+        k = int(np.argmax(np.abs(y_next - y0)))
 
-        def rhs(mu, y):
-            _, t_sa, t_sb, r1, r2 = _parts(seg_a, seg_b, y[0], y[1], anchor)
-            k = direction / np.hypot(t_sa, t_sb)
-            lam = lambda_k(2, r1, r2) - lambda_k(1, r1, r2)
-            return (-t_sb * k, t_sa * k, lam * t_sa * t_sb * k)
+        def end(mu, y):
+            return y[k] - y_next[k]
 
-        sol = solve_ivp(rhs, (0.0, mu_end), [y0[0], y0[1], x_ref], dense_output=True, **_ODE)
-        assert sol.success
-        ref = sol.sol(np.linspace(0.0, mu_end, run["x"].size))[2]
+        end.terminal = True
+        rhs = _level_rhs(seg_a, seg_b, _anchor(data, seg_a, seg_b, y0[0], y0[1]), direction,
+                         with_x=True)
+        span = 10.0 * (1.0 + np.sum(np.abs(y_next - y0)))
+        sol = solve_ivp(rhs, (0.0, span), [y0[0], y0[1], x_ref], dense_output=True,
+                        events=end, **_ODE)
+        assert sol.status == 1
+        ref = _dense_at(sol, k, _sample_rows(seg_a, seg_b, run)[k])[2]
         assert np.max(np.abs(run["x"] - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
         x_ref, checked = sol.y[2, -1], checked + run["x"].size
     assert checked > 500
 
 
 def test_march_drift_ignores_the_arclength_origin():
-    # The march's ODE state is the arclength moved since each run's start,
-    # so moving the domain's left edge (where the graphs' arclength starts)
-    # far out leaves the ODE's error control, and so the drift, unchanged.
+    # A foot's arclength s differs from its position x by the jumps on its
+    # left, whatever the domain's left edge, so moving that edge far out
+    # leaves the rounding of the feet, and so the drift, unchanged.
     drifts = [
         general_profile(
             PiecewiseInitialData((-1.0, 1.0), (5.0, 2.0, 5.0), (8.0, 10.0, 8.0), (left, 21.0)),
@@ -524,6 +674,21 @@ def test_march_drift_ignores_the_arclength_origin():
         for left in (-21.0, -1001.0)
     ]
     assert drifts[1] <= 2.0 * drifts[0]
+
+
+def test_far_domain_edge_seeds_in_the_window():
+    # The seed scan spans the window's domain of dependence only: a domain
+    # reaching 10^4 left of the data gives the march of domain (-21, 21).
+    near, far = (
+        general_profile(
+            PiecewiseInitialData((-1.0, 1.0), (5.0, 2.0, 5.0), (8.0, 10.0, 8.0), (left, 21.0)),
+            0.03, (-2.0, 6.0),
+        )
+        for left in (-21.0, -10001.0)
+    )
+    assert far.status == near.status
+    assert len(far.knots) == len(near.knots)
+    assert np.max(np.abs(np.subtract(far.knots, near.knots))) <= 1e-12
 
 
 def _x_mp(data, a, b):
@@ -673,7 +838,7 @@ def test_find_seed_matches_scalar_reference_at_full_resolution(data):
 def test_level_map_matches_scalar_loop(data):
     lo, hi = data.domain
     rect = (lo - 0.5, hi, lo, hi + 0.5)
-    a, b, T = level_map(data, rect, resolution=41)
+    a, b, T = _level_map(data, rect, resolution=41)
     ref = np.full((41, 41), np.nan)
     for i, av in enumerate(a):
         for j, bv in enumerate(b):
@@ -706,7 +871,7 @@ def test_march_post_pass_matches_per_sample_loop(data, monkeypatch):
         for i in range(ys.shape[1]):
             t, _, _, r1, r2 = _parts(seg_a, seg_b, ys[0, i], ys[1, i], anchor)
             drift = max(drift, abs(t - t_star))
-            ref["x"].append(_x_at(seg_a, seg_b, ys[0, i], ys[1, i], anchor))
+            ref["x"].append(_position(seg_a, seg_a.eval(ys[0, i])[0], r1, r2, t, anchor))
             ref["R1"].append(r1)
             ref["R2"].append(r2)
             ref["a"].append(seg_a.eval(ys[0, i])[0])
@@ -715,7 +880,7 @@ def test_march_post_pass_matches_per_sample_loop(data, monkeypatch):
             assert run[name].tobytes() == np.array(values, dtype=float).tobytes()
         assert run["drift"] == drift
         max_drift = max(max_drift, drift)
-    assert {"hh", "hv", "vh"} <= kinds
+    assert {"hh", "hv", "vh", "vv"} <= kinds
     assert res.max_drift == max_drift
 
 

@@ -1,8 +1,8 @@
-"""The profile path runs without scipy.
+"""Every command runs without scipy.
 
-Only the `general` marcher (its level-line ODE) and the Goursat
-quadrature import scipy, inside the functions that use it.  The check runs
-in a fresh interpreter, since the test session itself imports scipy.
+Only the Goursat quadrature imports scipy, inside the function that uses
+it.  The check runs in a fresh interpreter, since the test session itself
+imports scipy.
 """
 
 import os
@@ -29,16 +29,18 @@ cfg.write_text("[mixture]\\nmu1 = 5\\nmu2 = 8\\nq1 = 2\\nq2 = 10\\nx1 = -1\\nx2 
                "[general]\\nbreakpoints = -1, 1\\nr1_values = 5, 2, 5\\n"
                "r2_values = 8, 10, 8\\ndomain = -21, 21\\nwindow = -2, 6\\n")
 for argv in (["timeline"], ["profile", "--times", "0.05,0.3"],
-             ["compare", "--times", "0.05", "--cells", "100,200"]):
+             ["compare", "--times", "0.05", "--cells", "100,200"],
+             ["general", "--times", "0.018,0.05"]):
     assert cli.main([*argv, "--config", str(cfg), "--out", str(out / argv[0])]) == 0
-print("after profile path:", scipy_modules())
-# The probe sees scipy once the general marcher has run.
-assert cli.main(["general", "--config", str(cfg), "--out", str(out / "g"), "--times", "0.018"]) == 0
-print("after general:", bool(scipy_modules()))
+print("after the four commands:", scipy_modules())
+# The probe sees scipy once the Goursat quadrature has run.
+from zesolver.hodograph import goursat_solution, scenario_boundary_data
+goursat_solution(scenario_boundary_data(solver.hodograph), 3.0, 9.0)
+print("after goursat_solution:", bool(scipy_modules()))
 """
 
 
-def test_profile_path_never_imports_scipy(tmp_path):
+def test_commands_never_import_scipy(tmp_path):
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), path)))}
     proc = subprocess.run(
@@ -47,4 +49,4 @@ def test_profile_path_never_imports_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     probes = [line for line in proc.stdout.splitlines() if line.startswith("after ")]
-    assert probes == ["after profile path: []", "after general: True"]
+    assert probes == ["after the four commands: []", "after goursat_solution: True"]
