@@ -92,11 +92,15 @@ class _Graph:
         edges = [x_lo, *breakpoints, x_hi]
         for i, r in enumerate(values):
             a, b = edges[i], edges[i + 1]
-            self.segments.append(_Seg(s, s + (b - a), "h", a, b, r, r, f_vals[i], g_vals[i]))
+            self.segments.append(
+                _Seg(s, s + (b - a), "h", a, b, r, r, f_vals[i], g_vals[i])
+            )
             s += b - a
             if i < len(values) - 1 and values[i + 1] != r:
                 dr = abs(values[i + 1] - r)
-                self.segments.append(_Seg(s, s + dr, "v", b, b, r, values[i + 1], 0.0, 0.0))
+                self.segments.append(
+                    _Seg(s, s + dr, "v", b, b, r, values[i + 1], 0.0, 0.0)
+                )
                 s += dr
         self.s_min = float(x_lo)
         self.s_max = s
@@ -375,7 +379,9 @@ def seed_point(data: PiecewiseInitialData, a_star: float, b_star: float):
     seg_b = gb.segments[gb.locate(s_b, direction=-1)]
     r1, r2 = seg_b.eval(s_b)[1], seg_a.eval(s_a)[1]
     X = _position(seg_a, a_star, r1, r2, t_star, _anchor(data, seg_a, seg_b, s_a, s_b))
-    return AbPlaneState(a=a_star, b=b_star, X=X, r1=r1, r2=r2, t_star=t_star, s_a=s_a, s_b=s_b)
+    return AbPlaneState(
+        a=a_star, b=b_star, X=X, r1=r1, r2=r2, t_star=t_star, s_a=s_a, s_b=s_b,
+    )
 
 
 @dataclass
@@ -395,8 +401,13 @@ class MarchResult:
     u2: Optional[np.ndarray] = None
 
 
-def march_isochrone(data: PiecewiseInitialData, seed: AbPlaneState, x_window,
-                    max_arc: float = 1e4, density: float = 256.0) -> MarchResult:
+def march_isochrone(
+    data: PiecewiseInitialData,
+    seed: AbPlaneState,
+    x_window,
+    max_arc: float = 1e4,
+    density: float = 256.0,
+) -> MarchResult:
     """Trace the isochrone through the seed in both directions.
 
     Each direction runs until the physical position leaves x_window, a data
@@ -669,7 +680,7 @@ def _level_crossings(ray, rows, t_star):
 
 
 def find_seed(data: PiecewiseInitialData, t_star, a_fixed=None, b_fixed=None,
-              resolution=128, x_window=None):
+              resolution=128):
     """Locate (a*, b*) with t(a*, b*) = t* by a scan and a root per bracket.
 
     With a_fixed (or b_fixed) given, the scan runs along that ray;
@@ -678,9 +689,7 @@ def find_seed(data: PiecewiseInitialData, t_star, a_fixed=None, b_fixed=None,
     in different data pieces are preferred: a bracket with both feet in one
     piece lies on a constant-state arc, which is trivial and usually a
     characteristic-crossing ghost rather than the branch carrying the wave
-    structure.  Each row is evaluated by one t_ray call.  Given x_window,
-    the rows of a span only its domain of dependence, |X - a| <= L t*, where
-    L = r1 r2 max(r1, r2) at the data's largest |r1|, |r2| bounds |lambda_k|.
+    structure.  Each row is evaluated by one t_ray call.
     """
     lo, hi = data.domain
     edges = [lo, *data.breakpoints, hi]
@@ -715,28 +724,49 @@ def find_seed(data: PiecewiseInitialData, t_star, a_fixed=None, b_fixed=None,
         for av in _level_crossings(t_ray(data, b=b_fixed), rows, t_star):
             return av, b_fixed
         raise NoRootInInterval(f"no seed with t = {t_star} on b = {b_fixed}")
-    if x_window is not None:
-        r1, r2 = (max(map(abs, v)) for v in (data.r1_values, data.r2_values))
-        reach = t_star * r1 * r2 * max(r1, r2)
-        lo, hi = max(lo, x_window[0] - reach), min(hi, x_window[1] + reach)
-        if not lo <= hi:
-            raise DomainError(f"the window [{x_window[0]:g}, {x_window[1]:g}] depends on "
-                              f"no data at t = {t_star}")
-    rows = np.linspace(lo, hi, resolution)
-    seed = preferred(itertools.chain.from_iterable(seeds_along_b(av) for av in rows))
+    seed = preferred(
+        itertools.chain.from_iterable(
+            seeds_along_b(av) for av in np.linspace(lo, hi, resolution)
+        )
+    )
     if seed is None:
         raise NoRootInInterval(f"no seed found for t = {t_star} in the data domain")
     return seed
 
 
-def general_profile(data: PiecewiseInitialData, t_star: float, x_window,
-                    mobilities: Optional[tuple] = None, seed_at=None, density: float = 256.0):
+def _dependence(data, t_star, x_window):
+    """data cut to the domain of dependence of x_window at t*.
+
+    Both feet of a point X lie within L t* of it, where L = r1 r2 max(r1, r2)
+    at the data's largest |r1|, |r2| bounds |lambda_1| and |lambda_2|.
+    """
+    r1, r2 = (max(map(abs, v)) for v in (data.r1_values, data.r2_values))
+    reach = t_star * r1 * r2 * max(r1, r2)
+    lo = max(data.domain[0], x_window[0] - reach)
+    hi = min(data.domain[1], x_window[1] + reach)
+    if not lo < hi:
+        raise DomainError(f"the window [{x_window[0]:g}, {x_window[1]:g}] depends on "
+                          f"no data at t = {t_star}")
+    i, j = data.piece_of(lo), data.piece_of(hi, side="left")
+    return PiecewiseInitialData(data.breakpoints[i:j], data.r1_values[i:j + 1],
+                                data.r2_values[i:j + 1], (lo, hi))
+
+
+def general_profile(
+    data: PiecewiseInitialData,
+    t_star: float,
+    x_window,
+    mobilities: Optional[tuple] = None,
+    seed_at=None,
+    density: float = 256.0,
+):
     """End-to-end general Cauchy solve: seed, march, and sample fields.
 
+    Without seed_at the seed is found in the window's domain of dependence.
     Returns a MarchResult with u1/u2 set when mobilities are given.
     """
     if seed_at is None:
-        seed_at = find_seed(data, t_star, x_window=x_window)
+        seed_at = find_seed(_dependence(data, t_star, x_window), t_star)
     seed = seed_point(data, *seed_at)
     if abs(seed.t_star - t_star) > _SEED_AGREE * max(1.0, t_star):
         # A seed_at off the level, or a find_seed root short of it.

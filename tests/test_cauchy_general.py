@@ -12,6 +12,7 @@ from zesolver.cauchy_general import (
     AbPlaneState,
     PiecewiseInitialData,
     _anchor,
+    _dependence,
     _parts,
     _position,
     find_seed,
@@ -592,7 +593,7 @@ def test_march_matches_the_level_line_ode(case, t_star, window, kinds, request, 
     # closed-form sample lies on the ODE's level line, read off its dense
     # output where the foot that moves most in the run is the sample's.
     data = request.getfixturevalue("data") if case == "readme" else case
-    seed = seed_point(data, *find_seed(data, t_star, x_window=window))
+    seed = seed_point(data, *find_seed(_dependence(data, t_star, window), t_star))
     marches = {}
     for name, run_fn in (("closed", cauchy_general._march_run), ("ode", _ode_run)):
         runs, sols = [], []
@@ -674,6 +675,20 @@ def test_march_drift_ignores_the_arclength_origin():
         for left in (-21.0, -1001.0)
     ]
     assert drifts[1] <= 2.0 * drifts[0]
+
+
+def test_dependence_cut_keeps_t_inside_it():
+    # The seed scan's data: the window's domain of dependence, with the
+    # breakpoints inside it and t(a, b) bitwise unchanged for feet in it.
+    data = PiecewiseInitialData((-1.0, 1.0, 30.0), (5.0, 2.0, 5.0, 4.0),
+                                (8.0, 10.0, 8.0, 9.0), (-10001.0, 41.0))
+    cut = _dependence(data, 0.03, (-2.0, 6.0))
+    assert data.domain[0] < cut.domain[0] < -2.0 and 6.0 < cut.domain[1] < 30.0
+    assert cut.breakpoints == (-1.0, 1.0) and cut.r1_values == (5.0, 2.0, 5.0)
+    a = np.linspace(cut.domain[0], 0.5, 7)
+    _assert_bitwise(t_ray(cut, b=cut.domain[1])(a), t_ray(data, b=cut.domain[1])(a))
+    with pytest.raises(DomainError):
+        _dependence(data, 0.03, (100.0, 200.0))
 
 
 def test_far_domain_edge_seeds_in_the_window():
