@@ -27,7 +27,6 @@ the tests keep the RK45 march of the system above as its reference.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -54,6 +53,13 @@ _DRIFT = 1e-8
 _SEED_AGREE = 1e-9
 #: a point this close (relative) to a graph joint or a data edge sits on it.
 _EDGE = 1e-12
+#: find_seed's scan: this many rows of a across the domain, and samples of b
+#: per data piece in each row.
+_SCAN_RESOLUTION = 128
+#: a march direction stops once its runs' chords sum to this arclength.
+_MAX_ARC = 1e4
+#: march samples per unit chord of a run (at least 9 per run).
+_DENSITY = 256.0
 
 
 @dataclass(frozen=True)
@@ -405,17 +411,16 @@ def march_isochrone(
     data: PiecewiseInitialData,
     seed: AbPlaneState,
     x_window,
-    max_arc: float = 1e4,
-    density: float = 256.0,
 ) -> MarchResult:
     """Trace the isochrone through the seed in both directions.
 
     Each direction runs until the physical position leaves x_window, a data
     graph ends, or the map folds (t_sa * t_sb changes sign, i.e. the
     Jacobian proxy (lambda2 - lambda1) t_a t_b vanishes); folds terminate
-    the direction without continuation and are recorded in status.  A seed
-    outside x_window marches into it; a march with no sample inside
-    x_window raises DomainError.
+    the direction without continuation and are recorded in status.  A
+    knot is recorded where a run ends on a joint and the next run starts
+    there.  A seed outside x_window marches into it; a march with no sample
+    inside x_window raises DomainError.
     """
     ga, gb = data.graphs()
     t_star = seed.t_star
@@ -429,8 +434,9 @@ def march_isochrone(
         sign_a = sign_b = 1
         prev_dx_sign = 0.0
         arc_used = 0.0
+        joint = None  # x where the last run ended on a graph joint
         reason = "arc-budget"
-        while arc_used < max_arc:
+        while arc_used < _MAX_ARC:
             at_edge = (
                 y[0] <= ga.s_min + _EDGE or y[0] >= ga.s_max - _EDGE
                 or y[1] <= gb.s_min + _EDGE or y[1] >= gb.s_max - _EDGE
@@ -448,16 +454,18 @@ def march_isochrone(
 
             run, stop, y, arc = _march_run(
                 data, seg_a, seg_b, y, direction, t_star, x_window,
-                max_arc - arc_used, density,
+                _MAX_ARC - arc_used,
             )
             if run is None:  # the run ended where it started
                 reason = stop
                 break
+            if joint is not None:  # the march went on past the joint
+                knots.add(joint)
             arc_used += arc
             chunks.append(run)
             max_drift = max(max_drift, run["drift"])
             if stop == "segment":
-                knots.add(float(run["x"][-1]))
+                joint = float(run["x"][-1])
                 continue
             reason = stop
             break
@@ -513,8 +521,7 @@ def _consistent(s, seg, ds):
     return seg.s0 - _EDGE <= s <= seg.s1 + _EDGE
 
 
-def _march_run(data, seg_a, seg_b, y0, direction, t_star, x_window,
-               arc_budget, density):
+def _march_run(data, seg_a, seg_b, y0, direction, t_star, x_window, arc_budget):
     """One run of the march, in closed form: the feet stay on seg_a, seg_b.
 
     From y0 = (s_a, s_b) the run moves along (-t_sb, t_sa) direction.  Its
@@ -525,7 +532,7 @@ def _march_run(data, seg_a, seg_b, y0, direction, t_star, x_window,
     sign ("fold") or the chord from y0 exceeds arc_budget ("arc-budget"):
     roots in s_i bracketed on a grid (its ends if both feet are horizontal,
     where the run is straight) and refined by bracketed_newton with the
-    bracket's slope.  The run has max(9, int(density * chord)) samples,
+    bracket's slope.  The run has max(9, int(_DENSITY * chord)) samples,
     uniform in s_i.
     """
     anchor = _anchor(data, seg_a, seg_b, y0[0], y0[1])
@@ -552,7 +559,7 @@ def _march_run(data, seg_a, seg_b, y0, direction, t_star, x_window,
             np.hypot(ys[0] - y0[0], ys[1] - y0[1]) - arc_budget,
         ))
 
-    grid = np.linspace(p0, p_end, 2 if straight else max(9, int(density * abs(p_end - p0))))
+    grid = np.linspace(p0, p_end, 2 if straight else max(9, int(_DENSITY * abs(p_end - p0))))
     with np.errstate(divide="ignore", invalid="ignore"):  # past the run's end
         g = events(grid)
     past = (g >= 0.0) & (g[:, :1] < 0.0)
@@ -568,7 +575,7 @@ def _march_run(data, seg_a, seg_b, y0, direction, t_star, x_window,
     if p_stop == p0:
         return None, stop, y0, 0.0
     arc = math.hypot(*(line(np.array([p_stop]))[:, 0] - y0))
-    ys = line(np.linspace(p0, p_stop, max(9, int(density * arc))))
+    ys = line(np.linspace(p0, p_stop, max(9, int(_DENSITY * arc))))
     if hit == 0:
         ys[j, -1] = q_end
     return _sample_run(seg_a, seg_b, ys, t_star, anchor), stop, ys[:, -1].copy(), arc
@@ -679,59 +686,34 @@ def _level_crossings(ray, rows, t_star):
         )
 
 
-def find_seed(data: PiecewiseInitialData, t_star, a_fixed=None, b_fixed=None,
-              resolution=128):
+def find_seed(data: PiecewiseInitialData, t_star):
     """Locate (a*, b*) with t(a*, b*) = t* by a scan and a root per bracket.
 
-    With a_fixed (or b_fixed) given, the scan runs along that ray;
-    otherwise rows of a coarse level map are scanned piece by piece and
-    refined.  Brackets never straddle a breakpoint.  Seeds whose feet sit
-    in different data pieces are preferred: a bracket with both feet in one
-    piece lies on a constant-state arc, which is trivial and usually a
+    For _SCAN_RESOLUTION values of a across the domain, rows of b (one per
+    data piece right of a) are scanned and refined.  Brackets never
+    straddle a breakpoint.  Seeds whose feet sit in different data pieces
+    are preferred: a bracket with both feet in one piece lies on a
+    constant-state arc, which is trivial and usually a
     characteristic-crossing ghost rather than the branch carrying the wave
     structure.  Each row is evaluated by one t_ray call.
     """
     lo, hi = data.domain
     edges = [lo, *data.breakpoints, hi]
     eps = _EDGE * (hi - lo)
-
-    def seeds_along_b(av):
+    fallback = None
+    for av in np.linspace(lo, hi, _SCAN_RESOLUTION):
         rows = [
-            np.linspace(max(e0, av) + eps, e1, resolution)
+            np.linspace(max(e0, av) + eps, e1, _SCAN_RESOLUTION)
             for e0, e1 in zip(edges, edges[1:]) if e1 > av
         ]
-        return ((av, bv) for bv in _level_crossings(t_ray(data, a=av), rows, t_star))
-
-    def preferred(seeds):
-        fallback = None
-        for av, bv in seeds:
+        for bv in _level_crossings(t_ray(data, a=av), rows, t_star):
             if data.piece_of(av, side="right") != data.piece_of(bv, side="left"):
                 return av, bv
             if fallback is None:
                 fallback = (av, bv)
-        return fallback
-
-    if a_fixed is not None:
-        seed = preferred(seeds_along_b(a_fixed))
-        if seed is None:
-            raise NoRootInInterval(f"no seed with t = {t_star} on a = {a_fixed}")
-        return seed
-    if b_fixed is not None:
-        rows = [
-            np.linspace(e0, min(e1, b_fixed) - eps, resolution)
-            for e0, e1 in zip(edges, edges[1:]) if e0 < b_fixed
-        ]
-        for av in _level_crossings(t_ray(data, b=b_fixed), rows, t_star):
-            return av, b_fixed
-        raise NoRootInInterval(f"no seed with t = {t_star} on b = {b_fixed}")
-    seed = preferred(
-        itertools.chain.from_iterable(
-            seeds_along_b(av) for av in np.linspace(lo, hi, resolution)
-        )
-    )
-    if seed is None:
+    if fallback is None:
         raise NoRootInInterval(f"no seed found for t = {t_star} in the data domain")
-    return seed
+    return fallback
 
 
 def _dependence(data, t_star, x_window):
@@ -757,22 +739,18 @@ def general_profile(
     t_star: float,
     x_window,
     mobilities: Optional[tuple] = None,
-    seed_at=None,
-    density: float = 256.0,
 ):
     """End-to-end general Cauchy solve: seed, march, and sample fields.
 
-    Without seed_at the seed is found in the window's domain of dependence.
-    Returns a MarchResult with u1/u2 set when mobilities are given.
+    The seed is found in the window's domain of dependence.  Returns a
+    MarchResult with u1/u2 set when mobilities are given.
     """
-    if seed_at is None:
-        seed_at = find_seed(_dependence(data, t_star, x_window), t_star)
-    seed = seed_point(data, *seed_at)
+    seed = seed_point(data, *find_seed(_dependence(data, t_star, x_window), t_star))
     if abs(seed.t_star - t_star) > _SEED_AGREE * max(1.0, t_star):
-        # A seed_at off the level, or a find_seed root short of it.
+        # A find_seed root short of the level.
         raise LevelDrift(f"seed time {seed.t_star} disagrees with requested {t_star}")
     seed = replace(seed, t_star=t_star)
-    result = march_isochrone(data, seed, x_window, density=density)
+    result = march_isochrone(data, seed, x_window)
     if mobilities is not None:
         u1, u2 = u_from_mobilities(mobilities[0], mobilities[1], result.R1, result.R2)
         result.u1, result.u2 = np.asarray(u1), np.asarray(u2)

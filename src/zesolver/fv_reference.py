@@ -28,8 +28,6 @@ import numpy as np
 from .errors import CFLViolation, ComplexRoots, DomainMismatch, NonPhysicalState
 from .invariants import MixtureParams, validate_params
 
-_trapz = getattr(np, "trapezoid", None) or np.trapz
-
 
 @dataclass(frozen=True)
 class Grid1D:

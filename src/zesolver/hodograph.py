@@ -13,13 +13,14 @@ solution collapses to
 
 and x(R1, R2) follows from the same kernel after the substitution R -> 1/R.
 This module provides the kernel, the closed-form pair (t, x) with exact
-partial derivatives, and a generic quadrature-based Goursat evaluator.
+partial derivatives, and a generic Goursat evaluator whose boundary
+integrals run on adaptive Gauss-Legendre panels.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -34,6 +35,13 @@ COINCIDENT_RTOL = 1e-9
 NEWTON_STOP = 1e-10
 #: invert raises after this many Newton steps; a converging solve takes <= 5.
 NEWTON_MAX_ITER = 30
+#: Goursat data must meet t0 at the corner to this fraction of max(1, |t0|).
+CORNER_RTOL = 1e-9
+#: a boundary integral is done when its panels' error estimates sum below
+#: QUAD_ATOL or QUAD_RTOL of its value, and fails at QUAD_MAX_PANELS panels.
+QUAD_ATOL = 1e-10
+QUAD_RTOL = 1e-12
+QUAD_MAX_PANELS = 200
 
 
 def _check_separated(R1, R2):
@@ -206,7 +214,7 @@ class CharacteristicBoundaryData:
 
     def __post_init__(self):
         for corner in (self.on_r1_axis(self.R1_0), self.on_r2_axis(self.R2_0)):
-            if abs(corner - self.t0) > 1e-9 * max(1.0, abs(self.t0)):
+            if abs(corner - self.t0) > CORNER_RTOL * max(1.0, abs(self.t0)):
                 raise ValueError(
                     f"boundary data disagree at the corner: {corner} vs {self.t0}"
                 )
@@ -233,8 +241,7 @@ def goursat_solution(data: CharacteristicBoundaryData, R1: float, R2: float) -> 
         + (R1-R2_0)^2 t(R1, R2_0) / (R1-R2)^2
         + (R2-R1_0)^2 t(R1_0, R2) / (R1-R2)^2
 
-    with H1, H2 the running integrals of the boundary data, computed here by
-    adaptive quadrature (abs tolerance 1e-10).
+    with H1, H2 the running integrals of the boundary data (_boundary_integral).
     """
     _check_separated(R1, R2)
     H1 = _boundary_integral(data.on_r1_axis, data.R1_0, R1)
@@ -250,20 +257,37 @@ def goursat_solution(data: CharacteristicBoundaryData, R1: float, R2: float) -> 
     )
 
 
-def _boundary_integral(fn, a, b):
-    # scipy is imported here so that only the Goursat check loads it.
-    from scipy.integrate import IntegrationWarning, quad
+@cache
+def _rules():
+    """(nodes, weights) of the Gauss-Legendre rules of orders 20 and 10,
+    built on first use: only the Goursat evaluator needs them."""
+    return [(x.tolist(), w) for x, w in map(np.polynomial.legendre.leggauss, (20, 10))]
 
-    if a == b:
-        return 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
-        try:
-            val, abserr = quad(fn, a, b, epsabs=1e-10, epsrel=1e-12, limit=200)
-        except IntegrationWarning as exc:
-            raise QuadratureFailure(f"boundary quadrature failed: {exc}") from exc
-    if abserr > 1e-8 * max(1.0, abs(val)):
-        raise QuadratureFailure(
-            f"boundary quadrature error estimate {abserr} too large on [{a}, {b}]"
-        )
-    return val
+
+def _panel(fn, lo, hi):
+    """fn's integral over [lo, hi] by the order-20 Gauss-Legendre rule, and
+    its distance from the order-10 rule as the error estimate."""
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    fine, coarse = (half * float(np.dot(w, [fn(mid + half * x) for x in nodes]))
+                    for nodes, w in _rules())
+    return fine, abs(fine - coarse)
+
+
+def _boundary_integral(fn, a, b):
+    """int_a^b fn on adaptive panels: the panel with the largest error
+    estimate is halved until the estimates sum below max(QUAD_ATOL,
+    QUAD_RTOL |value|); QuadratureFailure once QUAD_MAX_PANELS are in use."""
+    panels = [(a, b, *_panel(fn, a, b))]
+    while True:
+        value = sum(p[2] for p in panels)
+        error = sum(p[3] for p in panels)
+        if error <= max(QUAD_ATOL, QUAD_RTOL * abs(value)):
+            return value
+        if len(panels) >= QUAD_MAX_PANELS:
+            raise QuadratureFailure(
+                f"boundary quadrature error estimate {error} on [{a}, {b}] "
+                f"after {len(panels)} panels"
+            )
+        lo, hi, *_ = panels.pop(max(range(len(panels)), key=lambda k: panels[k][3]))
+        mid = 0.5 * (lo + hi)
+        panels += [(lo, mid, *_panel(fn, lo, mid)), (mid, hi, *_panel(fn, mid, hi))]

@@ -21,7 +21,6 @@ from . import wavefield
 from .errors import (
     DomainError,
     DomainMismatch,
-    NoRootInInterval,
     NonMonotoneParametrization,
     PhaseGap,
 )
@@ -275,26 +274,6 @@ class ScenarioSolver:
         R[side.index] = rho
         R[1 - side.index] = side.fixed
         return Segment(side.zone, x, R[0], R[1])
-
-    def tau_root(self, x, t):
-        """Departure time tau of the 1-characteristic through (x, t) in Z9.
-
-        Solves x = phi(tau) + R1^2 mu2 (t - tau) by inverting the transport
-        map in the parameter rho; returns tau = t(rho, mu2).
-        """
-        p, h = self.params, self.hodograph
-        rho_hi = self.rho_star(t) if t <= self.timeline.times["T_fin"] else p.mu1
-
-        def level(r):  # d/drho uses x_R1 = lambda2 t_R1
-            lam = lambda_k(2, r, p.mu2) - lambda_k(1, r, p.mu2)
-            return (self.transport_x(1, r, t) - x, lam * h.t_partials(r, p.mu2)[0]
-                    + 2.0 * r * p.mu2 * (t - h.t(r, p.mu2)))
-
-        f_lo, f_hi = level(p.q1)[0], level(rho_hi)[0]
-        if f_lo * f_hi > 0:
-            raise NoRootInInterval(f"({x}, {t}) is not inside zone Z9")
-        rho = wavefield.bracketed_newton(level, p.q1, rho_hi, f_lo, f_hi)
-        return float(h.t(rho, p.mu2))
 
     # -- curved shocks after T_9 / T_10 ----------------------------------------
 

@@ -35,6 +35,11 @@ ROOT_MAX_ITER = 100
 #: from 1 down to SHOCK_TABLE_DEPTH, so dense toward far.
 SHOCK_TABLE_SIZE = 128
 SHOCK_TABLE_DEPTH = 1e-12
+#: the early weak curves accept times down to T_int (1 - EARLY_RTOL).
+EARLY_RTOL = 1e-12
+#: adjacent zones must meet, and zone boundaries keep their order, to this
+#: absolute x.
+TILING_ATOL = 1e-9
 
 
 @dataclass
@@ -258,7 +263,7 @@ def weak_curves_pre(p: MixtureParams):
         root0 = math.sqrt(X_int - x0)
 
         def x_of_t(t):
-            if t < T_int * (1.0 - 1e-12):
+            if t < T_int * (1.0 - EARLY_RTOL):
                 raise DomainError(f"{label} undefined before the interaction time")
             r = q ** 1.5 * (math.sqrt(t) - math.sqrt(T_int)) + root0
             return x0 + r * r
@@ -690,12 +695,12 @@ class Timeline:
         for left, right in zip(chain, chain[1:]):
             if left.x_right is None or right.x_left is None:
                 raise DomainError("interior zone with an open end")
-            if not math.isclose(left.x_right, right.x_left, rel_tol=0.0, abs_tol=1e-9):
+            if not math.isclose(left.x_right, right.x_left, rel_tol=0.0, abs_tol=TILING_ATOL):
                 raise DomainError(
                     f"zone tiling gap between {left.zone} and {right.zone}"
                 )
         xs = [z.x_right for z in chain[:-1]]
-        if any(b < a - 1e-9 for a, b in zip(xs, xs[1:])):
+        if any(b < a - TILING_ATOL for a, b in zip(xs, xs[1:])):
             raise UnexpectedOrdering("zone boundaries out of order")
 
     # -- export ---------------------------------------------------------------

@@ -13,6 +13,7 @@ from zesolver.cauchy_general import (
     PiecewiseInitialData,
     _anchor,
     _dependence,
+    _level_crossings,
     _parts,
     _position,
     find_seed,
@@ -115,21 +116,25 @@ def test_seed_point_near_corner_matches_interaction_point(data):
 
 @pytest.mark.parametrize("t_star", [0.005, 0.01, 0.05])
 def test_seed_on_a_breakpoint_takes_the_right_limit(data, params, t_star):
-    # a* = x2 exactly: t_ab and find_seed read r2 = R2_0(a*+) = mu2, and so
-    # must seed_point, or its t* disagrees and general_profile raises LevelDrift.
-    a, b = find_seed(data, t_star, a_fixed=1.0)
-    assert a == 1.0
-    st = seed_point(data, a, b)
+    # a* = x2 exactly: t_ab and the seed scan read r2 = R2_0(a*+) = mu2, and
+    # so must seed_point, or its t* disagrees with the scan's level.  The
+    # seed is the first crossing of t* on the ray a = x2.
+    lo, hi = data.domain
+    row = np.linspace(1.0 + cauchy_general._EDGE * (hi - lo), hi, 128)
+    b = next(_level_crossings(t_ray(data, a=1.0), [row], t_star))
+    st = seed_point(data, 1.0, b)
+    assert st.a == 1.0
     assert st.r2 == params.mu2
-    assert st.t_star == pytest.approx(t_ab(data, a, b), rel=1e-14)
+    assert st.t_star == pytest.approx(t_ab(data, 1.0, b), rel=1e-14)
+    assert st.t_star == pytest.approx(t_star, rel=1e-9)
     if t_star == 0.05:
         # This seed's isochrone branch lies wholly right of the window, on
         # [17, 31]: no sample to return.
         with pytest.raises(DomainError):
-            general_profile(data, t_star, (-4.0, 9.0), seed_at=(a, b))
+            march_isochrone(data, st, (-4.0, 9.0))
         return
-    res = general_profile(data, t_star, (-4.0, 9.0), seed_at=(a, b))
-    assert res.max_drift <= 1e-8 * t_star
+    res = march_isochrone(data, st, (-4.0, 9.0))
+    assert res.max_drift <= 1e-8 * st.t_star
 
 
 def test_seed_outside_the_window_marches_into_it(data):
@@ -147,14 +152,6 @@ def test_find_seed_prefers_cross_piece_brackets(data):
     a, b = find_seed(data, 0.018)
     assert t_ab(data, a, b) == pytest.approx(0.018, rel=1e-12)
     assert data.piece_of(a, side="right") != data.piece_of(b, side="left")
-
-
-def test_find_seed_along_ray(data, params):
-    a, b = find_seed(data, 0.018, a_fixed=-5.0)
-    assert a == -5.0
-    assert t_ab(data, a, b) == pytest.approx(0.018, rel=1e-12)
-    with pytest.raises(NoRootInInterval):
-        find_seed(data, 1e9, a_fixed=-5.0)
 
 
 def _level_map(data, rect, resolution):
@@ -256,6 +253,23 @@ def test_march_samples_stay_on_the_level(data, t_star):
     assert off.sum() > 100
     for a, b in zip(res.a[off], res.b[off]):
         assert abs(t_ab(data, a, b) - t_star) <= 1e-13 * t_star
+
+
+def test_knots_only_where_the_march_goes_on():
+    # The march's left direction ends on the domain's left edge, a graph end
+    # and no data breakpoint: no knot there.  Cone instance of the
+    # general_march benchmark workload.
+    p = (1.0200456235012836, 1.7045396643753996, 0.6798107733783443,
+         1.8276517597718802, -0.4657435572863169, 0.4564778905889093)
+    mu1, mu2, q1, q2, x1, x2 = p
+    data = PiecewiseInitialData((x1, x2), (mu1, q1, mu1), (mu2, q2, mu2),
+                                (-2.3101864530367693, 9.67869236934117))
+    res = general_profile(data, 0.6978717921392725,
+                          (0.24338540240253054, 2.7898924964818335))
+    assert res.status == {1: "domain", -1: "window"}
+    assert res.x.min() == pytest.approx(0.0916, abs=1e-4)
+    assert len(res.knots) == 4
+    assert min(res.knots) > res.x.min() + 0.5
 
 
 def test_march_three_plateau_data():
@@ -512,8 +526,7 @@ def _level_rhs(seg_a, seg_b, anchor, direction, with_x=False):
     return rhs
 
 
-def _ode_run(data, seg_a, seg_b, y0, direction, t_star, x_window, arc_budget, density,
-             log=None):
+def _ode_run(data, seg_a, seg_b, y0, direction, t_star, x_window, arc_budget, log=None):
     """A march run by RK45 on the level-line system, as the march ran
     before its runs had a closed form: samples uniform in arclength,
     terminal events at the segments' ends, on leaving x_window and where
@@ -543,7 +556,7 @@ def _ode_run(data, seg_a, seg_b, y0, direction, t_star, x_window, arc_budget, de
     stop = ("segment", "segment", "window", "window", "fold", "arc-budget")[first]
     if mu_end <= 1e-13:
         return None, stop, y0, 0.0
-    ys = sol.sol(np.linspace(0.0, mu_end, max(9, int(mu_end * density))))
+    ys = sol.sol(np.linspace(0.0, mu_end, max(9, int(mu_end * cauchy_general._DENSITY))))
     y_next = ys[:, -1].copy()
     if stop == "segment":
         for idx, seg in ((0, seg_a), (1, seg_b)):
@@ -765,18 +778,10 @@ def test_x_ab_matches_extended_precision(data):
             assert err <= 8 * eps * scale, (a, b)
 
 
-def _reference_find_seed(data, t_star, a_fixed=None, b_fixed=None, resolution=128):
+def _reference_find_seed(data, t_star, resolution=128):
     """find_seed as a scalar scan: one t_ab call per sample."""
     lo, hi = data.domain
     edges = [lo, *data.breakpoints, hi]
-
-    def values(points, t_of):
-        return np.array([_scalar_t(data, *t_of(v)) - t_star for v in points])
-
-    def root(t_of, vv, vals, k):
-        slope = (vals[k + 1] - vals[k]) / (vv[k + 1] - vv[k])
-        return bracketed_newton(lambda v: (t_ab(data, *t_of(v)) - t_star, slope),
-                                vv[k], vv[k + 1], vals[k], vals[k + 1])
 
     def brackets_along_b(av):
         hits = []
@@ -784,38 +789,23 @@ def _reference_find_seed(data, t_star, a_fixed=None, b_fixed=None, resolution=12
             if e1 <= av:
                 continue
             bb = np.linspace(max(e0, av) + 1e-12 * (hi - lo), e1, resolution)
-            vals = values(bb, lambda bv: (av, bv))
+            vals = np.array([_scalar_t(data, av, bv) - t_star for bv in bb])
             for k in range(len(bb) - 1):
                 if np.isnan(vals[k]) or np.isnan(vals[k + 1]):
                     continue
                 if vals[k] == 0.0:
                     hits.append((av, bb[k]))
                 elif vals[k] * vals[k + 1] < 0:
-                    hits.append((av, root(lambda bv: (av, bv), bb, vals, k)))
+                    slope = (vals[k + 1] - vals[k]) / (bb[k + 1] - bb[k])
+                    hits.append((av, bracketed_newton(
+                        lambda bv: (t_ab(data, av, bv) - t_star, slope),
+                        bb[k], bb[k + 1], vals[k], vals[k + 1])))
         return hits
 
-    def cross_piece(av, bv):
-        return data.piece_of(av, side="right") != data.piece_of(bv, side="left")
-
-    if a_fixed is not None:
-        hits = brackets_along_b(a_fixed)
-        if not hits:
-            raise NoRootInInterval("a ray")
-        return next((h for h in hits if cross_piece(*h)), hits[0])
-    if b_fixed is not None:
-        for e0, e1 in zip(edges, edges[1:]):
-            if e0 >= b_fixed:
-                continue
-            aa = np.linspace(e0, min(e1, b_fixed) - 1e-12 * (hi - lo), resolution)
-            vals = values(aa, lambda av: (av, b_fixed))
-            for k in range(len(aa) - 1):
-                if vals[k] * vals[k + 1] < 0:
-                    return root(lambda av: (av, b_fixed), aa, vals, k), b_fixed
-        raise NoRootInInterval("b ray")
     fallback = None
     for av in np.linspace(lo, hi, resolution):
         for hit in brackets_along_b(av):
-            if cross_piece(*hit):
+            if data.piece_of(av, side="right") != data.piece_of(hit[1], side="left"):
                 return hit
             fallback = fallback or hit
     if fallback is None:
@@ -831,22 +821,17 @@ def _seed_or_error(fn, *args, **kw):
 
 
 @pytest.mark.parametrize("data, t_int", LAW + [(COINCIDENT, 0.01)])
-def test_find_seed_matches_scalar_reference(data, t_int):
-    x1, x2 = data.breakpoints[0], data.breakpoints[-1]
-    forms = [{}, {"a_fixed": x1 - 0.3 * (x2 - x1)}, {"a_fixed": x1},
-             {"b_fixed": x2 + 0.2}, {"b_fixed": x2}, {"b_fixed": data.domain[0] + 0.1}]
+def test_find_seed_matches_scalar_reference(data, t_int, monkeypatch):
+    monkeypatch.setattr(cauchy_general, "_SCAN_RESOLUTION", 32)
     for t_star in (1.4 * t_int, 100.0 * t_int):
-        for kw in forms:
-            got = _seed_or_error(find_seed, data, t_star, resolution=32, **kw)
-            ref = _seed_or_error(_reference_find_seed, data, t_star, resolution=32, **kw)
-            assert got == ref, kw
-            assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+        got = _seed_or_error(find_seed, data, t_star)
+        ref = _seed_or_error(_reference_find_seed, data, t_star, resolution=32)
+        assert got == ref
+        assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
 
 
 def test_find_seed_matches_scalar_reference_at_full_resolution(data):
-    for kw in ({}, {"a_fixed": -5.0}, {"b_fixed": 1.5}):
-        got = find_seed(data, 0.018, **kw)
-        assert got == _reference_find_seed(data, 0.018, **kw)
+    assert find_seed(data, 0.018) == _reference_find_seed(data, 0.018)
 
 
 @pytest.mark.parametrize("data", [LAW[0][0], LAW[1][0], COINCIDENT])

@@ -1,8 +1,9 @@
-"""Every command runs without scipy.
+"""zesolver never imports scipy.
 
-Only the Goursat quadrature imports scipy, inside the function that uses
-it.  The check runs in a fresh interpreter, since the test session itself
-imports scipy.
+A fresh interpreter imports every zesolver module, runs the four commands
+and the Goursat evaluator, on data it resolves and on data it fails on,
+and then finds no scipy module loaded.  The check needs its own
+interpreter, since the test session itself imports scipy.
 """
 
 import os
@@ -13,13 +14,24 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 SCRIPT = """
+import importlib
+import pkgutil
 import sys
 from pathlib import Path
 
+import numpy as np
+
+import zesolver
 import zesolver.cli as cli
 from zesolver import MixtureParams, ScenarioSolver
+from zesolver.errors import QuadratureFailure
+from zesolver.hodograph import (
+    CharacteristicBoundaryData, goursat_solution, scenario_boundary_data,
+)
 
 scipy_modules = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+for mod in pkgutil.iter_modules(zesolver.__path__):
+    importlib.import_module(f"zesolver.{mod.name}")
 solver = ScenarioSolver(MixtureParams(mu1=5, mu2=8, q1=2, q2=10, x1=-1, x2=1))
 for t in (0.005, 0.014, 0.05, 0.1, 0.3, 1.0):
     solver.profile_at(t, n=256)
@@ -32,15 +44,23 @@ for argv in (["timeline"], ["profile", "--times", "0.05,0.3"],
              ["compare", "--times", "0.05", "--cells", "100,200"],
              ["general", "--times", "0.018,0.05"]):
     assert cli.main([*argv, "--config", str(cfg), "--out", str(out / argv[0])]) == 0
-print("after the four commands:", scipy_modules())
-# The probe sees scipy once the Goursat quadrature has run.
-from zesolver.hodograph import goursat_solution, scenario_boundary_data
 goursat_solution(scenario_boundary_data(solver.hodograph), 3.0, 9.0)
-print("after goursat_solution:", bool(scipy_modules()))
+unresolvable = CharacteristicBoundaryData(
+    R1_0=2.0, R2_0=10.0, t0=1.0, on_r1_axis=lambda r: 1.0,
+    on_r2_axis=lambda r: 1.0 + np.sin(1e7 * (r - 10.0)),
+)
+try:
+    goursat_solution(unresolvable, 3.0, 8.5)
+except QuadratureFailure:
+    pass
+print("after zesolver:", scipy_modules())
+# The probe sees scipy once something imports it.
+import scipy.special
+print("after import scipy.special:", "scipy.special" in scipy_modules())
 """
 
 
-def test_commands_never_import_scipy(tmp_path):
+def test_zesolver_never_imports_scipy(tmp_path):
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), path)))}
     proc = subprocess.run(
@@ -49,4 +69,4 @@ def test_commands_never_import_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     probes = [line for line in proc.stdout.splitlines() if line.startswith("after ")]
-    assert probes == ["after the four commands: []", "after goursat_solution: True"]
+    assert probes == ["after zesolver: []", "after import scipy.special: True"]

@@ -203,24 +203,6 @@ def test_z10_profile_boundaries(solver):
     assert seg.R2[-1] == pytest.approx(solver.params.q2)
 
 
-def test_tau_root(solver):
-    t = 0.03
-    # On the left boundary the carried value is q1, whose departure time is T_3.
-    x = solver.timeline.curves["xw1"].x(t)
-    assert solver.tau_root(x, t) == pytest.approx(1 / 45, rel=1e-10)
-    # On the moving Z5 boundary the departure time is t itself.
-    assert solver.tau_root(solver.phi(t), t) == pytest.approx(t, rel=1e-10)
-    # Interior point: the defining relation holds after the solve.
-    x_mid = 0.5 * (x + solver.phi(t))
-    tau = solver.tau_root(x_mid, t)
-    rho = solver.rho_star(tau)
-    h = solver.hodograph
-    res = h.x(rho, 8.0) + rho * rho * 8.0 * (t - tau) - x_mid
-    assert abs(res) < 1e-10
-    with pytest.raises(NoRootInInterval):
-        solver.tau_root(x - 1.0, t)
-
-
 def test_shock_boundary_initial_speed(solver):
     st = solver.shock_boundary(1, 0.06)
     T9 = solver.timeline.times["T_9"]
