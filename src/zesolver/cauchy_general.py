@@ -445,7 +445,7 @@ def march_isochrone(
             if picked is None:
                 reason = "domain" if at_edge else "fold"
                 break
-            seg_a, seg_b, sign_a, sign_b, dx = picked
+            seg_a, seg_b, sign_a, sign_b, dx, start = picked
             dx_sign = math.copysign(1.0, dx) if dx != 0.0 else 0.0
             if dx_sign == 0.0 or (prev_dx_sign and dx_sign != prev_dx_sign):
                 reason = "fold"
@@ -453,8 +453,7 @@ def march_isochrone(
             prev_dx_sign = dx_sign
 
             run, stop, y, arc = _march_run(
-                data, seg_a, seg_b, y, direction, t_star, x_window,
-                _MAX_ARC - arc_used,
+                seg_a, seg_b, y, direction, t_star, x_window, _MAX_ARC - arc_used, start,
             )
             if run is None:  # the run ended where it started
                 reason = stop
@@ -494,8 +493,9 @@ def _pick_segments(data, ga, gb, y, direction, sign_a, sign_b):
 
     At a joint the incoming motion sign proposes the next segment; if the
     tangent there pushes back out, the other side is taken with the flipped
-    sign.  Returns (seg_a, seg_b, sign_a, sign_b, dX/dmu) or None if no
-    consistent choice exists (the march cannot continue smoothly).
+    sign.  Returns (seg_a, seg_b, sign_a, sign_b, dX/dmu, start) or None if
+    no consistent choice exists (the march cannot continue smoothly); start
+    is the run's (anchor, t_sa, t_sb, r1, r2) at y, for _march_run.
     """
     for try_a in (sign_a, -sign_a):
         for try_b in (sign_b, -sign_b):
@@ -509,7 +509,8 @@ def _pick_segments(data, ga, gb, y, direction, sign_a, sign_b):
             dsb = t_sa * direction
             if _consistent(y[0], seg_a, dsa) and _consistent(y[1], seg_b, dsb):
                 dx = (lambda_k(2, r1, r2) - lambda_k(1, r1, r2)) * t_sa * t_sb * direction
-                return seg_a, seg_b, (1 if dsa >= 0 else -1), (1 if dsb >= 0 else -1), dx
+                return (seg_a, seg_b, (1 if dsa >= 0 else -1), (1 if dsb >= 0 else -1), dx,
+                        (anchor, t_sa, t_sb, r1, r2))
     return None
 
 
@@ -521,10 +522,11 @@ def _consistent(s, seg, ds):
     return seg.s0 - _EDGE <= s <= seg.s1 + _EDGE
 
 
-def _march_run(data, seg_a, seg_b, y0, direction, t_star, x_window, arc_budget):
+def _march_run(seg_a, seg_b, y0, direction, t_star, x_window, arc_budget, start):
     """One run of the march, in closed form: the feet stay on seg_a, seg_b.
 
-    From y0 = (s_a, s_b) the run moves along (-t_sb, t_sa) direction.  Its
+    From y0 = (s_a, s_b), with start = (anchor, t_sa, t_sb, r1, r2) there
+    (_pick_segments), the run moves along (-t_sb, t_sa) direction.  Its
     free coordinate s_i is the arclength of the foot on a vertical (b's if
     both are), else of the faster foot; the other, s_j, is explicit
     (_level_line).  The run ends where s_i ends its segment or, first, where
@@ -532,11 +534,10 @@ def _march_run(data, seg_a, seg_b, y0, direction, t_star, x_window, arc_budget):
     sign ("fold") or the chord from y0 exceeds arc_budget ("arc-budget"):
     roots in s_i bracketed on a grid (its ends if both feet are horizontal,
     where the run is straight) and refined by bracketed_newton with the
-    bracket's slope.  The run has max(9, int(_DENSITY * chord)) samples,
-    uniform in s_i.
+    bracket's slope; a refinement evaluates only its own event.  The run
+    has max(9, int(_DENSITY * chord)) samples, uniform in s_i.
     """
-    anchor = _anchor(data, seg_a, seg_b, y0[0], y0[1])
-    _, t_sa, t_sb, r1, r2 = _parts(seg_a, seg_b, y0[0], y0[1], anchor)
+    anchor, t_sa, t_sb, r1, r2 = start
     motion = (-t_sb * direction, t_sa * direction)
     x_up = (lambda_k(2, r1, r2) - lambda_k(1, r1, r2)) * t_sa * t_sb * direction > 0
     straight = seg_a.kind == seg_b.kind == "h"
@@ -548,16 +549,25 @@ def _march_run(data, seg_a, seg_b, y0, direction, t_star, x_window, arc_budget):
     def line(p):
         return _level_line(seg_a, seg_b, anchor, t_star, y0, i, p)
 
-    def events(p):
+    def events(p, rows=(0, 1, 2, 3)):
+        """The event functions at s_i = p (segment, window, fold, arc-budget),
+        only those in rows: the run's level line, then _parts and _position
+        only where a row needs them."""
         ys = line(p)
-        t, t_sa, t_sb, r1, r2 = _parts(seg_a, seg_b, ys[0], ys[1], anchor)
-        x = _position(seg_a, seg_a.eval(ys[0])[0], r1, r2, t, anchor)
-        return np.vstack(np.broadcast_arrays(
-            (ys[j] - q_end) * motion[j],
-            x - x_window[1] if x_up else x_window[0] - x,
-            t_sa * t_sb * motion[0] * motion[1],
-            np.hypot(ys[0] - y0[0], ys[1] - y0[1]) - arc_budget,
-        ))
+        g = np.empty((len(rows), p.size))
+        if 1 in rows or 2 in rows:
+            t, t_sa, t_sb, r1, r2 = _parts(seg_a, seg_b, ys[0], ys[1], anchor)
+        for k, e in enumerate(rows):
+            if e == 0:
+                g[k] = (ys[j] - q_end) * motion[j]
+            elif e == 1:
+                x = _position(seg_a, seg_a.eval(ys[0])[0], r1, r2, t, anchor)
+                g[k] = x - x_window[1] if x_up else x_window[0] - x
+            elif e == 2:
+                g[k] = t_sa * t_sb * motion[0] * motion[1]
+            else:
+                g[k] = np.hypot(ys[0] - y0[0], ys[1] - y0[1]) - arc_budget
+        return g
 
     grid = np.linspace(p0, p_end, 2 if straight else max(9, int(_DENSITY * abs(p_end - p0))))
     with np.errstate(divide="ignore", invalid="ignore"):  # past the run's end
@@ -567,7 +577,7 @@ def _march_run(data, seg_a, seg_b, y0, direction, t_star, x_window, arc_budget):
     if past.any():
         k = int(np.argmax(past.any(axis=0)))
         slope = (g[:, k] - g[:, k - 1]) / (grid[k] - grid[k - 1])  # exact on a straight run
-        roots = {e: bracketed_newton(lambda p: (events(np.array([p]))[e, 0], slope[e]),
+        roots = {e: bracketed_newton(lambda p: (events(np.array([p]), (e,))[0, 0], slope[e]),
                                      grid[k - 1], grid[k], g[e, k - 1], g[e, k])
                  for e in np.flatnonzero(past[:, k])}
         hit = min(roots, key=lambda e: abs(roots[e] - p0))  # the first event ends the run
@@ -641,23 +651,19 @@ def _sample_run(seg_a, seg_b, ys, t_star, anchor):
     }
 
 
-def t_ray(data: PiecewiseInitialData, a=None, b=None):
-    """t(a, b) along a ray of the (a, b)-plane with one foot held fixed.
+def t_ray(data: PiecewiseInitialData, a):
+    """t(a, b) along the ray of the (a, b)-plane with foot a held fixed.
 
-    Give exactly one of a, b.  Returns v -> t(a, v) or v -> t(v, b) for a
-    scalar or array v strictly on its side of the fixed foot (v > a, resp.
-    v < b; DomainError otherwise), NaN where r1 and r2 coincide (where t_ab
+    Returns b -> t(a, b) for a scalar or array b strictly right of a
+    (DomainError otherwise), NaN where r1 and r2 coincide (where t_ab
     raises CoincidentInvariants).  Every value is bitwise equal to t_ab's:
     both evaluate the data's integral table with one array formula.
     """
-    if (a is None) == (b is None):
-        raise ValueError("fix exactly one foot of the ray")
 
-    def ray(v):
-        lo, hi = (a, v) if b is None else (v, b)
-        if np.any(hi <= lo):
-            raise DomainError(f"a ray needs a < b, got a = {lo}, b = {hi}")
-        return _t_feet(data, lo, hi)
+    def ray(b):
+        if np.any(b <= a):
+            raise DomainError(f"a ray needs a < b, got a = {a}, b = {b}")
+        return _t_feet(data, a, b)
 
     return ray
 
@@ -696,21 +702,50 @@ def find_seed(data: PiecewiseInitialData, t_star):
     constant-state arc, which is trivial and usually a
     characteristic-crossing ghost rather than the branch carrying the wave
     structure.  Each row is evaluated by one t_ray call.
+
+    Only rows that can cross t* are scanned.  With a fixed and b in one
+    piece, r1 and r2 are fixed and F, G are affine in b, so t is affine in b
+    up to the rounding of each evaluation.  Each term of t's numerator is at
+    most its factor times b - a and is rounded a few times, so that
+    rounding stays below 10 eps K with
+    K = (b - a) (2 + |r1 + r2| max|f| + 2 |r1 r2| max|g|) / |r1 - r2|^3.
+    A sample pair can then bracket or hit t* only if the row's end values
+    come within 20 eps K of it.  One batched call evaluates the ends of
+    every row, and a row is scanned only if its ends straddle t* within
+    the slack 64 eps K, K at the row's end, where b - a is largest.  A row
+    whose start does not lie below its end (a within _EDGE of a breakpoint)
+    is always scanned.  Once a same-piece root is kept as the fallback,
+    same-piece rows are skipped: only a cross-piece root can still change
+    the result (and a skipped row's bracketed_newton cannot raise).
     """
     lo, hi = data.domain
-    edges = [lo, *data.breakpoints, hi]
-    eps = _EDGE * (hi - lo)
+    edges = data._edges()
+    av = np.linspace(lo, hi, _SCAN_RESOLUTION)
+    tab = data._table
+    ia = tab.breakpoints.searchsorted(av, side="right")[:, None]  # a's piece, per row of a
+    piece = np.arange(edges.size - 1)
+    start = np.maximum(edges[:-1], av[:, None]) + _EDGE * (hi - lo)  # [row of a, piece]
+    end = np.broadcast_to(edges[1:], start.shape)
+    r1, r2 = tab.r1[piece], tab.r2[ia, piece]
+    K = (end - av[:, None]) * (2.0 + np.abs(r1 + r2) * np.abs(tab.f).max()
+                               + 2.0 * np.abs(r1 * r2) * np.abs(tab.g).max())
+    K /= np.abs(r1 - r2) ** 3
+    slack = 64.0 * np.finfo(float).eps * K
+    ends = _t_feet(data, av[:, None], np.stack((start, end))) - t_star
+    spans = start < end
+    crosses = ((np.minimum(*ends) <= slack) & (np.maximum(*ends) >= -slack)) | ~spans
+    crosses &= end > av[:, None]
+    same = spans & (piece == ia)
     fallback = None
-    for av in np.linspace(lo, hi, _SCAN_RESOLUTION):
-        rows = [
-            np.linspace(max(e0, av) + eps, e1, _SCAN_RESOLUTION)
-            for e0, e1 in zip(edges, edges[1:]) if e1 > av
-        ]
-        for bv in _level_crossings(t_ray(data, a=av), rows, t_star):
-            if data.piece_of(av, side="right") != data.piece_of(bv, side="left"):
-                return av, bv
+    for i in np.flatnonzero(crosses.any(axis=1)):
+        keep = crosses[i] if fallback is None else crosses[i] & ~same[i]
+        rows = [np.linspace(start[i, k], end[i, k], _SCAN_RESOLUTION)
+                for k in np.flatnonzero(keep)]
+        for bv in _level_crossings(t_ray(data, a=av[i]), rows, t_star):
+            if ia[i, 0] != data.piece_of(bv, side="left"):
+                return av[i], bv
             if fallback is None:
-                fallback = (av, bv)
+                fallback = (av[i], bv)
     if fallback is None:
         raise NoRootInInterval(f"no seed found for t = {t_star} in the data domain")
     return fallback

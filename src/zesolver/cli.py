@@ -59,6 +59,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import functools
 import itertools
 import json
 import sys
@@ -150,9 +151,9 @@ def _time_tag(t):
 
 
 def write_rows(rows, path):
+    """Write the lines rows, each ended by a newline, in one call."""
     with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(row + "\n")
+        fh.write("\n".join(rows) + "\n")
 
 
 def _profile_svg(profile, boundaries, path, title):
@@ -308,6 +309,7 @@ def cmd_general(cfg: ScenarioConfig, out_dir: Path, times) -> int:
     return 0
 
 
+@functools.cache  # built once per process: parse_args leaves the parser unchanged
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="zesolver",

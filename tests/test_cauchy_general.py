@@ -16,6 +16,7 @@ from zesolver.cauchy_general import (
     _level_crossings,
     _parts,
     _position,
+    _t_feet,
     find_seed,
     general_profile,
     march_isochrone,
@@ -367,12 +368,13 @@ def test_t_ray_a_fixed_is_bitwise_t_ab(data):
 
 @pytest.mark.parametrize("data", RAY_DATA)
 def test_t_ray_b_fixed_is_bitwise_t_ab(data):
+    # The ray with b fixed, t(v, b), evaluated by the table formula itself.
     edges = data._edges()
     lo, hi = data.domain
     for b in _feet(data):
         if b <= lo:
             continue
-        ray = t_ray(data, b=b)
+        ray = partial(_t_feet, data, b=b)
         for e0, e1 in zip(edges, edges[1:]):
             if e0 >= b:
                 continue
@@ -390,21 +392,17 @@ def test_t_ray_coincident_row_is_nan():
         t_ab(COINCIDENT, -1.0, 1.0)
     bb = np.linspace(1e-9, 5.0, 50)
     assert np.all(np.isnan(t_ray(COINCIDENT, a=-1.0)(bb)))
-    assert np.all(np.isnan(t_ray(COINCIDENT, b=1.0)(-bb)))
+    assert np.all(np.isnan(_t_feet(COINCIDENT, -bb, 1.0)))
     # The same ray is finite where the feet share a piece.
     inside = np.linspace(-0.99, -0.01, 20)
     assert np.all(np.isfinite(t_ray(COINCIDENT, a=-1.0)(inside)))
 
 
 def test_t_ray_needs_one_fixed_foot_and_the_far_side(data):
-    with pytest.raises(ValueError):
-        t_ray(data)
-    with pytest.raises(ValueError):
-        t_ray(data, a=0.0, b=1.0)
     with pytest.raises(DomainError):
         t_ray(data, a=0.0)(np.array([0.5, 0.0]))
     with pytest.raises(DomainError):
-        t_ray(data, b=0.0)(0.25)
+        t_ray(data, a=0.0)(-0.25)
 
 
 def _t_mp(data, a, b):
@@ -503,8 +501,8 @@ def test_seed_x_matches_the_seed_ode(data):
 def _recorder(run_fn, log):
     """run_fn, appending (seg_a, seg_b, y0, direction, its output) to log."""
 
-    def run(data, seg_a, seg_b, y0, direction, *args):
-        out = run_fn(data, seg_a, seg_b, y0, direction, *args)
+    def run(seg_a, seg_b, y0, direction, *args):
+        out = run_fn(seg_a, seg_b, y0, direction, *args)
         log.append((seg_a, seg_b, y0, direction, out))
         return out
 
@@ -526,12 +524,14 @@ def _level_rhs(seg_a, seg_b, anchor, direction, with_x=False):
     return rhs
 
 
-def _ode_run(data, seg_a, seg_b, y0, direction, t_star, x_window, arc_budget, log=None):
+def _ode_run(seg_a, seg_b, y0, direction, t_star, x_window, arc_budget, start, *, data,
+             log=None):
     """A march run by RK45 on the level-line system, as the march ran
     before its runs had a closed form: samples uniform in arclength,
     terminal events at the segments' ends, on leaving x_window and where
     t_sa t_sb changes sign, and a run end snapped onto its joint.  Appends
-    (dense solution, its end) to log."""
+    (dense solution, its end) to log.  It takes _march_run's arguments and
+    ignores start: the run's anchor is rebuilt from data."""
     anchor = _anchor(data, seg_a, seg_b, y0[0], y0[1])
     rhs = _level_rhs(seg_a, seg_b, anchor, direction)
     d0 = rhs(0.0, y0)
@@ -610,7 +610,7 @@ def test_march_matches_the_level_line_ode(case, t_star, window, kinds, request, 
     marches = {}
     for name, run_fn in (("closed", cauchy_general._march_run), ("ode", _ode_run)):
         runs, sols = [], []
-        fn = run_fn if name == "closed" else partial(run_fn, log=sols)
+        fn = run_fn if name == "closed" else partial(run_fn, data=data, log=sols)
         monkeypatch.setattr(cauchy_general, "_march_run", _recorder(fn, runs))
         marches[name] = (march_isochrone(data, seed, window), runs, sols)
     (res, runs, _), (ref, ref_runs, sols) = marches["closed"], marches["ode"]
@@ -699,7 +699,7 @@ def test_dependence_cut_keeps_t_inside_it():
     assert data.domain[0] < cut.domain[0] < -2.0 and 6.0 < cut.domain[1] < 30.0
     assert cut.breakpoints == (-1.0, 1.0) and cut.r1_values == (5.0, 2.0, 5.0)
     a = np.linspace(cut.domain[0], 0.5, 7)
-    _assert_bitwise(t_ray(cut, b=cut.domain[1])(a), t_ray(data, b=cut.domain[1])(a))
+    _assert_bitwise(_t_feet(cut, a, cut.domain[1]), _t_feet(data, a, cut.domain[1]))
     with pytest.raises(DomainError):
         _dependence(data, 0.03, (100.0, 200.0))
 
@@ -820,14 +820,47 @@ def _seed_or_error(fn, *args, **kw):
         return "NoRootInInterval"
 
 
-@pytest.mark.parametrize("data, t_int", LAW + [(COINCIDENT, 0.01)])
+def _benchmark_shaped(mu1, mu2, q1, q2, x1, x2):
+    """Two-plateau data whose domain reaches 2 plateau widths left of x1 and
+    10 right of x2, as in the general_march benchmark, with its time T_int."""
+    w = x2 - x1
+    data = PiecewiseInitialData((x1, x2), (mu1, q1, mu1), (mu2, q2, mu2),
+                                (x1 - 2.0 * w, x2 + 10.0 * w))
+    return data, w / (q1 * q2 * (q2 - q1))
+
+
+SEED_CASES = LAW + [(COINCIDENT, 0.01)] + [
+    _benchmark_shaped(5.0, 8.0, 2.0, 10.0, -1.0, 1.0),
+    _benchmark_shaped(2.37, 4.91, 1.12, 9.8, -1.3, 0.45),
+    _benchmark_shaped(4.2, 4.6, 3.9, 13.1, 0.2, 2.9),
+    # Relative gaps about 1e-3 between q1 < mu1 < mu2 < q2: t's numerator
+    # cancels to a few digits, the rounding the scan's prefilter must allow.
+    _benchmark_shaped(2.0, 2.002, 1.998, 2.004, -1.0, 1.0),
+]
+
+
+def _seed_as_reference(data, t_star):
+    got = _seed_or_error(find_seed, data, t_star)
+    ref = _seed_or_error(_reference_find_seed, data, t_star, resolution=32)
+    assert got == ref
+    assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+    return got
+
+
+@pytest.mark.parametrize("data, t_int", SEED_CASES)
 def test_find_seed_matches_scalar_reference(data, t_int, monkeypatch):
     monkeypatch.setattr(cauchy_general, "_SCAN_RESOLUTION", 32)
     for t_star in (1.4 * t_int, 100.0 * t_int):
-        got = _seed_or_error(find_seed, data, t_star)
-        ref = _seed_or_error(_reference_find_seed, data, t_star, resolution=32)
-        assert got == ref
-        assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+        _seed_as_reference(data, t_star)
+    # t* equal to a sample of the first row of a, on the piece right of the
+    # first breakpoint: t is affine in b there, so the scan hits that sample
+    # exactly and it is the first cross-piece root.
+    edges = data._edges()
+    lo, hi = data.domain
+    b_hit = np.linspace(edges[1] + cauchy_general._EDGE * (hi - lo), edges[2], 32)[9]
+    t_hit = _scalar_t(data, lo, b_hit)
+    if not np.isnan(t_hit):  # COINCIDENT has no such row
+        assert _seed_as_reference(data, t_hit) == (lo, b_hit)
 
 
 def test_find_seed_matches_scalar_reference_at_full_resolution(data):

@@ -1,10 +1,12 @@
+import itertools
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from zesolver.cli import main
+from zesolver.cli import main, write_rows
+from zesolver.isochrone import PROFILE_HEADER, csv_rows
 
 GOOD_CONFIG = """\
 [mixture]
@@ -321,3 +323,30 @@ def test_invalid_grid_exits_2(config, tmp_path, capsys, flags):
     assert code == 2
     assert "[fv]" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_main_calls_do_not_share_flags(tmp_path):
+    # The parser is built once per process: the flags of one call must not
+    # reach the next, which reads samples and cells from its config.
+    path = tmp_path / "small.ini"
+    path.write_text(GOOD_CONFIG.replace("samples = 400", "samples = 64")
+                    .replace("cells = 300, 600", "cells = 40"))
+    flags = ["--times", "0.005", "--samples", "32", "--cells", "20"]
+    for command in ("profile", "compare"):
+        first, second = tmp_path / f"{command}1", tmp_path / f"{command}2"
+        assert main([command, "--config", str(path), "--out", str(first), *flags]) == 0
+        assert main([command, "--config", str(path), "--out", str(second),
+                     "--times", "0.005"]) == 0
+    profile = (tmp_path / "profile2" / "profile_t0.005000.csv").read_text().splitlines()
+    assert len(profile) == 1 + 64
+    runs = json.loads((tmp_path / "compare2" / "errors.json").read_text())["0.005000"]
+    assert [run["cells"] for run in runs] == [40]
+
+
+def test_write_rows_writes_the_joined_rows(tmp_path):
+    x = np.linspace(-1.0, 1.0, 7)
+    columns = (x, x * x, 1.0 / 3.0 + x, np.full(7, np.nan), -x)
+    rows = list(csv_rows(PROFILE_HEADER, columns, itertools.repeat("z")))
+    path = tmp_path / "rows.csv"
+    write_rows(csv_rows(PROFILE_HEADER, columns, itertools.repeat("z")), path)
+    assert path.read_bytes() == "".join(row + "\n" for row in rows).encode()
