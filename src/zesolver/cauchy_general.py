@@ -245,7 +245,9 @@ class PiecewiseInitialData:
             return -self.G(xb, xa)
         return float(self._integrals(xa, xb)[3])
 
+    @cached_property
     def graphs(self):
+        """The graphs of R2_0 (foot a) and R1_0 (foot b), shared: nothing mutates a _Graph."""
         f_vals, g_vals = self._table.f.tolist(), self._table.g.tolist()
         ga = _Graph(self.breakpoints, self.r2_values, self.domain, f_vals, g_vals)
         gb = _Graph(self.breakpoints, self.r1_values, self.domain, f_vals, g_vals)
@@ -378,7 +380,7 @@ def seed_point(data: PiecewiseInitialData, a_star: float, b_star: float):
     """The (a, b)-plane point at feet (a*, b*): t* = t_ab(a*, b*) and X* by
     _position.  As in t_ab, r1 = R1_0(b*-) and r2 = R2_0(a*+)."""
     t_star = t_ab(data, a_star, b_star)  # DomainError for b* < a*
-    ga, gb = data.graphs()
+    ga, gb = data.graphs
     s_a = ga.s_of_x(a_star, side="right")
     s_b = gb.s_of_x(b_star)
     seg_a = ga.segments[ga.locate(s_a)]
@@ -422,7 +424,7 @@ def march_isochrone(
     there.  A seed outside x_window marches into it; a march with no sample
     inside x_window raises DomainError.
     """
-    ga, gb = data.graphs()
+    ga, gb = data.graphs
     t_star = seed.t_star
     chunks = []
     status = {}

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import wavefield
 from .errors import (
     DomainError,
     DomainMismatch,
@@ -330,24 +329,20 @@ class ScenarioSolver:
         return self._merge_segments(t_star, segments)
 
     def _zone_segment(self, zone, xl, xr, t_star, n_k, roots) -> Segment:
-        p = self.params
-        desc = wavefield.zone_descriptor(p, zone)
-        degenerate = (xr - xl) < DEGENERATE_WIDTH * max(1.0, abs(xl))
-        if desc.content in ("plateau", "fan1", "fan2"):
-            # A fan zone leaves its self-similar invariant unset (None).
-            xs = np.array([xl]) if degenerate else np.linspace(xl, xr, n_k)
-            R1 = (wavefield.fan_R1(p, xs, t_star) if desc.R1 is None
-                  else np.full_like(xs, desc.R1))
-            R2 = (wavefield.fan_R2(p, xs, t_star) if desc.R2 is None
-                  else np.full_like(xs, desc.R2))
-            return Segment(zone, xs, R1, R2)
-        if desc.content == "goursat":
+        s1, s2 = self.timeline.sides.values()
+        if zone == "Z5":
             return self.z5_profile(t_star, n_k, roots)
-        if desc.content == "transport1":
+        if zone == s1.zone:
             return self.z9_profile(t_star, n_k, roots)
-        if desc.content == "transport2":
+        if zone == s2.zone:
             return self.z10_profile(t_star, n_k, roots)
-        raise PhaseGap(f"no sampler for zone {zone}")
+        # A plateau, or a fan zone: R1 unset in side 2's fan, R2 in side 1's.
+        R1, R2 = self.timeline.plateaus[zone]
+        degenerate = (xr - xl) < DEGENERATE_WIDTH * max(1.0, abs(xl))
+        xs = np.array([xl]) if degenerate else np.linspace(xl, xr, n_k)
+        R1 = s2.fan(xs, t_star) if R1 is None else np.full_like(xs, R1)
+        R2 = s1.fan(xs, t_star) if R2 is None else np.full_like(xs, R2)
+        return Segment(zone, xs, R1, R2)
 
     def _merge_segments(self, t_star, segments) -> Profile:
         for a, b in zip(segments, segments[1:]):

@@ -4,7 +4,8 @@ The two-point initial discontinuity breaks up into shocks and rarefaction
 fans whose boundaries are straight lines; every later interaction (fan-fan,
 fan death, shock-fan, final separation) happens at a closed-form event
 (T_int, T_3, T_6, T_9, T_10, T_fin).  This module builds the boundary
-curves, the event list, and the zone layout at any time.  The two curved
+curves, the event list, and the zone layout at any time; the two mirrored
+halves share one code path, each described by a Side.  The two curved
 shocks created after T_9 / T_10 are closed forms too: the time beta(rho) at
 which a shock carries the invariant rho solves an ODE linear in beta, whose
 solution is rational in rho (see _shock_curve).
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, DomainExit, NoRootInInterval, UnexpectedOrdering
 from .hodograph import ImplicitSolution, interaction_time
-from .invariants import MixtureParams, validate_params
+from .invariants import MixtureParams, lambda_k, validate_params
 
 #: rho samples used to tabulate the parametric boundaries (monotonicity check).
 PARAM_TABLE_SIZE = 512
@@ -88,6 +89,12 @@ class Side:
     from T_9 whose invariant runs from q1 towards mu1.  Side 2 mirrors it:
     Z10, R1 = mu1, rho in [mu2, q2], theta (theta_early before T_6), Theta
     from T_10, q2 towards mu2.
+
+    The side's jump at origin (x1, x2) breaks up into a straight shock of
+    speed shock_speed (xs1, xs2) and a fan of R_{3-k} (fan zone Z3, Z6)
+    between the outer front (xl2, xr1) and the inner front (xr2, xl1); the
+    plateau zone (Z2, Z7) with state pair(start) lies between the shock
+    and the fan.
     """
 
     k: int
@@ -102,6 +109,12 @@ class Side:
     shock_event: str
     shock: str
     zone: str
+    origin: float
+    shock_speed: float
+    fan_zone: str
+    plateau_zone: str
+    outer_front: str
+    inner_front: str
 
     def pair(self, rho):
         """The hodograph point (R1, R2) with R_k = rho; rho may be an array."""
@@ -112,16 +125,22 @@ class Side:
         """Slot of rho in (R1, R2), and so of d/drho in t_partials."""
         return self.k - 1
 
+    def fan(self, x, t):
+        """R_{3-k} in the side's fan, sqrt((x - origin) / (start t)); x may be an array."""
+        return np.sqrt((x - self.origin) / (self.start * t))
+
 
 def mirrored_sides(p: MixtureParams) -> dict:
     """The two Side descriptors of an instance, keyed by k."""
     return {
         1: Side(k=1, fixed=p.mu2, lo=p.q1, hi=p.mu1, start=p.q1, far=p.mu1,
                 curve="phi", early="phi_early", death="T_3", shock_event="T_9",
-                shock="Phi", zone="Z9"),
+                shock="Phi", zone="Z9", origin=p.x1, shock_speed=p.q1 * p.mu1 * p.mu2,
+                fan_zone="Z3", plateau_zone="Z2", outer_front="xl2", inner_front="xr2"),
         2: Side(k=2, fixed=p.mu1, lo=p.mu2, hi=p.q2, start=p.q2, far=p.mu2,
                 curve="theta", early="theta_early", death="T_6", shock_event="T_10",
-                shock="Theta", zone="Z10"),
+                shock="Theta", zone="Z10", origin=p.x2, shock_speed=p.mu1 * p.mu2 * p.q2,
+                fan_zone="Z6", plateau_zone="Z7", outer_front="xr1", inner_front="xl1"),
     }
 
 
@@ -136,160 +155,76 @@ class Event:
     consequence: str
 
 
-@dataclass(frozen=True)
-class Zone:
-    """Descriptor of one zone's invariant content.
-
-    content is one of "plateau", "fan1" (R1 self-similar, R2 constant),
-    "fan2", "goursat" (both vary, zone Z5), "transport1" (R1 varies along
-    1-characteristics, R2 constant; zone Z9) or "transport2" (Z10 mirror).
-    """
-
-    id: str
-    content: str
-    R1: Optional[float] = None
-    R2: Optional[float] = None
-
-
-def fan_R1(p: MixtureParams, x, t):
-    """Self-similar invariant in the 1-rarefaction fan: sqrt(z1/q2), z1=(x-x2)/t."""
-    return np.sqrt((x - p.x2) / (p.q2 * t))
-
-
-def fan_R2(p: MixtureParams, x, t):
-    """Self-similar invariant in the 2-rarefaction fan: sqrt(z2/q1), z2=(x-x1)/t."""
-    return np.sqrt((x - p.x1) / (p.q1 * t))
-
-
-def _line(x0, speed):
-    return lambda t: x0 + speed * t
+def _ray(x0, speed, t0=0.0):
+    return lambda t: x0 + speed * (t - t0)
 
 
 def _const_state(R1, R2):
     return lambda t: (R1, R2)
 
 
-def initial_breakup(p: MixtureParams) -> dict:
-    """Curves created at t = +0 by the independent breakup of both jumps.
+def _ordered(side, outer, inner):
+    """(left, right) of a pair given outermost first: side 1 lies left of Z5."""
+    return (outer, inner) if side.k == 1 else (inner, outer)
 
-    Returns the six boundary curves keyed by id: the 1-shock xs1 and
-    2-shock xs2, and the four rarefaction fronts xl1, xr1, xl2, xr2.
-    Fronts move at the characteristic speed of the state they border;
-    shock speeds are D1 = q1*mu1*mu2 and D2 = mu1*mu2*q2.
+
+def _side_timeline(p: MixtureParams, side: Side, T_int, X_int):
+    """The fan death and shock events of one side, and its straight curves.
+
+    Returns (death, shock event, curves by id).  From t = +0 the shock xs_k
+    and the fan's outer and inner fronts leave origin; each front moves at
+    the (3-k)-speed of the plateau it borders.  The early Z5 boundary
+    (phi_early, theta_early) is a k-characteristic through the fan from the
+    interaction point:
+
+        sqrt(x - origin) = start^(3/2) (sqrt(t) - sqrt(T_int)) + sqrt(X_int - origin).
+
+    It meets the outer front at the fan's death, T_death = T_int (q2 - q1)^2
+    / (start - fixed)^2, and from there the weak line xw_k carries start at
+    its k-speed until the shock catches it at T_death (fixed - start) /
+    (far - start).
     """
-    validate_params(p)
-    T_int = interaction_time(p)
-
-    def fan2_state(t, x_of_t):
-        return (p.q1, float(fan_R2(p, x_of_t(t), t)))
-
-    def fan1_state(t, x_of_t):
-        return (float(fan_R1(p, x_of_t(t), t)), p.q2)
-
-    xl2 = _line(p.x1, p.q1 * p.mu2 * p.mu2)
-    xr2 = _line(p.x1, p.q1 * p.q2 * p.q2)
-    xl1 = _line(p.x2, p.q1 * p.q1 * p.q2)
-    xr1 = _line(p.x2, p.mu1 * p.mu1 * p.q2)
-
-    curves = {
-        "xs1": BoundaryCurve(
-            "xs1", "shock", 0.0, _t9(p),
-            _line(p.x1, p.q1 * p.mu1 * p.mu2),
-            _const_state(p.mu1, p.mu2), _const_state(p.q1, p.mu2),
-        ),
-        "xs2": BoundaryCurve(
-            "xs2", "shock", 0.0, _t10(p),
-            _line(p.x2, p.mu1 * p.mu2 * p.q2),
-            _const_state(p.mu1, p.q2), _const_state(p.mu1, p.mu2),
-        ),
-        "xl2": BoundaryCurve(
-            "xl2", "weak-2", 0.0, _t3(p), xl2,
-            _const_state(p.q1, p.mu2), _const_state(p.q1, p.mu2),
-        ),
-        "xr2": BoundaryCurve(
-            "xr2", "weak-2", 0.0, T_int, xr2,
-            lambda t: fan2_state(t, xr2), _const_state(p.q1, p.q2),
-        ),
-        "xl1": BoundaryCurve(
-            "xl1", "weak-1", 0.0, T_int, xl1,
-            _const_state(p.q1, p.q2), lambda t: fan1_state(t, xl1),
-        ),
-        "xr1": BoundaryCurve(
-            "xr1", "weak-1", 0.0, _t6(p), xr1,
-            _const_state(p.mu1, p.q2), _const_state(p.mu1, p.q2),
-        ),
-    }
-    return curves
-
-
-def _t3(p):
-    return interaction_time(p) * (p.q2 - p.q1) ** 2 / (p.q1 - p.mu2) ** 2
-
-
-def _t6(p):
-    return interaction_time(p) * (p.q2 - p.q1) ** 2 / (p.q2 - p.mu1) ** 2
-
-
-def _t9(p):
-    return _t3(p) * (p.mu2 - p.q1) / (p.mu1 - p.q1)
-
-
-def _t10(p):
-    return _t6(p) * (p.mu1 - p.q2) / (p.mu2 - p.q2)
-
-
-def interaction_point(p: MixtureParams) -> Event:
-    """Meeting of the two inner rarefaction fronts xr2 and xl1."""
-    validate_params(p)
-    T = interaction_time(p)
-    X = (p.x1 * p.q1 - p.x2 * p.q2) / (p.q1 - p.q2)
-    return Event("T_int", T, X, ("xr2", "xl1"), "Z4 dies; Z5 born")
-
-
-def weak_curves_pre(p: MixtureParams):
-    """Weak-discontinuity boundaries of Z5 right after the fan interaction.
-
-    phi(t) (left, a 1-characteristic through the fan of R2) satisfies
-
-        sqrt(phi - x1) = q1^(3/2) (sqrt(t) - sqrt(T_int)) + sqrt(X_int - x1)
-
-    and theta(t) mirrors it with (q2, x2).  Valid until T_3 resp. T_6.
-    """
-    validate_params(p)
-    ev = interaction_point(p)
-    T_int, X_int = ev.T, ev.X
-
-    def make(label, kind, q, x0, t_end, fan_state):
-        root0 = math.sqrt(X_int - x0)
-
-        def x_of_t(t):
-            if t < T_int * (1.0 - EARLY_RTOL):
-                raise DomainError(f"{label} undefined before the interaction time")
-            r = q ** 1.5 * (math.sqrt(t) - math.sqrt(T_int)) + root0
-            return x0 + r * r
-
-        state = lambda t: fan_state(x_of_t(t), t)
-        return BoundaryCurve(label, kind, T_int, t_end, x_of_t, state, state)
-
-    return (
-        make("phi_early", "weak-1", p.q1, p.x1, _t3(p),
-             lambda x, t: (p.q1, float(fan_R2(p, x, t)))),
-        make("theta_early", "weak-2", p.q2, p.x2, _t6(p),
-             lambda x, t: (float(fan_R1(p, x, t)), p.q2)),
+    k, inside = side.k, side.pair(side.start)
+    T_death = T_int * (p.q2 - p.q1) ** 2 / (side.start - side.fixed) ** 2
+    T_shock = T_death * (side.fixed - side.start) / (side.far - side.start)
+    outer_speed = lambda_k(3 - k, *inside)
+    X_death = side.origin + outer_speed * T_death
+    death = Event(side.death, T_death, X_death, (side.early, side.outer_front),
+                  f"{side.fan_zone} dies; {side.zone} born")
+    joined = "/".join(_ordered(side, ("Z1", "Z8")[side.index], side.zone))
+    shock = Event(
+        side.shock_event, T_shock, side.origin + side.start * p.mu1 * p.mu2 * T_shock,
+        (f"xw{k}", f"xs{k}"),
+        f"{side.plateau_zone} dies; {joined} boundary becomes shock {side.shock}",
     )
 
+    def fan_state(x, t):
+        return _ordered(side, side.start, float(side.fan(x, t)))
 
-def zone_death_events(p: MixtureParams):
-    """Deaths of the outer fan zones Z3 (phi meets xl2) and Z6 (theta meets xr1)."""
-    validate_params(p)
-    T3 = _t3(p)
-    T6 = _t6(p)
-    X3 = p.x1 + p.q1 * p.mu2 * p.mu2 * T3
-    X6 = p.x2 + p.mu1 * p.mu1 * p.q2 * T6
-    return (
-        Event("T_3", T3, X3, ("phi_early", "xl2"), "Z3 dies; Z9 born"),
-        Event("T_6", T6, X6, ("theta_early", "xr1"), "Z6 dies; Z10 born"),
+    root0 = math.sqrt(X_int - side.origin)
+
+    def early(t):
+        if t < T_int * (1.0 - EARLY_RTOL):
+            raise DomainError(f"{side.early} undefined before the interaction time")
+        r = side.start ** 1.5 * (math.sqrt(t) - math.sqrt(T_int)) + root0
+        return side.origin + r * r
+
+    inner = _ray(side.origin, lambda_k(3 - k, p.q1, p.q2))
+    on_early = lambda t: fan_state(early(t), t)
+    plateau = _const_state(*inside)
+    curves = (
+        BoundaryCurve(f"xs{k}", "shock", 0.0, T_shock, _ray(side.origin, side.shock_speed),
+                      *_ordered(side, _const_state(p.mu1, p.mu2), plateau)),
+        BoundaryCurve(side.outer_front, f"weak-{3 - k}", 0.0, T_death,
+                      _ray(side.origin, outer_speed), plateau, plateau),
+        BoundaryCurve(side.inner_front, f"weak-{3 - k}", 0.0, T_int, inner,
+                      *_ordered(side, lambda t: fan_state(inner(t), t),
+                                _const_state(p.q1, p.q2))),
+        BoundaryCurve(side.early, f"weak-{k}", T_int, T_death, early, on_early, on_early),
+        BoundaryCurve(f"xw{k}", f"weak-{k}", T_death, T_shock,
+                      _ray(X_death, lambda_k(k, *inside), T_death), plateau, plateau),
     )
+    return death, shock, {c.id: c for c in curves}
 
 
 def bracketed_newton(fn, a, b, fa, fb):
@@ -450,106 +385,9 @@ def _shock_curve(sol: ImplicitSolution, side: Side, event: Event):
     plateau = _const_state(p.mu1, p.mu2)
     return BoundaryCurve(
         side.shock, "shock", event.T, math.inf, lambda t: position(rho_of_t(t), t),
-        *((plateau, behind) if side.k == 1 else (behind, plateau)),
+        *_ordered(side, plateau, behind),
         rho_of_t=rho_of_t, position=position, param_point=param_point,
     )
-
-
-def post_interaction_curves(p: MixtureParams, sol: ImplicitSolution) -> dict:
-    """Boundaries of the transport zones Z9 and Z10.
-
-    x_w1 is the 1-characteristic carrying the plateau value q1 out of the
-    Z3 death point; the new phi is the 2-characteristic boundary given
-    parametrically by (x(rho, mu2), t(rho, mu2)).  Mirrored for x_w2/theta.
-    """
-    E3, E6 = zone_death_events(p)
-    T_fin = sol.t(p.mu1, p.mu2)
-    curves = {
-        "xw1": BoundaryCurve(
-            "xw1", "weak-1", E3.T, _t9(p),
-            lambda t: E3.X + p.q1 * p.q1 * p.mu2 * (t - E3.T),
-            _const_state(p.q1, p.mu2), _const_state(p.q1, p.mu2),
-        ),
-        "xw2": BoundaryCurve(
-            "xw2", "weak-2", E6.T, _t10(p),
-            lambda t: E6.X + p.mu1 * p.q2 * p.q2 * (t - E6.T),
-            _const_state(p.mu1, p.q2), _const_state(p.mu1, p.q2),
-        ),
-    }
-    for side, death in zip(mirrored_sides(p).values(), (E3, E6)):
-        curves[side.curve] = _parametric_curve(sol, side, death.T, T_fin)
-    return curves
-
-
-def shock_weak_events(p: MixtureParams):
-    """Shock x_s1 catches the weak line x_w1 (and mirrored x_s2 / x_w2)."""
-    validate_params(p)
-    T9 = _t9(p)
-    T10 = _t10(p)
-    X9 = p.x1 + p.q1 * p.mu1 * p.mu2 * T9
-    X10 = p.x2 + p.q2 * p.mu1 * p.mu2 * T10
-    return (
-        Event("T_9", T9, X9, ("xw1", "xs1"), "Z2 dies; Z1/Z9 boundary becomes shock Phi"),
-        Event("T_10", T10, X10, ("xw2", "xs2"), "Z7 dies; Z10/Z8 boundary becomes shock Theta"),
-    )
-
-
-def final_event(p: MixtureParams, sol: ImplicitSolution):
-    """Separation point where phi and theta merge; the empty zone Z11 opens.
-
-    T_fin = t(mu1, mu2) = T_int * V(q1, q2 | mu1, mu2); the Z11 boundaries
-    leave (X_fin, T_fin) at the pure-component characteristic speeds.
-    """
-    validate_params(p)
-    T_fin = sol.t(p.mu1, p.mu2)
-    X_fin = sol.x(p.mu1, p.mu2)
-    ev = Event("T_fin", T_fin, X_fin, ("phi", "theta"), "Z5 dies; Z11 born")
-    xf1 = BoundaryCurve(
-        "xf1", "weak-1", T_fin, math.inf,
-        lambda t: X_fin + p.mu1 * p.mu1 * p.mu2 * (t - T_fin),
-        _const_state(p.mu1, p.mu2), _const_state(p.mu1, p.mu2),
-    )
-    xf2 = BoundaryCurve(
-        "xf2", "weak-2", T_fin, math.inf,
-        lambda t: X_fin + p.mu2 * p.mu1 * p.mu2 * (t - T_fin),
-        _const_state(p.mu1, p.mu2), _const_state(p.mu1, p.mu2),
-    )
-    return ev, xf1, xf2
-
-
-ZONES = {
-    "Z1": Zone("Z1", "plateau"),
-    "Z2": Zone("Z2", "plateau"),
-    "Z3": Zone("Z3", "fan2"),
-    "Z4": Zone("Z4", "plateau"),
-    "Z5": Zone("Z5", "goursat"),
-    "Z6": Zone("Z6", "fan1"),
-    "Z7": Zone("Z7", "plateau"),
-    "Z8": Zone("Z8", "plateau"),
-    "Z9": Zone("Z9", "transport1"),
-    "Z10": Zone("Z10", "transport2"),
-    "Z11": Zone("Z11", "plateau"),
-}
-
-
-def zone_descriptor(p: MixtureParams, zone_id: str) -> Zone:
-    """Zone content with plateau values filled in for this instance."""
-    plateaus = {
-        "Z1": (p.mu1, p.mu2),
-        "Z2": (p.q1, p.mu2),
-        "Z3": (p.q1, None),
-        "Z4": (p.q1, p.q2),
-        "Z5": (None, None),
-        "Z6": (None, p.q2),
-        "Z7": (p.mu1, p.q2),
-        "Z8": (p.mu1, p.mu2),
-        "Z9": (None, p.mu2),
-        "Z10": (p.mu1, None),
-        "Z11": (p.mu1, p.mu2),
-    }
-    base = ZONES[zone_id]
-    R1, R2 = plateaus[zone_id]
-    return Zone(zone_id, base.content, R1, R2)
 
 
 @dataclass(frozen=True)
@@ -566,34 +404,54 @@ class ZoneInterval:
 
 
 class Timeline:
-    """Ordered events, boundary curves, and zone lifetimes for one instance."""
+    """Ordered events, boundary curves, and zone lifetimes for one instance.
+
+    plateaus maps each plateau and fan zone to its (R1, R2); a fan's
+    self-similar invariant is None (the side's Side.fan).
+    """
 
     def __init__(self, params: MixtureParams):
-        self.params = validate_params(params)
-        self.hodograph = ImplicitSolution(params)
+        p = self.params = validate_params(params)
+        sol = self.hodograph = ImplicitSolution(params)
         self.sides = mirrored_sides(params)
+        s1, s2 = self.sides.values()
 
-        ev_int = interaction_point(params)
-        ev3, ev6 = zone_death_events(params)
-        ev9, ev10 = shock_weak_events(params)
-        ev_fin, xf1, xf2 = final_event(params, self.hodograph)
+        T_int = interaction_time(p)
+        X_int = (p.x1 * p.q1 - p.x2 * p.q2) / (p.q1 - p.q2)
+        ev_int = Event("T_int", T_int, X_int, (s1.inner_front, s2.inner_front),
+                       "Z4 dies; Z5 born")
+        T_fin, X_fin = sol.t(p.mu1, p.mu2), sol.x(p.mu1, p.mu2)
+        ev_fin = Event("T_fin", T_fin, X_fin, (s1.curve, s2.curve), "Z5 dies; Z11 born")
+        pure = (p.mu1, p.mu2)
+        self.plateaus = {"Z1": pure, "Z4": (p.q1, p.q2), "Z8": pure, "Z11": pure}
+        self.curves = {}
+        deaths, shocks = [], []
+        for side in self.sides.values():
+            death, shock, curves = _side_timeline(p, side, T_int, X_int)
+            deaths.append(death)
+            shocks.append(shock)
+            self.curves.update(curves)
+            self.plateaus[side.plateau_zone] = side.pair(side.start)
+            self.plateaus[side.fan_zone] = _ordered(side, side.start, None)
 
-        self._check_partial_order(ev_int, ev3, ev6, ev9, ev10, ev_fin)
-
-        self.events = sorted(
-            [ev_int, ev3, ev6, ev9, ev10, ev_fin], key=lambda e: e.T
-        )
+        self._check_partial_order(ev_int, *deaths, *shocks, ev_fin)
+        self.events = sorted([ev_int, *deaths, *shocks, ev_fin], key=lambda e: e.T)
         self.event_by_label = {e.label: e for e in self.events}
 
-        self.curves = initial_breakup(params)
-        phi_e, theta_e = weak_curves_pre(params)
-        self.curves[phi_e.id] = phi_e
-        self.curves[theta_e.id] = theta_e
-        self.curves.update(post_interaction_curves(params, self.hodograph))
-        self.curves["xf1"] = xf1
-        self.curves["xf2"] = xf2
-        for side, ev in zip(self.sides.values(), (ev9, ev10)):
-            self.curves[side.shock] = _shock_curve(self.hodograph, side, ev)
+        # The curves read from the hodograph come after the gate, so that an
+        # instance out of order fails on its order and not on a boundary's
+        # monotonicity check: the parametric Z5 boundaries from the fan
+        # deaths to T_fin, the Z11 boundaries leaving the separation point
+        # at the pure state's speeds, and the curved shocks.
+        separated = _const_state(*pure)
+        for side, death, shock in zip(self.sides.values(), deaths, shocks):
+            k = side.k
+            self.curves[side.curve] = _parametric_curve(sol, side, death.T, T_fin)
+            self.curves[f"xf{k}"] = BoundaryCurve(
+                f"xf{k}", f"weak-{k}", T_fin, math.inf,
+                _ray(X_fin, lambda_k(k, *pure), T_fin), separated, separated,
+            )
+            self.curves[side.shock] = _shock_curve(sol, side, shock)
 
         T = self.times = {e.label: e.T for e in self.events}
         self.zone_lifetimes = {
@@ -612,6 +470,18 @@ class Timeline:
 
     @staticmethod
     def _check_partial_order(ev_int, ev3, ev6, ev9, ev10, ev_fin):
+        """Reject an instance whose events are not in the constructed order.
+
+        The first four hold on the whole validated cone 0 < q1 < mu1 < mu2
+        < q2.  T_3 = T_int (q2 - q1)^2 / (mu2 - q1)^2 and T_6 = T_int
+        (q2 - q1)^2 / (q2 - mu1)^2 exceed T_int because mu2 - q1 and q2 -
+        mu1 are both less than q2 - q1.  T_9 = T_3 (mu2 - q1) / (mu1 - q1)
+        and T_10 = T_6 (q2 - mu1) / (q2 - mu2) exceed T_3 and T_6 because
+        mu1 < mu2.  In floating point they can fail only by rounding, where
+        two of the gaps agree to a few ulps.  T_9 < T_fin and T_10 < T_fin
+        do not follow from the cone; they bound the scenario this
+        construction covers.
+        """
         required = [
             ("T_int < T_3", ev_int.T, ev3.T),
             ("T_int < T_6", ev_int.T, ev6.T),

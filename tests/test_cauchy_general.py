@@ -149,6 +149,15 @@ def test_seed_outside_the_window_marches_into_it(data):
     assert res.status == {1: "fold", -1: "window"}
 
 
+def test_general_profile_builds_the_graphs_once(params, monkeypatch):
+    # The seed and the march share the data's one pair of graphs.
+    built = []
+    graph = cauchy_general._Graph
+    monkeypatch.setattr(cauchy_general, "_Graph", lambda *args: built.append(args) or graph(*args))
+    general_profile(PiecewiseInitialData.from_scenario(params), 0.018, (-2.0, 6.0))
+    assert len(built) == 2
+
+
 def test_find_seed_prefers_cross_piece_brackets(data):
     a, b = find_seed(data, 0.018)
     assert t_ab(data, a, b) == pytest.approx(0.018, rel=1e-12)
@@ -464,7 +473,7 @@ THREE = PiecewiseInitialData((-1.0, 0.0, 1.0), (5.0, 2.0, 3.0, 5.0), (8.0, 10.0,
 def _seed_x_ode(data, a_star, b_star):
     """X(a*, b*) by the seed ODE dY/ds_b = lambda2(r1, r2) t_sb along a = a*
     from Y = a*, restarted on each graph segment of b."""
-    ga, gb = data.graphs()
+    ga, gb = data.graphs
     s_a = ga.s_of_x(a_star, side="right")
     seg_a = ga.segments[ga.locate(s_a)]
     s_b, s_b_end = gb.s_of_x(a_star), gb.s_of_x(b_star)
@@ -918,7 +927,7 @@ def test_march_post_pass_matches_per_sample_loop(data, monkeypatch):
 
 
 def test_march_post_pass_keeps_its_checks(data):
-    ga, gb = data.graphs()
+    ga, gb = data.graphs
     seg_a, seg_b = ga.segments[0], gb.segments[2]  # r2 = 8 left of x1, r1 = 2 inside
     s_a = np.linspace(seg_a.s0 + 1.0, seg_a.s0 + 2.0, 9)
     s_b = np.linspace(seg_b.s0 + 0.2, seg_b.s0 + 0.4, 9)
@@ -928,6 +937,6 @@ def test_march_post_pass_keeps_its_checks(data):
     # The feet move off the level line of their first point.
     with pytest.raises(LevelDrift):
         cauchy_general._sample_run(seg_a, seg_b, ys, t_ab(data, *feet[0]), anchor)
-    fa, fb = COINCIDENT.graphs()
+    fa, fb = COINCIDENT.graphs
     with pytest.raises(CoincidentInvariants):
         cauchy_general._sample_run(fa.segments[0], fb.segments[-1], ys, 0.01, anchor)

@@ -6,25 +6,24 @@ import pytest
 
 from zesolver import MixtureParams, build_timeline, rh_residual
 from zesolver.errors import DomainError, UnexpectedOrdering
-from zesolver.hodograph import ImplicitSolution
+from zesolver.hodograph import interaction_time
 from zesolver.invariants import InvariantPair, lambda_k
 from zesolver.wavefield import (
     ROOT_MAX_ITER,
     ROOT_RTOL,
+    _side_timeline,
     bracketed_newton,
-    final_event,
-    initial_breakup,
-    interaction_point,
-    post_interaction_curves,
-    shock_weak_events,
-    weak_curves_pre,
-    zone_death_events,
-    zone_descriptor,
+    mirrored_sides,
 )
 
 
-def test_initial_breakup_lines(params):
-    curves = initial_breakup(params)
+@pytest.fixture(scope="module")
+def timeline(params):
+    return build_timeline(params)
+
+
+def test_initial_breakup_lines(timeline):
+    curves = timeline.curves
     t = 0.01
     assert curves["xl1"].x(t) == pytest.approx(1 + 40 * t)
     assert curves["xr1"].x(t) == pytest.approx(1 + 250 * t)
@@ -34,43 +33,44 @@ def test_initial_breakup_lines(params):
     assert curves["xs2"].x(t) == pytest.approx(1 + 400 * t)
 
 
-def test_interaction_point(params):
-    ev = interaction_point(params)
+def test_interaction_point(timeline):
+    ev = timeline.event_by_label["T_int"]
     assert ev.T == pytest.approx(0.0125, abs=1e-15)
     assert ev.X == pytest.approx(1.5, abs=1e-14)
     wide = MixtureParams(mu1=5, mu2=8, q1=2, q2=10, x1=-2, x2=2)
-    assert interaction_point(wide).T == pytest.approx(2 * ev.T, rel=1e-14)
+    assert build_timeline(wide).event_by_label["T_int"].T == pytest.approx(2 * ev.T, rel=1e-14)
 
 
-def test_weak_curves_anchor_at_interaction_point(params):
-    phi, theta = weak_curves_pre(params)
-    ev = interaction_point(params)
-    assert phi.x(ev.T) == pytest.approx(ev.X, abs=1e-12)
-    assert theta.x(ev.T) == pytest.approx(ev.X, abs=1e-12)
+def test_weak_curves_anchor_at_interaction_point(timeline):
+    ev = timeline.event_by_label["T_int"]
+    assert timeline.curves["phi_early"].x(ev.T) == pytest.approx(ev.X, abs=1e-12)
+    assert timeline.curves["theta_early"].x(ev.T) == pytest.approx(ev.X, abs=1e-12)
 
 
-def test_weak_curve_hits_fan_death_point(params):
-    phi, _ = weak_curves_pre(params)
-    e3, _ = zone_death_events(params)
-    assert phi.x(e3.T) == pytest.approx(e3.X, rel=1e-12)
+@pytest.mark.parametrize("k", [1, 2])
+def test_weak_curve_hits_fan_death_point(timeline, k):
+    side = timeline.side(k)
+    death = timeline.event_by_label[side.death]
+    assert timeline.curves[side.early].x(death.T) == pytest.approx(death.X, rel=1e-12)
 
 
-def test_weak_curve_initial_slope(params):
-    phi, _ = weak_curves_pre(params)
-    ev = interaction_point(params)
+def test_weak_curve_initial_slope(params, timeline):
+    phi = timeline.curves["phi_early"]
+    ev = timeline.event_by_label["T_int"]
     h = 1e-8
     slope = (phi.x(ev.T + h) - phi.x(ev.T)) / h
     assert slope == pytest.approx(lambda_k(1, params.q1, params.q2), rel=1e-3)
 
 
-def test_weak_curves_undefined_before_interaction(params):
-    phi, _ = weak_curves_pre(params)
+@pytest.mark.parametrize("k", [1, 2])
+def test_weak_curves_undefined_before_interaction(timeline, k):
+    early = timeline.curves[timeline.side(k).early]
     with pytest.raises(DomainError):
-        phi.x(0.5 * interaction_point(params).T)
+        early.x(0.5 * timeline.event_by_label["T_int"].T)
 
 
-def test_zone_death_events(params):
-    e3, e6 = zone_death_events(params)
+def test_zone_death_events(timeline):
+    e3, e6 = timeline.event_by_label["T_3"], timeline.event_by_label["T_6"]
     assert e3.T == pytest.approx(1 / 45, rel=1e-14)
     assert e3.X == pytest.approx(-1 + 128 / 45, rel=1e-14)
     assert e6.T == pytest.approx(0.032, rel=1e-14)
@@ -78,41 +78,52 @@ def test_zone_death_events(params):
 
 
 def test_zone_death_degenerate_plateau_limit():
-    # q -> mu collapses the fans; the death times approach T_int.
+    # q -> mu collapses the fans; the death times approach T_int.  The
+    # timeline gate rejects this instance (T_9 > T_fin), so each side's
+    # events are built alone.
     p = MixtureParams(mu1=5, mu2=8, q1=5 - 1e-7, q2=8 + 1e-7, x1=-1, x2=1)
-    e3, e6 = zone_death_events(p)
-    T_int = interaction_point(p).T
-    assert e3.T == pytest.approx(T_int, rel=1e-6)
-    assert e6.T == pytest.approx(T_int, rel=1e-6)
+    T_int = interaction_time(p)
+    X_int = (p.x1 * p.q1 - p.x2 * p.q2) / (p.q1 - p.q2)
+    for side in mirrored_sides(p).values():
+        death, _, _ = _side_timeline(p, side, T_int, X_int)
+        assert death.T == pytest.approx(T_int, rel=1e-6)
 
 
-def test_post_interaction_curves(params, hodo):
-    curves = post_interaction_curves(params, hodo)
-    e3, e6 = zone_death_events(params)
-    t = 0.03
-    assert curves["xw1"].x(t) == pytest.approx(e3.X + 32 * (t - e3.T), rel=1e-13)
-    x, tt = curves["phi"].param_point(params.q1)
-    assert (x, tt) == (pytest.approx(e3.X, rel=1e-13), pytest.approx(e3.T, rel=1e-13))
-    x, tt = curves["phi"].param_point(params.mu1)
+@pytest.mark.parametrize(
+    "k, t, speed", [(1, 0.03, 32.0), (2, 0.05, 500.0)], ids=["1", "2"]
+)
+def test_post_interaction_curves(timeline, k, t, speed):
+    # x_w1 moves at lambda1(q1, mu2) = 32, x_w2 at lambda2(mu1, q2) = 500;
+    # phi runs from the Z3 death point to the separation point, theta from
+    # the Z6 death point.
+    side = timeline.side(k)
+    death = timeline.event_by_label[side.death]
+    curve = timeline.curves[side.curve]
+    assert timeline.curves[f"xw{k}"].x(t) == pytest.approx(
+        death.X + speed * (t - death.T), rel=1e-13
+    )
+    x, tt = curve.param_point(side.start)
+    assert (x, tt) == (pytest.approx(death.X, rel=1e-13), pytest.approx(death.T, rel=1e-13))
+    x, tt = curve.param_point(side.far)
     assert x == pytest.approx(31.0, rel=1e-12)
     assert tt == pytest.approx(2 / 15, rel=1e-12)
 
 
-def test_shock_weak_events(params):
-    e9, e10 = shock_weak_events(params)
+def test_shock_weak_events(timeline):
+    e9, e10 = timeline.event_by_label["T_9"], timeline.event_by_label["T_10"]
     assert e9.T == pytest.approx(2 / 45, rel=1e-14)
     assert e10.T == pytest.approx(0.08, rel=1e-14)
-    curves = initial_breakup(params)
-    post = post_interaction_curves(params, ImplicitSolution(params))
-    assert curves["xs1"].x(e9.T) == pytest.approx(post["xw1"].x(e9.T), abs=1e-10)
-    assert curves["xs2"].x(e10.T) == pytest.approx(post["xw2"].x(e10.T), abs=1e-10)
+    curves = timeline.curves
+    assert curves["xs1"].x(e9.T) == pytest.approx(curves["xw1"].x(e9.T), abs=1e-10)
+    assert curves["xs2"].x(e10.T) == pytest.approx(curves["xw2"].x(e10.T), abs=1e-10)
 
 
-def test_final_event(params, hodo):
-    ev, xf1, xf2 = final_event(params, hodo)
+def test_final_event(params, timeline):
+    ev = timeline.event_by_label["T_fin"]
+    xf1, xf2 = timeline.curves["xf1"], timeline.curves["xf2"]
     assert ev.T == pytest.approx(2 / 15, rel=1e-14)
     assert ev.T == pytest.approx(
-        interaction_point(params).T
+        timeline.event_by_label["T_int"].T
         * ((5 + 8) * (2 + 10) - 2 * (40 + 20)) * (2 - 10) / (5 - 8) ** 3,
         rel=1e-14,
     )
@@ -174,8 +185,8 @@ def test_zone_layout_requires_shock_positions_late(solver):
         assert chain[-1].x_left == tl.curves[outer[1]].x(t)
 
 
-def test_rh_and_lax_along_straight_shocks(params):
-    curves = initial_breakup(params)
+def test_rh_and_lax_along_straight_shocks(params, timeline):
+    curves = timeline.curves
     for cid, D, k in (("xs1", 80.0, 1), ("xs2", 400.0, 2)):
         c = curves[cid]
         for t in np.linspace(1e-4, c.t_end * 0.999, 100):
@@ -188,8 +199,8 @@ def test_rh_and_lax_along_straight_shocks(params):
             assert lam_l > D > lam_r
 
 
-def test_weak_curves_are_characteristics(params, hodo):
-    phi, theta = weak_curves_pre(params)
+def test_weak_curves_are_characteristics(timeline):
+    phi, theta = timeline.curves["phi_early"], timeline.curves["theta_early"]
     h = 1e-6
     for curve in (phi, theta):
         for t in np.linspace(curve.t_start * 1.01, curve.t_end * 0.99, 25):
@@ -197,9 +208,8 @@ def test_weak_curves_are_characteristics(params, hodo):
             state = curve.left_state(t)
             lam = lambda_k(curve.family, *state)
             assert slope == pytest.approx(lam, rel=1e-8)
-    post = post_interaction_curves(params, hodo)
     for cid in ("phi", "theta"):
-        c = post[cid]
+        c = timeline.curves[cid]
         lo, hi = c.param_grid[0], c.param_grid[-1]
         dr = 1e-5 * (hi - lo)
         for rho in np.linspace(lo + 2 * dr, hi - 2 * dr, 25):
@@ -237,11 +247,15 @@ def test_timeline_export_roundtrip(params):
     assert back["events"][0]["T"] == tl.events[0].T
 
 
-def test_zone_descriptors(params):
-    assert zone_descriptor(params, "Z2").content == "plateau"
-    assert zone_descriptor(params, "Z2").R1 == params.q1
-    assert zone_descriptor(params, "Z5").content == "goursat"
-    assert zone_descriptor(params, "Z9").R2 == params.mu2
+def test_zone_descriptors(params, timeline):
+    # Plateaus have both invariants; a fan leaves its self-similar one unset.
+    assert None not in timeline.plateaus["Z2"]
+    assert timeline.plateaus["Z2"][0] == params.q1
+    assert timeline.plateaus["Z3"] == (params.q1, None)
+    assert timeline.plateaus["Z6"] == (None, params.q2)
+    # Z5 and the transport zones are sampled from the hodograph, not the table.
+    assert "Z5" not in timeline.plateaus
+    assert timeline.side(1).zone == "Z9" and timeline.side(1).fixed == params.mu2
 
 
 @pytest.mark.parametrize("noise", [1e-12, 1e-9, 1e-6])
