@@ -13,6 +13,12 @@ Vieta R^1 R^2 = mu1 mu2 / (1+s), so this flux's Jacobian has exactly
 those eigenvalues (the bare flux mu^k u^k/(1+s) would evolve mu1*mu2
 times slower).
 
+The state is one (2, n) array whose rows are u1 and u2, and a step
+updates both components with one set of array operations.  The ghost
+cell's flux is the first cell's own, so the first face difference is
+exactly zero; it is kept as a zero column instead of building the ghost
+cell.  The time step obeys the CFL rule dt = cfl dx / max lambda2.
+
 The scheme shares nothing with the analytic path beyond the flux
 definition, which makes it a genuinely independent cross-check: shocks
 land in the right cells, smooth regions converge at first order, and weak
@@ -64,29 +70,43 @@ class FvResult:
 
 
 def invariants_field(p: MixtureParams, u1, u2):
-    """Per-cell (R1, R2) from the state quadratic, vectorized."""
-    s = u1 + u2
-    a = 1.0 + s
-    if np.any(a <= 0.0):
+    """Per-cell (R1, R2) from the state quadratic, vectorized.
+
+    R1 <= R2 are the roots of a R^2 - b R + c = 0 with a = 1 + (u1 + u2),
+    b = mu1 + mu2 + u1 mu2 + u2 mu1 and c = mu1 mu2.  Only the function's
+    own temporaries are updated in place; u1 and u2 are left unchanged.
+    """
+    a = u1 + u2
+    a += 1.0
+    if (a <= 0.0).any():
         raise NonPhysicalState("1 + u1 + u2 <= 0 in a cell")
-    b = p.mu1 + p.mu2 + u1 * p.mu2 + u2 * p.mu1
-    c = p.mu1 * p.mu2
-    disc = b * b - 4.0 * a * c
-    if np.any(disc < 0.0):
+    b = u1 * p.mu2
+    b += p.mu1 + p.mu2
+    tmp = u2 * p.mu1
+    b += tmp
+    disc = b * b
+    # (4 a) c == a (4 c): scaling by 4 is exact, so both round one product.
+    np.multiply(a, 4.0 * (p.mu1 * p.mu2), out=tmp)
+    disc -= tmp
+    if (disc < 0.0).any():
         raise ComplexRoots("cell state left the hyperbolic region")
-    sq = np.sqrt(disc)
-    return (b - sq) / (2.0 * a), (b + sq) / (2.0 * a)
+    sq = np.sqrt(disc, out=disc)
+    a += a
+    R1 = b - sq
+    R1 /= a
+    b += sq
+    b /= a
+    return R1, b
 
 
 def _wave_speeds(p: MixtureParams, u1, u2):
-    """(lambda1, lambda2) per cell."""
+    """(lambda1, lambda2) = ((R1 R1) R2, (R1 R2) R2) per cell."""
     R1, R2 = invariants_field(p, u1, u2)
-    return R1 * R1 * R2, R1 * R2 * R2
-
-
-def _flux(p: MixtureParams, u1, u2):
-    E = p.mu1 * p.mu2 / (1.0 + u1 + u2)
-    return p.mu1 * u1 * E, p.mu2 * u2 * E
+    lam2 = R1 * R2
+    lam2 *= R2
+    R1 *= R1
+    R1 *= R2
+    return R1, lam2
 
 
 def initial_averages(p: MixtureParams, grid: Grid1D):
@@ -107,9 +127,21 @@ def fv_run(p: MixtureParams, grid: Grid1D, t_end: float) -> FvResult:
     every face moves right and the upwind flux is that of the left cell;
     the time step uses the fastest lambda2.  NonPhysicalState is raised if
     some cell has lambda1 <= 0, where upwinding would be wrong.
+
+    U is one (2, n) array whose rows u1 and u2 are views; the fluxes F and
+    face differences D are preallocated.  D[:, 0] stays exactly zero: the
+    copy ghost cell's flux is the first cell's own, and u - (dt/dx) 0.0 is u.
     """
     validate_params(p)
-    u1, u2 = initial_averages(p, grid)
+    U = np.array(initial_averages(p, grid))
+    u1, u2 = U
+    mu = np.empty_like(U)
+    mu[0], mu[1] = p.mu1, p.mu2
+    c = p.mu1 * p.mu2
+    E = np.empty(grid.n_cells)
+    F = np.empty_like(U)
+    f1, f2 = F
+    D = np.zeros_like(U)
     dx = grid.dx
     t = 0.0
     steps = 0
@@ -121,11 +153,18 @@ def fv_run(p: MixtureParams, grid: Grid1D, t_end: float) -> FvResult:
         if t + dt > t_end:
             dt = t_end - t
 
-        f1, f2 = _flux(
-            p, np.concatenate(([u1[0]], u1)), np.concatenate(([u2[0]], u2))
-        )
-        u1 = u1 - dt / dx * (f1[1:] - f1[:-1])
-        u2 = u2 - dt / dx * (f2[1:] - f2[:-1])
+        # f^k = (mu^k u^k) E with E = mu1 mu2 / ((1 + u1) + u2).  mu has
+        # full rows and E scales F row by row: same-shape operands skip
+        # numpy's broadcasting set-up, which costs more than the work here.
+        np.add(u1, 1.0, out=E)
+        E += u2
+        np.divide(c, E, out=E)
+        np.multiply(mu, U, out=F)
+        f1 *= E
+        f2 *= E
+        np.subtract(F[:, 1:], F[:, :-1], out=D[:, 1:])
+        D *= dt / dx
+        U -= D
         t += dt
         steps += 1
     return FvResult(t_end, grid.centers(), u1, u2, steps)

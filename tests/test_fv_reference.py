@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from zesolver.errors import CFLViolation, DomainMismatch, NonPhysicalState
+from zesolver.errors import CFLViolation, ComplexRoots, DomainMismatch, NonPhysicalState
 from zesolver.fv_reference import (
     FvResult,
     Grid1D,
+    _wave_speeds,
     fv_run,
     initial_averages,
     invariants_field,
@@ -44,6 +45,71 @@ def test_constant_state_is_exact(params):
 def test_invariants_field_guards(params):
     with pytest.raises(NonPhysicalState):
         invariants_field(params, np.array([-2.0]), np.array([0.0]))
+    # a = 0.1 > 0 but b^2 - 4ac = 0.25 - 16 < 0.
+    with pytest.raises(ComplexRoots):
+        invariants_field(params, np.array([0.0, -3.0]), np.array([0.0, 2.1]))
+
+
+def test_real_state_with_negative_speed(params):
+    # a = 0.5 > 0 and b^2 - 4ac = 300.25 > 0, yet both roots are negative,
+    # so lambda1 = R1^2 R2 < 0: the state fv_run's lambda1 guard rejects.
+    lam1, lam2 = _wave_speeds(params, np.array([-10.0]), np.array([9.5]))
+    assert lam1[0] < 0.0
+
+
+def test_invariants_field_leaves_its_inputs_unchanged(params):
+    u1 = np.array([2.0, 0.5, 0.0, 1e-3])
+    u2 = np.array([-1.0, -0.2, 0.0, 2e-3])
+    before = u1.tobytes(), u2.tobytes()
+    invariants_field(params, u1, u2)
+    _wave_speeds(params, u1, u2)
+    assert (u1.tobytes(), u2.tobytes()) == before
+
+
+def _reference_fv_run(p, grid, t_end):
+    """The per-component upwind loop, with its ghost cell built each step."""
+
+    def roots(u1, u2):
+        s = u1 + u2
+        a = 1.0 + s
+        b = p.mu1 + p.mu2 + u1 * p.mu2 + u2 * p.mu1
+        c = p.mu1 * p.mu2
+        sq = np.sqrt(b * b - 4.0 * a * c)
+        return (b - sq) / (2.0 * a), (b + sq) / (2.0 * a)
+
+    def flux(u1, u2):
+        E = p.mu1 * p.mu2 / (1.0 + u1 + u2)
+        return p.mu1 * u1 * E, p.mu2 * u2 * E
+
+    u1, u2 = initial_averages(p, grid)
+    dx = grid.dx
+    t = 0.0
+    steps = 0
+    while t < t_end:
+        R1, R2 = roots(u1, u2)
+        lam2 = R1 * R2 * R2
+        dt = grid.cfl * dx / float(lam2.max())
+        if t + dt > t_end:
+            dt = t_end - t
+        f1, f2 = flux(np.concatenate(([u1[0]], u1)), np.concatenate(([u2[0]], u2)))
+        u1 = u1 - dt / dx * (f1[1:] - f1[:-1])
+        u2 = u2 - dt / dx * (f2[1:] - f2[:-1])
+        t += dt
+        steps += 1
+    return u1, u2, steps, roots(u1, u2)
+
+
+@pytest.mark.parametrize("t_end", [0.005, 0.0125, 0.02])
+@pytest.mark.parametrize("n_cells", [100, 250, 400])
+def test_fv_run_is_bitwise_the_per_component_loop(params, n_cells, t_end):
+    grid = Grid1D(-3.0, 7.0, n_cells, 0.45)
+    u1, u2, steps, (R1, R2) = _reference_fv_run(params, grid, t_end)
+    res = fv_run(params, grid, t_end)
+    assert res.steps == steps
+    assert res.u1.tobytes() == u1.tobytes()
+    assert res.u2.tobytes() == u2.tobytes()
+    got = invariants_field(params, res.u1, res.u2)
+    assert (got[0].tobytes(), got[1].tobytes()) == (R1.tobytes(), R2.tobytes())
 
 
 def test_discrete_conservation(params):
