@@ -12,7 +12,7 @@ Config files are flat INI key/value sections:
 
     [output]
     times = 0.01, 0.0125     # isochrone times
-    samples = 1024           # samples per profile
+    samples = 1024           # samples per profile, at least 2
     format = csv             # csv | json (timeline only)
 
     [fv]                     # compare mode
@@ -37,12 +37,14 @@ Exit codes:
     2  bad input: a missing or unreadable config, a missing section or key,
        a value that is not a number, a wrong value count (domain and window
        take two, the [general] value lists one more than breakpoints), an
-       empty cell list, unsorted or non-positive times, mixture parameters
-       that break 0 < q1 < mu1 < mu2 < q2 or x1 < x2 (`general` too, when
-       it reads its mobilities from [mixture]), [general] data that
-       breaks its rules (domain lo < hi, breakpoints increasing and
-       inside it, R1 < R2 and R1 R2 != 0 on every piece), a grid with
-       fewer than 4 cells or x_min >= x_max, a CFL number outside (0, 1)
+       empty cell list, unsorted or non-positive times, two times with the
+       same file tag (their %.6f text), fewer than 2 `profile` samples,
+       mixture parameters that break 0 < q1 < mu1 < mu2 < q2 or x1 < x2
+       (`general` too, when it reads its mobilities from [mixture]),
+       [general] data that breaks its rules (domain lo < hi, breakpoints
+       increasing and inside it, R1 < R2 and R1 R2 != 0 on every piece), a
+       grid with fewer than 4 cells or x_min >= x_max, a CFL number outside
+       (0, 1)
     3  the solver failed on valid input (for example no seed at the
        requested time, a fold at the seed, level drift, or no sample of a
        `general` isochrone inside the window); the error type is printed
@@ -340,6 +342,10 @@ def main(argv=None) -> int:
         )
         if any(t <= 0 for t in times) or sorted(times) != times:
             raise OrderingViolation("output times must be positive and sorted")
+        tags = [_time_tag(t) for t in times]
+        if len(set(tags)) != len(tags):
+            # The tag names each time's files and errors.json key.
+            raise InputError(f"output times {times} share a file tag in {tags}")
         samples = (
             args.samples
             if args.samples is not None
@@ -350,6 +356,8 @@ def main(argv=None) -> int:
         if args.command == "timeline":
             return cmd_timeline(cfg, out_dir, fmt)
         if args.command == "profile":
+            if samples < 2:
+                raise InputError(f"samples must be at least 2, got {samples}")
             return cmd_profile(cfg, out_dir, times, samples)
         if args.command == "compare":
             cells = _parse_ints(

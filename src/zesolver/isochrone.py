@@ -123,10 +123,22 @@ def csv_rows(header, columns, labels=None):
     columns, each number written as its shortest round-trip decimal, and
     the sample's label last when labels are given."""
     yield header
-    cells = [map(repr, np.asarray(col, dtype=float).tolist()) for col in columns]
+    cells = [_column_text(np.asarray(col, dtype=float)) for col in columns]
     if labels is not None:
         cells.append(labels)
     yield from map(",".join, zip(*cells))
+
+
+def _column_text(col):
+    """repr of every value of the float column, called once per run of
+    bitwise-equal values: repr depends only on the bits, so -0.0 beside 0.0
+    and NaNs with different payloads are separate runs."""
+    bits = col.view(np.int64)
+    starts = np.empty(len(col), dtype=bool)
+    starts[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=starts[1:])
+    texts = np.array(list(map(repr, col[starts].tolist())), dtype=object)
+    return texts[np.cumsum(starts) - 1].tolist()
 
 
 @dataclass

@@ -333,9 +333,8 @@ def test_criterion_8_finite_volume_oracle(solver, params):
     )
 
     # Weak fronts come out smeared: numeric gradient below the one-sided
-    # analytic fan slope at the inner 2-fan front.
-    grid = Grid1D(-3.0, 7.0, 4000, 0.45)
-    res = fv_run(params, grid, t_end)
+    # analytic fan slope at the inner 2-fan front.  grid and res are the
+    # loop's last, the 4000-cell run.
     x_front = solver.timeline.curves["xr2"].x(t_end)
     h = 1e-6
     inside = prof.interp(np.array([x_front - h, x_front - 3 * h]))

@@ -93,6 +93,37 @@ def test_unsorted_times_exit_2(config, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("times", ["0.01,0.01", "0.0000001,0.0000002"])
+@pytest.mark.parametrize("command", ["profile", "compare"])
+def test_times_sharing_a_file_tag_exit_2(config, tmp_path, capsys, command, times):
+    # Both times would write the same files and errors.json key.
+    out = tmp_path / "o"
+    code = main([command, "--config", str(config), "--out", str(out), "--times", times])
+    assert code == 2
+    assert "file tag" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("samples", ["1", "0", "-5"])
+def test_profile_rejects_fewer_than_2_samples(config, tmp_path, capsys, samples):
+    out = tmp_path / "o"
+    code = main(["profile", "--config", str(config), "--out", str(out),
+                 "--samples", samples])
+    assert code == 2
+    assert "samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_only_profile_reads_the_samples_bound(tmp_path):
+    path = tmp_path / "zero.ini"
+    path.write_text(GOOD_CONFIG.replace("samples = 400", "samples = 0"))
+    out = tmp_path / "o"
+    assert main(["profile", "--config", str(path), "--out", str(out)]) == 2
+    for command in ("timeline", "general"):
+        assert main([command, "--config", str(path), "--out", str(out),
+                     "--times", "0.018"]) == 0
+
+
 def test_non_numeric_times_exit_2(config, tmp_path, capsys):
     code = main(
         ["profile", "--config", str(config), "--out", str(tmp_path / "o"),

@@ -333,14 +333,23 @@ def test_profile_csv_rows(solver):
     float(fields[0])
 
 
+_NAN_PAYLOAD = np.array(0x7FF8000000000001).view(float)  # NaN, other bits than np.nan
+
+
 def test_csv_rows_match_per_row_reference():
-    cols = (np.array([0.1, -0.0, 1e-300, np.nan]), np.array([np.inf, 2.0, 1 / 3, -5e20]))
-    labels = ["Z1", "Z1", "Z5", "fv"]
-    numbers = [",".join(f"{float(v)!r}" for v in row) for row in zip(*cols)]
-    assert list(csv_rows("a,b", cols)) == ["a,b", *numbers]
-    assert list(csv_rows("a,b,zone", cols, labels)) == [
-        "a,b,zone", *(f"{row},{z}" for row, z in zip(numbers, labels))
-    ]
+    for cols in (
+        (np.array([0.1, -0.0, 1e-300, np.nan]), np.array([np.inf, 2.0, 1 / 3, -5e20])),
+        # runs of equal values, 0.0 beside -0.0, NaNs with different bits, infs
+        (np.array([2.5, 2.5, 0.0, -0.0, -0.0, 0.0, np.nan, np.nan]),
+         np.array([np.nan, _NAN_PAYLOAD, _NAN_PAYLOAD, np.inf, np.inf, -np.inf, 7.0, 7.0])),
+        (np.array([]), np.array([])),
+    ):
+        labels = ["Z1", "Z1", "Z5", "fv", "Z9", "Z9", "Z10", "Z10"][:len(cols[0])]
+        numbers = [",".join(map(repr, row)) for row in zip(*(c.tolist() for c in cols))]
+        assert list(csv_rows("a,b", cols)) == ["a,b", *numbers]
+        assert list(csv_rows("a,b,zone", cols, labels)) == [
+            "a,b,zone", *(f"{row},{z}" for row, z in zip(numbers, labels))
+        ]
 
 
 def test_profile_solves_each_boundary_root_once(solver, monkeypatch):
