@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -233,17 +233,6 @@ class PiecewiseInitialData:
         F = tab.f[ia] * wa + tab.between_f[ia, ib] + tab.f[ib] * wb
         G = tab.g[ia] * wa + tab.between_g[ia, ib] + tab.g[ib] * wb
         return ia, ib, F, G
-
-    def F(self, xa, xb):
-        """Exact integral of f over [xa, xb] for the piecewise data."""
-        if xb < xa:
-            return -self.F(xb, xa)
-        return float(self._integrals(xa, xb)[2])
-
-    def G(self, xa, xb):
-        if xb < xa:
-            return -self.G(xb, xa)
-        return float(self._integrals(xa, xb)[3])
 
     @cached_property
     def graphs(self):
@@ -653,23 +642,6 @@ def _sample_run(seg_a, seg_b, ys, t_star, anchor):
     }
 
 
-def t_ray(data: PiecewiseInitialData, a):
-    """t(a, b) along the ray of the (a, b)-plane with foot a held fixed.
-
-    Returns b -> t(a, b) for a scalar or array b strictly right of a
-    (DomainError otherwise), NaN where r1 and r2 coincide (where t_ab
-    raises CoincidentInvariants).  Every value is bitwise equal to t_ab's:
-    both evaluate the data's integral table with one array formula.
-    """
-
-    def ray(b):
-        if np.any(b <= a):
-            raise DomainError(f"a ray needs a < b, got a = {a}, b = {b}")
-        return _t_feet(data, a, b)
-
-    return ray
-
-
 def _level_crossings(ray, rows, t_star):
     """Points where ray(v) = t_star, scanning each row of v in order.
 
@@ -703,7 +675,7 @@ def find_seed(data: PiecewiseInitialData, t_star):
     are preferred: a bracket with both feet in one piece lies on a
     constant-state arc, which is trivial and usually a
     characteristic-crossing ghost rather than the branch carrying the wave
-    structure.  Each row is evaluated by one t_ray call.
+    structure.  Each row is evaluated by one _t_feet call with a fixed.
 
     Only rows that can cross t* are scanned.  With a fixed and b in one
     piece, r1 and r2 are fixed and F, G are affine in b, so t is affine in b
@@ -743,7 +715,7 @@ def find_seed(data: PiecewiseInitialData, t_star):
         keep = crosses[i] if fallback is None else crosses[i] & ~same[i]
         rows = [np.linspace(start[i, k], end[i, k], _SCAN_RESOLUTION)
                 for k in np.flatnonzero(keep)]
-        for bv in _level_crossings(t_ray(data, a=av[i]), rows, t_star):
+        for bv in _level_crossings(partial(_t_feet, data, av[i]), rows, t_star):
             if ia[i, 0] != data.piece_of(bv, side="left"):
                 return av[i], bv
             if fallback is None:

@@ -29,7 +29,14 @@ Config files are flat INI key/value sections:
     window = -2, 6
 
 Text after ";" or "#" (preceded by whitespace) is a comment.  Command-line
-flags override the matching config keys.
+flags override the matching config keys.  Every command takes --config and
+--out; each takes only its own other flags, and any other flag is a usage
+error (exit 2):
+
+    timeline   --format
+    profile    --times --samples
+    compare    --times --cells --cfl
+    general    --times
 
 Exit codes:
 
@@ -211,15 +218,6 @@ def cmd_profile(cfg: ScenarioConfig, out_dir: Path, times, samples) -> int:
     return 0
 
 
-def _analytic_shocks(solver, t):
-    """Positions of the two strong discontinuities at time t."""
-    tl = solver.timeline
-    return tuple(
-        tl.curves[f"xs{s.k}" if t < tl.times[s.shock_event] else s.shock].x(t)
-        for s in tl.sides.values()
-    )
-
-
 def cmd_compare(cfg: ScenarioConfig, out_dir: Path, times, cells_list, cfl) -> int:
     params = cfg.mixture()
     x_min = _parse_one(cfg.get("fv", "x_min", -3.0), float)
@@ -233,7 +231,9 @@ def cmd_compare(cfg: ScenarioConfig, out_dir: Path, times, cells_list, cfl) -> i
     summary = {}
     for t in times:
         profile = solver.profile_at(t, n=8192, window=(x_min - 1.0, x_max + 1.0))
-        xs1, xs2 = _analytic_shocks(solver, t)
+        # The two strong discontinuities: the outer ends of the zone layout.
+        layout = solver.timeline.zones_at(t)
+        xs1, xs2 = layout[0].x_right, layout[-1].x_left
         runs = []
         for grid in grids:
             result = fv_reference.fv_run(params, grid, t)
@@ -318,15 +318,25 @@ def build_parser():
         description="Exact two-component zone-electrophoresis solver",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("timeline", "profile", "compare", "general"):
+    flags = {
+        "times": dict(help="comma list of times"),
+        "samples": dict(type=int),
+        "cells": dict(help="comma list of cell counts"),
+        "cfl": dict(type=float),
+        "format": dict(choices=("csv", "json")),
+    }
+    commands = {"timeline": ("format",), "profile": ("times", "samples"),
+                "compare": ("times", "cells", "cfl"), "general": ("times",)}
+    for name, own in commands.items():
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="INI config path")
         sp.add_argument("--out", default="out", help="output directory")
-        sp.add_argument("--times", default=None, help="comma list of times")
-        sp.add_argument("--samples", type=int, default=None)
-        sp.add_argument("--cells", default=None, help="comma list of cell counts")
-        sp.add_argument("--cfl", type=float, default=None)
-        sp.add_argument("--format", default=None, choices=("csv", "json"))
+        for flag in own:
+            sp.add_argument(f"--{flag}", **flags[flag])
+        # Each command accepts only its own flags (argparse exits 2 on any
+        # other); main reads the others as None, so config keys are read
+        # and checked alike for every command.
+        sp.set_defaults(**dict.fromkeys(flags.keys() - set(own)))
     return parser
 
 

@@ -31,8 +31,6 @@ from .wavefield import Timeline, build_timeline
 DEGENERATE_WIDTH = 1e-12
 #: a transport zone born with zero width: parameter range below this (relative).
 DEGENERATE_RHO = 1e-14
-#: relative slack on a lifetime: an event time and a t* from it differ in ulps.
-LIFETIME_SLACK = 1e-12
 #: largest gap (relative) between neighbouring zone segments, which share an edge.
 ASSEMBLY_GAP = 1e-6
 #: Profile.interp's slack outside its sampled x range, for ranges from its ends.
@@ -157,23 +155,39 @@ class ScenarioSolver:
         self.timeline: Timeline = build_timeline(params)
         self.hodograph: ImplicitSolution = self.timeline.hodograph
 
-    # -- moving weak boundaries of Z5 ----------------------------------------
+    # -- zone edges, read from the layout ---------------------------------------
+
+    def _interval(self, name, t, zone=None):
+        """zone if given, else zone name's interval in the layout at t;
+        DomainError where the layout has no such zone at t."""
+        if zone is None:
+            zone = next((iv for iv in self.timeline.zones_at(t) if iv.zone == name), None)
+            if zone is None:
+                raise DomainError(f"{name} does not exist at t = {t}")
+        return zone
+
+    def _edge_states(self, zone, t, left_side, right_side):
+        """The (R1, R2) states at a zone interval's two ends at t.
+
+        Where the layout holds a curve's root, the state is that side's
+        pair(rho) (left_side for the left curve, right_side for the right
+        one), so an end's position and state rest on one root; elsewhere it
+        is the curve's own state on the zone's side.
+        """
+        curves = self.timeline.curves
+        left = (curves[zone.left_curve].right_state(t) if zone.left_rho is None
+                else left_side.pair(zone.left_rho))
+        right = (curves[zone.right_curve].left_state(t) if zone.right_rho is None
+                 else right_side.pair(zone.right_rho))
+        return left, right
 
     def phi(self, t):
-        """Left boundary of Z5 (radical form before T_3, parametric after)."""
-        return self._z5_edge(self.timeline.side(1), t).x(t)
+        """Left boundary of Z5 at t: x_left of its interval in the layout."""
+        return self._interval("Z5", t).x_left
 
     def theta(self, t):
-        """Right boundary of Z5 (radical form before T_6, parametric after)."""
-        return self._z5_edge(self.timeline.side(2), t).x(t)
-
-    def _z5_edge(self, side, t):
-        """The boundary curve of Z5 on a side at time t: the early (radical)
-        curve up to the side's fan death, the parametric curve after it."""
-        T = self.timeline.times
-        if t < T["T_int"] * (1 - LIFETIME_SLACK) or t > T["T_fin"] * (1 + LIFETIME_SLACK):
-            raise DomainError(f"{side.curve} defined on [T_int, T_fin]")
-        return self.timeline.curves[side.early if t <= T[side.death] else side.curve]
+        """Right boundary of Z5 at t: x_right of its interval in the layout."""
+        return self._interval("Z5", t).x_right
 
     # -- parametric-boundary roots -------------------------------------------
 
@@ -185,32 +199,21 @@ class ScenarioSolver:
         """Mirror root of t(mu1, rho) = t* near [mu2, q2]: theta's rho_of_t."""
         return self.timeline.curves["theta"].rho_of_t(t_star)
 
-    def _root(self, curve_id, t, roots):
-        """A curve's rho_of_t(t), from roots (curve id -> root) if it is there."""
-        rho = roots.get(curve_id) if roots else None
-        return self.timeline.curves[curve_id].rho_of_t(t) if rho is None else rho
-
     # -- zone Z5: the implicit solution on the isochrone -------------------------
 
-    def z5_profile(self, t_star, n=64, roots=None) -> Segment:
+    def z5_profile(self, t_star, n=64, zone=None) -> Segment:
         """Sample Z5 at time t*: n states at uniform x between its edges.
 
-        Each end's position and state come from one boundary curve (the
-        side's _z5_edge), so on a parametric curve both rest on the same
-        root rho_of_t(t*) (see _root).  The states between are read from
-        the implicit solution itself, t(R1, R2) = t* and x(R1, R2) = x, by
-        ImplicitSolution.invert; the ends are pinned to the edge states.
+        zone is Z5's interval in the layout at t*, looked up when None
+        (DomainError where Z5 does not exist).  Each end's position and
+        state come from that interval (see _edge_states).  The states
+        between are read from the implicit solution itself, t(R1, R2) = t*
+        and x(R1, R2) = x, by ImplicitSolution.invert; the ends are pinned
+        to the edge states.
         """
-        ends = []
-        for side in self.timeline.sides.values():
-            # _z5_edge raises DomainError outside [T_int, T_fin].
-            edge = self._z5_edge(side, t_star)
-            if edge.rho_of_t is None:
-                ends.append((edge.x(t_star), edge.left_state(t_star)))
-            else:
-                rho = self._root(edge.id, t_star, roots)
-                ends.append((edge.position(rho, t_star), side.pair(rho)))
-        (xl, left), (xr, right) = ends
+        zone = self._interval("Z5", t_star, zone)
+        left, right = self._edge_states(zone, t_star, *self.timeline.sides.values())
+        xl, xr = zone.x_left, zone.x_right
 
         if xr - xl < DEGENERATE_WIDTH * max(1.0, abs(xl)):
             return Segment("Z5", np.array([xl]), np.array([left[0]]), np.array([left[1]]))
@@ -229,18 +232,19 @@ class ScenarioSolver:
 
     # -- zones Z9 / Z10: one-parameter transport ---------------------------------
 
-    def z9_profile(self, t_star, n=64, roots=None) -> Segment:
+    def z9_profile(self, t_star, n=64, zone=None) -> Segment:
         """One-parameter representation of Z9 at time t*.
 
         x(rho) = x(rho, mu2) + rho^2 mu2 (t* - t(rho, mu2)) for rho between
-        the left-boundary value (q1, or the shock value after T_9) and the
-        isochrone root rho* (mu1 after T_fin); roots as for z5_profile.
+        the values at Z9's two ends: the shock-side value (q1 on xw1, the
+        root of Phi after T_9) and the Z5-side value (the root rho* of phi,
+        mu1 on xf1 after T_fin); zone as for z5_profile.
         """
-        return self._transport_segment(self.timeline.side(1), t_star, n, roots)
+        return self._transport_segment(self.timeline.side(1), t_star, n, zone)
 
-    def z10_profile(self, t_star, n=64, roots=None) -> Segment:
+    def z10_profile(self, t_star, n=64, zone=None) -> Segment:
         """Mirror of z9_profile: Z10 with R2 = rho between sigma* and q2 or Theta."""
-        return self._transport_segment(self.timeline.side(2), t_star, n, roots)
+        return self._transport_segment(self.timeline.side(2), t_star, n, zone)
 
     def transport_x(self, side, rho, t_star):
         """Position reached at t* by the value rho leaving the Z5 boundary.
@@ -254,22 +258,17 @@ class ScenarioSolver:
         x0 = self.hodograph.x(*R)
         return x0 + lambda_k(s.k, *R) * (t_star - tau)
 
-    def _transport_segment(self, side, t_star, n, roots):
+    def _transport_segment(self, side, t_star, n, zone):
         """Sample a side's transport zone at n parameter values.
 
-        The parameter runs from the Z5 boundary root (the side's parametric
-        curve's rho_of_t(t*); the side's far value after T_fin) to the
-        shock-side value (side.start before the shock forms), roots as in
-        _root.  The positions x(rho) of all samples come from one array
-        evaluation of transport_x; they must increase strictly.
+        The parameter runs between rho at the zone interval's two ends (see
+        _edge_states; zone as for z5_profile).  The positions x(rho) of all
+        samples come from one array evaluation of transport_x; they must
+        increase strictly.
         """
-        T = self.timeline.times
-        if t_star < T[side.death] * (1 - LIFETIME_SLACK):
-            raise DomainError(f"{side.zone} exists for t >= {side.death} only")
-        inner = side.far if t_star > T["T_fin"] else self._root(side.curve, t_star, roots)
-        outer = (side.start if t_star <= T[side.shock_event]
-                 else self._root(side.shock, t_star, roots))
-        lo, hi = sorted((inner, outer))
+        zone = self._interval(side.zone, t_star, zone)
+        ends = self._edge_states(zone, t_star, side, side)
+        lo, hi = sorted(state[side.index] for state in ends)
         if hi - lo < DEGENERATE_RHO * max(1.0, abs(hi)):
             rho = np.array([lo])
             x = np.array([self.transport_x(side.k, lo, t_star)])
@@ -329,25 +328,21 @@ class ScenarioSolver:
                  window[1] if iv.x_right is None else iv.x_right) for iv in intervals]
         widths = [max(xr - xl, 0.0) for xl, xr in ends]
         total = sum(widths) or 1.0
-        # The layout's roots, so that no sampler solves one again.
-        roots = {iv.right_curve: iv.right_rho for iv in intervals
-                 if iv.right_rho is not None}
         segments = [
-            self._zone_segment(
-                iv.zone, xl, xr, t_star, max(2, int(round(n * w / total))), roots
-            )
+            self._zone_segment(iv, xl, xr, t_star, max(2, int(round(n * w / total))))
             for iv, (xl, xr), w in zip(intervals, ends, widths)
         ]
         return self._merge_segments(t_star, segments)
 
-    def _zone_segment(self, zone, xl, xr, t_star, n_k, roots) -> Segment:
+    def _zone_segment(self, iv, xl, xr, t_star, n_k) -> Segment:
+        zone = iv.zone
         s1, s2 = self.timeline.sides.values()
         if zone == "Z5":
-            return self.z5_profile(t_star, n_k, roots)
+            return self.z5_profile(t_star, n_k, iv)
         if zone == s1.zone:
-            return self.z9_profile(t_star, n_k, roots)
+            return self.z9_profile(t_star, n_k, iv)
         if zone == s2.zone:
-            return self.z10_profile(t_star, n_k, roots)
+            return self.z10_profile(t_star, n_k, iv)
         # A plateau, or a fan zone: R1 unset in side 2's fan, R2 in side 1's.
         R1, R2 = self.timeline.plateaus[zone]
         degenerate = (xr - xl) < DEGENERATE_WIDTH * max(1.0, abs(xl))

@@ -399,7 +399,8 @@ class ZoneInterval:
     x_right: Optional[float]
     left_curve: Optional[str]
     right_curve: Optional[str]
-    #: the right curve's root rho_of_t(t) where it has one, else None.
+    #: each curve's root rho_of_t(t) where it has one, else None.
+    left_rho: Optional[float] = None
     right_rho: Optional[float] = None
 
 
@@ -512,7 +513,10 @@ class Timeline:
         Past T_9 (T_10) the left (right) outer boundary is the curved shock
         Phi (Theta), read like every other boundary from its curve, whose
         position is in closed form up to one root (see _shock_curve).  Each
-        root is solved once, and kept as right_rho of the zone it ends.
+        root is solved once, and kept as right_rho of the zone it ends and
+        left_rho of the zone it starts.  This is the one place that decides
+        which curve bounds a zone at t; the isochrone samplers read their
+        ends from these intervals.
         """
         if t <= 0.0:
             raise DomainError("zone layout defined for t > 0 only")
@@ -528,14 +532,15 @@ class Timeline:
 
         chain = []
         cursor_id = "xs1" if t < T["T_9"] else "Phi"
-        cursor_x, rho = pos(cursor_id)
-        chain.append(ZoneInterval("Z1", None, cursor_x, None, cursor_id, rho))
+        cursor_x, cursor_rho = pos(cursor_id)
+        chain.append(ZoneInterval("Z1", None, cursor_x, None, cursor_id, None, cursor_rho))
 
         def push(zone, right_id):
-            nonlocal cursor_id, cursor_x
+            nonlocal cursor_id, cursor_x, cursor_rho
             right_x, rho = pos(right_id)
-            chain.append(ZoneInterval(zone, cursor_x, right_x, cursor_id, right_id, rho))
-            cursor_id, cursor_x = right_id, right_x
+            chain.append(ZoneInterval(zone, cursor_x, right_x, cursor_id, right_id,
+                                      cursor_rho, rho))
+            cursor_id, cursor_x, cursor_rho = right_id, right_x, rho
 
         if t < T["T_9"]:
             push("Z2", "xl2" if t <= T["T_3"] else "xw1")
@@ -555,7 +560,7 @@ class Timeline:
             push("Z10", "xw2" if t <= T["T_10"] else "Theta")
         if t < T["T_10"]:
             push("Z7", "xs2")
-        chain.append(ZoneInterval("Z8", cursor_x, None, cursor_id, None))
+        chain.append(ZoneInterval("Z8", cursor_x, None, cursor_id, None, cursor_rho))
 
         self._check_tiling(chain)
         return chain

@@ -129,9 +129,11 @@ def test_criterion_4_isochrone_fidelity(solver, params):
             np.abs(hodo.x(seg.R1, seg.R2) - seg.x)
             / np.maximum(1.0, np.abs(seg.x))
         )
-        edge = solver._z5_edge(solver.timeline.side(2), t_star)
-        end = max(abs(seg.R1[-1] - edge.left_state(t_star)[0]),
-                  abs(seg.R2[-1] - edge.left_state(t_star)[1]))
+        # The right end is pinned to the state of Z5's right curve in the
+        # zone layout, evaluated afresh from the curve.
+        z5 = next(iv for iv in solver.timeline.zones_at(t_star) if iv.zone == "Z5")
+        edge = solver.timeline.curves[z5.right_curve].left_state(t_star)
+        end = max(abs(seg.R1[-1] - edge[0]), abs(seg.R2[-1] - edge[1]))
         worst_t = max(worst_t, t_res / t_star)
         worst_x = max(worst_x, x_res)
         worst_end = max(worst_end, end)

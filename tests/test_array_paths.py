@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 
 from zesolver import MixtureParams
-from zesolver.errors import CoincidentInvariants, NoRootInInterval, UnexpectedOrdering
+from zesolver.errors import (
+    CoincidentInvariants,
+    DomainError,
+    NoRootInInterval,
+    UnexpectedOrdering,
+)
 from zesolver.hodograph import COINCIDENT_RTOL
 from zesolver.isochrone import Profile, ScenarioSolver
 
@@ -264,3 +269,65 @@ def test_z5_edges_take_x_and_state_from_one_root(solver):
         for t in np.linspace(T["T_6"], T["T_fin"], 22)[1:-1].tolist():
             seg = s.z5_profile(t, n=2)
             assert seg.x[-1] == h.x(seg.R1[-1], seg.R2[-1])
+
+
+def _layout_times(s):
+    """Each event time, its float neighbours, the midpoints between events
+    and a time past the last one."""
+    T = sorted(s.timeline.times.values())
+    ts = {float(np.nextafter(t, d)) for t in T for d in (0.0, np.inf)}
+    ts.update(T)
+    ts.update(0.5 * (a + b) for a, b in zip(T, T[1:]))
+    ts.add(2.0 * T[-1])
+    return sorted(ts)
+
+
+def test_samplers_read_their_edges_from_the_layout(solver):
+    # Each sampled zone's ends are its interval's curves at t: Z5's end
+    # samples take the interval's x and the curve's state on Z5's side
+    # (evaluated afresh, so a parametric end re-solves its root), and a
+    # transport zone's end invariants are the curve's root or constant.
+    # Called directly, a sampler (and phi, theta) raises DomainError
+    # exactly where the layout has no such zone.
+    for s in (solver, *CONE):
+        curves = s.timeline.curves
+        samplers = {"Z5": s.z5_profile, "Z9": s.z9_profile, "Z10": s.z10_profile}
+        for t in _layout_times(s):
+            layout = {iv.zone: iv for iv in s.timeline.zones_at(t)}
+            prof = s.profile_at(t, n=64)
+            runs = dict(prof.zone_runs())
+            for name, sampler in samplers.items():
+                if name not in layout:
+                    with pytest.raises(DomainError):
+                        sampler(t)
+                    assert name not in runs
+                    continue
+                sampler(t)
+                iv, sl = layout[name], runs[name]
+                left = curves[iv.left_curve].right_state(t)
+                right = curves[iv.right_curve].left_state(t)
+                k_left, k_right = {"Z5": (0, 1), "Z9": (0, 0), "Z10": (1, 1)}[name]
+                for state, k, rho in ((left, k_left, iv.left_rho),
+                                      (right, k_right, iv.right_rho)):
+                    assert rho is None or state[k] == rho, (t, name)
+                if name == "Z5":
+                    ends = [(sl.start, iv.x_left, left)]
+                    if sl.stop - sl.start > 1:  # else a point zone at its left end
+                        ends.append((sl.stop - 1, iv.x_right, right))
+                    for i, x, state in ends:
+                        # _merge_segments' order clamp may raise x to the
+                        # sample before it.
+                        x = max(x, prof.x[i - 1]) if i else x
+                        assert (prof.x[i], prof.R1[i], prof.R2[i]) == (x, *state), (t, i)
+                else:
+                    # rho runs up from the lower end value; a point zone is
+                    # that one value.
+                    rho = (prof.R1, prof.R2)[k_left][sl]
+                    lo, hi = sorted((left[k_left], right[k_left]))
+                    assert (rho[0], rho[-1]) == (lo, hi if rho.size > 1 else lo), (t, name)
+            if "Z5" in layout:
+                assert (s.phi(t), s.theta(t)) == (layout["Z5"].x_left, layout["Z5"].x_right)
+            else:
+                for edge in (s.phi, s.theta):
+                    with pytest.raises(DomainError):
+                        edge(t)

@@ -22,7 +22,6 @@ from zesolver.cauchy_general import (
     march_isochrone,
     seed_point,
     t_ab,
-    t_ray,
 )
 from zesolver.errors import (
     CoincidentInvariants,
@@ -79,8 +78,7 @@ def test_frozen_integral_form_matches_hodograph_surface(data, hodo, params):
     # With both feet pinned on the jump verticals, F and G freeze at their
     # plateau totals and the general formula must reduce to the closed
     # Goursat solution of the two-point scenario.
-    F = data.F(params.x1, params.x2)
-    G = data.G(params.x1, params.x2)
+    F, G = data._integrals(params.x1, params.x2)[2:]
     width = params.x2 - params.x1
     for r1 in np.linspace(2.05, 4.95, 9):
         for r2 in np.linspace(8.05, 9.95, 9):
@@ -122,7 +120,7 @@ def test_seed_on_a_breakpoint_takes_the_right_limit(data, params, t_star):
     # seed is the first crossing of t* on the ray a = x2.
     lo, hi = data.domain
     row = np.linspace(1.0 + cauchy_general._EDGE * (hi - lo), hi, 128)
-    b = next(_level_crossings(t_ray(data, a=1.0), [row], t_star))
+    b = next(_level_crossings(partial(_t_feet, data, 1.0), [row], t_star))
     st = seed_point(data, 1.0, b)
     assert st.a == 1.0
     assert st.r2 == params.mu2
@@ -165,14 +163,14 @@ def test_find_seed_prefers_cross_piece_brackets(data):
 
 
 def _level_map(data, rect, resolution):
-    """t(a, b) over a rectangle, one t_ray per row of a; NaN where b <= a."""
+    """t(a, b) over a rectangle, one _t_feet call per row of a; NaN where b <= a."""
     a = np.linspace(rect[0], rect[1], resolution)
     b = np.linspace(rect[2], rect[3], resolution)
     T = np.full((a.size, b.size), np.nan)
     for i, av in enumerate(a):
         right = b > av
         if right.any():
-            T[i, right] = t_ray(data, a=av)(b[right])
+            T[i, right] = _t_feet(data, av, b[right])
     return a, b, T
 
 
@@ -187,7 +185,7 @@ def test_level_map_translation_invariance():
 
 
 def test_level_map_monotone_along_b(data):
-    col = t_ray(data, a=-0.9)(np.linspace(-0.5, 0.9, 33))
+    col = _t_feet(data, -0.9, np.linspace(-0.5, 0.9, 33))
     vals = col[~np.isnan(col)]
     assert vals.size == 33
     assert np.all(np.diff(vals) > 0)
@@ -255,7 +253,7 @@ def test_march_samples_stay_on_the_level(data, t_star):
     res = march_isochrone(data, seed, (-4.0, 9.0))
     for k in range(res.x.size):
         a, b, r1, r2 = res.a[k], res.b[k], res.R1[k], res.R2[k]
-        F, G = data.F(a, b), data.G(a, b)
+        F, G = data._integrals(a, b)[2:]
         t = (2 * (b - a) - (r1 + r2) * F + 2 * r1 * r2 * G) / (r1 - r2) ** 3
         assert abs(t - t_star) <= 1e-13 * t_star
     # Off the jumps the invariants are the data's: t_ab itself must agree.
@@ -359,7 +357,7 @@ def test_t_ray_a_fixed_is_bitwise_t_ab(data):
     for a in _feet(data):
         if a >= hi:
             continue
-        ray = t_ray(data, a=a)
+        ray = partial(_t_feet, data, a)
         # The scan's rows: one per piece, each ending exactly on its right
         # edge, where t_ab takes r1 from the piece on the left.
         for e0, e1 in zip(edges, edges[1:]):
@@ -400,18 +398,11 @@ def test_t_ray_coincident_row_is_nan():
     with pytest.raises(CoincidentInvariants):
         t_ab(COINCIDENT, -1.0, 1.0)
     bb = np.linspace(1e-9, 5.0, 50)
-    assert np.all(np.isnan(t_ray(COINCIDENT, a=-1.0)(bb)))
+    assert np.all(np.isnan(_t_feet(COINCIDENT, -1.0, bb)))
     assert np.all(np.isnan(_t_feet(COINCIDENT, -bb, 1.0)))
     # The same ray is finite where the feet share a piece.
     inside = np.linspace(-0.99, -0.01, 20)
-    assert np.all(np.isfinite(t_ray(COINCIDENT, a=-1.0)(inside)))
-
-
-def test_t_ray_needs_one_fixed_foot_and_the_far_side(data):
-    with pytest.raises(DomainError):
-        t_ray(data, a=0.0)(np.array([0.5, 0.0]))
-    with pytest.raises(DomainError):
-        t_ray(data, a=0.0)(-0.25)
+    assert np.all(np.isfinite(_t_feet(COINCIDENT, -1.0, inside)))
 
 
 def _t_mp(data, a, b):
@@ -932,7 +923,7 @@ def test_march_post_pass_keeps_its_checks(data):
     s_a = np.linspace(seg_a.s0 + 1.0, seg_a.s0 + 2.0, 9)
     s_b = np.linspace(seg_b.s0 + 0.2, seg_b.s0 + 0.4, 9)
     feet = list(zip(seg_a.x0 + s_a - seg_a.s0, seg_b.x0 + s_b - seg_b.s0))
-    anchor = (*feet[0], data.F(*feet[0]), data.G(*feet[0]))
+    anchor = (*feet[0], *map(float, data._integrals(*feet[0])[2:]))
     ys = np.vstack([s_a, s_b, np.zeros(9)])
     # The feet move off the level line of their first point.
     with pytest.raises(LevelDrift):

@@ -119,9 +119,9 @@ def test_only_profile_reads_the_samples_bound(tmp_path):
     path.write_text(GOOD_CONFIG.replace("samples = 400", "samples = 0"))
     out = tmp_path / "o"
     assert main(["profile", "--config", str(path), "--out", str(out)]) == 2
-    for command in ("timeline", "general"):
-        assert main([command, "--config", str(path), "--out", str(out),
-                     "--times", "0.018"]) == 0
+    assert main(["timeline", "--config", str(path), "--out", str(out)]) == 0
+    assert main(["general", "--config", str(path), "--out", str(out),
+                 "--times", "0.018"]) == 0
 
 
 def test_non_numeric_times_exit_2(config, tmp_path, capsys):
@@ -362,16 +362,32 @@ def test_main_calls_do_not_share_flags(tmp_path):
     path = tmp_path / "small.ini"
     path.write_text(GOOD_CONFIG.replace("samples = 400", "samples = 64")
                     .replace("cells = 300, 600", "cells = 40"))
-    flags = ["--times", "0.005", "--samples", "32", "--cells", "20"]
-    for command in ("profile", "compare"):
+    own = {"profile": ["--samples", "32"], "compare": ["--cells", "20"]}
+    for command, flags in own.items():
         first, second = tmp_path / f"{command}1", tmp_path / f"{command}2"
-        assert main([command, "--config", str(path), "--out", str(first), *flags]) == 0
+        assert main([command, "--config", str(path), "--out", str(first),
+                     "--times", "0.005", *flags]) == 0
         assert main([command, "--config", str(path), "--out", str(second),
                      "--times", "0.005"]) == 0
     profile = (tmp_path / "profile2" / "profile_t0.005000.csv").read_text().splitlines()
     assert len(profile) == 1 + 64
     runs = json.loads((tmp_path / "compare2" / "errors.json").read_text())["0.005000"]
     assert [run["cells"] for run in runs] == [40]
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("timeline", "--times"), ("timeline", "--samples"), ("profile", "--cells"),
+     ("profile", "--format"), ("compare", "--samples"), ("compare", "--format"),
+     ("general", "--samples"), ("general", "--cfl")],
+)
+def test_commands_reject_flags_they_do_not_read(config, tmp_path, capsys, command, flag):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(config), "--out", str(out), flag, "0"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_write_rows_writes_the_joined_rows(tmp_path):
