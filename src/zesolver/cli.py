@@ -235,8 +235,7 @@ def cmd_compare(cfg: ScenarioConfig, out_dir: Path, times, cells_list, cfl) -> i
         layout = solver.timeline.zones_at(t)
         xs1, xs2 = layout[0].x_right, layout[-1].x_left
         runs = []
-        for grid in grids:
-            result = fv_reference.fv_run(params, grid, t)
+        for grid, result in zip(grids, fv_reference.fv_runs(params, grids, t)):
             e1, e2 = fv_reference.l1_error(result, profile)
             d1 = abs(fv_reference.steepest_gradient_x(result, 1) - xs1) / grid.dx
             d2 = abs(fv_reference.steepest_gradient_x(result, 2) - xs2) / grid.dx

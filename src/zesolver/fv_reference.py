@@ -19,6 +19,11 @@ cell's flux is the first cell's own, so the first face difference is
 exactly zero; it is kept as a zero column instead of building the ghost
 cell.  The time step obeys the CFL rule dt = cfl dx / max lambda2.
 
+fv_runs advances several grids at once: their states sit side by side in
+one (2, sum n) array, so each step pays numpy's per-call cost once for all
+of them, while every grid keeps its own time step, time and step count.
+Each grid's result is bitwise that of the grid run alone (fv_run).
+
 The scheme shares nothing with the analytic path beyond the flux
 definition, which makes it a genuinely independent cross-check: shocks
 land in the right cells, smooth regions converge at first order, and weak
@@ -78,7 +83,8 @@ def invariants_field(p: MixtureParams, u1, u2):
     """
     a = u1 + u2
     a += 1.0
-    if (a <= 0.0).any():
+    # fmin skips NaN, and the empty minimum is +inf: exactly (a <= 0).any().
+    if np.fmin.reduce(a, initial=np.inf) <= 0.0:
         raise NonPhysicalState("1 + u1 + u2 <= 0 in a cell")
     b = u1 * p.mu2
     b += p.mu1 + p.mu2
@@ -88,7 +94,7 @@ def invariants_field(p: MixtureParams, u1, u2):
     # (4 a) c == a (4 c): scaling by 4 is exact, so both round one product.
     np.multiply(a, 4.0 * (p.mu1 * p.mu2), out=tmp)
     disc -= tmp
-    if (disc < 0.0).any():
+    if np.fmin.reduce(disc, initial=np.inf) < 0.0:
         raise ComplexRoots("cell state left the hyperbolic region")
     sq = np.sqrt(disc, out=disc)
     a += a
@@ -120,54 +126,94 @@ def initial_averages(p: MixtureParams, grid: Grid1D):
     return float(u1_in) * overlap, float(u2_in) * overlap
 
 
-def fv_run(p: MixtureParams, grid: Grid1D, t_end: float) -> FvResult:
-    """Advance the conservation laws to t_end by characteristic upwinding.
+def fv_runs(p: MixtureParams, grids, t_end: float) -> list:
+    """Advance each grid to t_end by characteristic upwinding, side by side.
 
     lambda1 = R1^2 R2 > 0 and lambda2 >= lambda1, so the Riemann fan at
     every face moves right and the upwind flux is that of the left cell;
-    the time step uses the fastest lambda2.  NonPhysicalState is raised if
-    some cell has lambda1 <= 0, where upwinding would be wrong.
+    a grid's time step uses its own fastest lambda2.  NonPhysicalState is
+    raised if some cell has lambda1 <= 0, where upwinding would be wrong.
 
-    U is one (2, n) array whose rows u1 and u2 are views; the fluxes F and
-    face differences D are preallocated.  D[:, 0] stays exactly zero: the
-    copy ghost cell's flux is the first cell's own, and u - (dt/dx) 0.0 is u.
+    The grids still running sit side by side in one (2, sum n) array U,
+    whose rows u1 and u2 are views, so a step makes one set of wave-speed,
+    flux, difference and update calls for all of them; the fluxes F and
+    face differences D are preallocated.  Each grid keeps its own dt, t and
+    step count and scales only its own lane of D, by its own dt/dx.  The
+    stacked subtract takes a lane's first difference across the seam from
+    the grid to its left; it is set to +0.0, the copy ghost cell's flux
+    being the first cell's own, and u - (dt/dx) 0.0 is u.  A grid that
+    reaches t_end is copied out and the rest are re-stacked.  Every cell
+    sees the operations it would see on its own, so each result is bitwise
+    that of the grid run alone.  Returns one FvResult per grid of the
+    sequence grids, in order.
     """
     validate_params(p)
-    U = np.array(initial_averages(p, grid))
-    u1, u2 = U
-    mu = np.empty_like(U)
-    mu[0], mu[1] = p.mu1, p.mu2
     c = p.mu1 * p.mu2
-    E = np.empty(grid.n_cells)
-    F = np.empty_like(U)
-    f1, f2 = F
-    D = np.zeros_like(U)
-    dx = grid.dx
-    t = 0.0
-    steps = 0
-    while t < t_end:
-        lam1, lam2 = _wave_speeds(p, u1, u2)
-        if lam1.min() <= 0.0:
-            raise NonPhysicalState("a characteristic speed is not positive")
-        dt = grid.cfl * dx / float(lam2.max())
-        if t + dt > t_end:
-            dt = t_end - t
+    t = [0.0] * len(grids)
+    steps = [0] * len(grids)
+    results = [None] * len(grids)
+    live = [(i, np.array(initial_averages(p, g))) for i, g in enumerate(grids)]
+    while live:
+        U = np.concatenate([state for _, state in live], axis=1)
+        u1, u2 = U
+        bounds = np.cumsum([0] + [state.shape[1] for _, state in live])
+        starts = bounds[:-1]
+        mu = np.empty_like(U)
+        mu[0], mu[1] = p.mu1, p.mu2
+        E = np.empty(U.shape[1])
+        F = np.empty_like(U)
+        f1, f2 = F
+        D = np.empty_like(U)
+        # One lane per grid: its index, cfl dx, dx and its columns of U and D.
+        lanes = [
+            (i, grids[i].cfl * grids[i].dx, grids[i].dx, U[:, lo:hi], D[:, lo:hi])
+            for (i, _), lo, hi in zip(live, starts.tolist(), bounds[1:].tolist())
+        ]
+        running = all(t[i] < t_end for i, *_ in lanes)
+        while running:
+            lam1, lam2 = _wave_speeds(p, u1, u2)
+            # A positive stacked minimum makes every grid's positive; else the
+            # per-grid minima decide, as lam1.min() did for each grid alone,
+            # so one grid's NaN hides no other grid's zero.
+            if not np.minimum.reduce(lam1) > 0.0 and (
+                np.minimum.reduceat(lam1, starts) <= 0.0
+            ).any():
+                raise NonPhysicalState("a characteristic speed is not positive")
+            fastest = np.maximum.reduceat(lam2, starts).tolist()
 
-        # f^k = (mu^k u^k) E with E = mu1 mu2 / ((1 + u1) + u2).  mu has
-        # full rows and E scales F row by row: same-shape operands skip
-        # numpy's broadcasting set-up, which costs more than the work here.
-        np.add(u1, 1.0, out=E)
-        E += u2
-        np.divide(c, E, out=E)
-        np.multiply(mu, U, out=F)
-        f1 *= E
-        f2 *= E
-        np.subtract(F[:, 1:], F[:, :-1], out=D[:, 1:])
-        D *= dt / dx
-        U -= D
-        t += dt
-        steps += 1
-    return FvResult(t_end, grid.centers(), u1, u2, steps)
+            # f^k = (mu^k u^k) E with E = mu1 mu2 / ((1 + u1) + u2).  mu has
+            # full rows and E scales F row by row: same-shape operands skip
+            # numpy's broadcasting set-up, which costs more than the work here.
+            np.add(u1, 1.0, out=E)
+            E += u2
+            np.divide(c, E, out=E)
+            np.multiply(mu, U, out=F)
+            f1 *= E
+            f2 *= E
+            np.subtract(F[:, 1:], F[:, :-1], out=D[:, 1:])
+            for (i, cfl_dx, dx, _, d), lam2_max in zip(lanes, fastest):
+                dt = cfl_dx / lam2_max
+                if t[i] + dt > t_end:
+                    dt = t_end - t[i]
+                d[:, 0] = 0.0
+                d *= dt / dx
+                t[i] += dt
+                steps[i] += 1
+                running = running and t[i] < t_end
+            U -= D
+        live = []
+        for i, _, _, state, _ in lanes:
+            if t[i] < t_end:
+                live.append((i, state))
+            else:
+                results[i] = FvResult(t_end, grids[i].centers(), state[0].copy(),
+                                      state[1].copy(), steps[i])
+    return results
+
+
+def fv_run(p: MixtureParams, grid: Grid1D, t_end: float) -> FvResult:
+    """One grid advanced to t_end: fv_runs on that grid alone."""
+    return fv_runs(p, [grid], t_end)[0]
 
 
 def l1_error(result: FvResult, profile) -> tuple:

@@ -212,14 +212,15 @@ def _side_timeline(p: MixtureParams, side: Side, T_int, X_int):
     inner = _ray(side.origin, lambda_k(3 - k, p.q1, p.q2))
     on_early = lambda t: fan_state(early(t), t)
     plateau = _const_state(*inside)
+    # The fan meets the Z4 plateau on the inner front, where the fan formula
+    # is (q1, q2) in exact arithmetic but cancels in x - origin.
+    z4 = _const_state(p.q1, p.q2)
     curves = (
         BoundaryCurve(f"xs{k}", "shock", 0.0, T_shock, _ray(side.origin, side.shock_speed),
                       *_ordered(side, _const_state(p.mu1, p.mu2), plateau)),
         BoundaryCurve(side.outer_front, f"weak-{3 - k}", 0.0, T_death,
                       _ray(side.origin, outer_speed), plateau, plateau),
-        BoundaryCurve(side.inner_front, f"weak-{3 - k}", 0.0, T_int, inner,
-                      *_ordered(side, lambda t: fan_state(inner(t), t),
-                                _const_state(p.q1, p.q2))),
+        BoundaryCurve(side.inner_front, f"weak-{3 - k}", 0.0, T_int, inner, z4, z4),
         BoundaryCurve(side.early, f"weak-{k}", T_int, T_death, early, on_early, on_early),
         BoundaryCurve(f"xw{k}", f"weak-{k}", T_death, T_shock,
                       _ray(X_death, lambda_k(k, *inside), T_death), plateau, plateau),

@@ -20,7 +20,7 @@ from zesolver import (
 )
 from zesolver.cauchy_general import PiecewiseInitialData, general_profile
 from zesolver.errors import UnexpectedOrdering
-from zesolver.fv_reference import Grid1D, fv_run, l1_error, steepest_gradient_x
+from zesolver.fv_reference import Grid1D, fv_runs, l1_error, steepest_gradient_x
 from zesolver.invariants import InvariantPair, lambda_k
 
 
@@ -322,9 +322,8 @@ def test_criterion_8_finite_volume_oracle(solver, params):
     xs2 = solver.timeline.curves["xs2"].x(t_end)
     errors = []
     shock_ok = True
-    for n in (1000, 2000, 4000):
-        grid = Grid1D(-3.0, 7.0, n, 0.45)
-        res = fv_run(params, grid, t_end)
+    grids = [Grid1D(-3.0, 7.0, n, 0.45) for n in (1000, 2000, 4000)]
+    for grid, res in zip(grids, fv_runs(params, grids, t_end)):
         errors.append(l1_error(res, prof))
         d1 = abs(steepest_gradient_x(res, 1, x_hi=0.6) - xs1)
         d2 = abs(steepest_gradient_x(res, 2, x_lo=2.0) - xs2)

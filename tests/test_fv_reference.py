@@ -7,6 +7,7 @@ from zesolver.fv_reference import (
     Grid1D,
     _wave_speeds,
     fv_run,
+    fv_runs,
     initial_averages,
     invariants_field,
     l1_error,
@@ -48,6 +49,19 @@ def test_invariants_field_guards(params):
     # a = 0.1 > 0 but b^2 - 4ac = 0.25 - 16 < 0.
     with pytest.raises(ComplexRoots):
         invariants_field(params, np.array([0.0, -3.0]), np.array([0.0, 2.1]))
+    # Exactly where (a <= 0).any() and (disc < 0).any() raise: a NaN cell
+    # hides no bad cell beside it, and NaN or no cells raise nothing.
+    for u1, u2, error in (
+        ([np.nan, -2.0], [0.0, 0.0], NonPhysicalState),
+        ([-2.0, np.nan], [0.0, 0.0], NonPhysicalState),
+        ([np.nan, -3.0], [0.0, 2.1], ComplexRoots),
+        ([-3.0, 0.0], [2.1, np.nan], ComplexRoots),
+    ):
+        with pytest.raises(error):
+            invariants_field(params, np.array(u1), np.array(u2))
+    for u1 in ([np.nan, np.nan], []):
+        R1, R2 = invariants_field(params, np.array(u1), np.zeros(len(u1)))
+        assert R1.size == R2.size == len(u1)
 
 
 def test_real_state_with_negative_speed(params):
@@ -112,6 +126,21 @@ def test_fv_run_is_bitwise_the_per_component_loop(params, n_cells, t_end):
     assert (got[0].tobytes(), got[1].tobytes()) == (R1.tobytes(), R2.tobytes())
 
 
+@pytest.mark.parametrize("t_end", [0.005, 0.02])
+@pytest.mark.parametrize("cells", [[250], [300, 100, 400], [250, 250]])
+def test_fv_runs_is_bitwise_each_grid_alone(params, cells, t_end):
+    # Grids finishing at different steps are re-stacked; equal grids finish
+    # together.  Neither changes a bit of any grid's result.
+    grids = [Grid1D(-3.0, 7.0, n, 0.45) for n in cells]
+    results = fv_runs(params, grids, t_end)
+    assert len(results) == len(grids)
+    for grid, res in zip(grids, results):
+        u1, u2, steps, _ = _reference_fv_run(params, grid, t_end)
+        assert (res.t_end, res.steps) == (t_end, steps)
+        assert res.x.tobytes() == grid.centers().tobytes()
+        assert (res.u1.tobytes(), res.u2.tobytes()) == (u1.tobytes(), u2.tobytes())
+
+
 def test_discrete_conservation(params):
     grid = Grid1D(-3.0, 7.0, 800, 0.45)
     res = fv_run(params, grid, 0.01)
@@ -126,9 +155,8 @@ def test_convergence_and_shock_location(params, solver):
     xs1 = solver.timeline.curves["xs1"].x(t_end)
     xs2 = solver.timeline.curves["xs2"].x(t_end)
     errors = []
-    for n in (500, 1000):
-        grid = Grid1D(-3.0, 7.0, n, 0.45)
-        res = fv_run(params, grid, t_end)
+    grids = [Grid1D(-3.0, 7.0, n, 0.45) for n in (500, 1000)]
+    for grid, res in zip(grids, fv_runs(params, grids, t_end)):
         errors.append(l1_error(res, prof))
         assert abs(steepest_gradient_x(res, 1, x_hi=0.6) - xs1) <= 3 * grid.dx
         assert abs(steepest_gradient_x(res, 2, x_lo=2.0) - xs2) <= 3 * grid.dx
@@ -137,15 +165,34 @@ def test_convergence_and_shock_location(params, solver):
 
 
 def test_non_positive_speed_stops_upwinding(params, monkeypatch):
-    # Upwinding is only right while every wave moves to the right.
+    # Upwinding is only right while every wave moves to the right; the
+    # guard sees the first grid's cell alone and beside a second grid.
     def speeds(p, u1, u2):
         lam = np.ones_like(u1)
         lam[3] = 0.0
         return lam, lam
 
     monkeypatch.setattr("zesolver.fv_reference._wave_speeds", speeds)
+    for cells in ((100,), (100, 50)):
+        with pytest.raises(NonPhysicalState):
+            fv_runs(params, [Grid1D(-3.0, 7.0, n, 0.45) for n in cells], 1e-3)
+
+
+def test_nan_speed_hides_no_other_grids_zero(params, monkeypatch):
+    # A NaN speed in the last cell makes its grid's minimum NaN, which does
+    # not trip the guard, as lambda1.min() did for a grid alone; beside
+    # another grid it must not hide that grid's zero speed.
+    def speeds(p, u1, u2):
+        lam = np.ones_like(u1)
+        lam[3] = 0.0
+        lam[-1] = np.nan
+        return lam, lam
+
+    monkeypatch.setattr("zesolver.fv_reference._wave_speeds", speeds)
+    res = fv_run(params, Grid1D(-3.0, 7.0, 100, 0.45), 1e-3)
+    assert res.steps == 1
     with pytest.raises(NonPhysicalState):
-        fv_run(params, Grid1D(-3.0, 7.0, 100, 0.45), 1e-3)
+        fv_runs(params, [Grid1D(-3.0, 7.0, n, 0.45) for n in (100, 50)], 1e-3)
 
 
 def test_l1_error_identical_fields_is_zero(params, solver):

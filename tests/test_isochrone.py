@@ -23,6 +23,31 @@ def test_z5_degenerate_at_interaction_time(solver):
     assert seg.R2[0] == pytest.approx(10.0, abs=1e-9)
 
 
+def test_z5_point_at_interaction_time_is_the_z4_state():
+    # At T_int Z5 is the point where the inner fronts meet the Z4 plateau,
+    # so its state is (q1, q2) exactly; the fan formula there cancels in
+    # x - origin.  Instances drawn by acceptance 9's parameter law.
+    rng = np.random.default_rng(7)
+    checked = 0
+    for _ in range(300):
+        mu1 = rng.uniform(1.0, 6.0)
+        mu2 = mu1 + rng.uniform(0.5, 5.0)
+        q1 = rng.uniform(0.5, mu1)
+        q2 = rng.uniform(mu2, 3 * mu2)
+        x1 = rng.uniform(-2.0, 0.0)
+        x2 = x1 + rng.uniform(0.5, 3.0)
+        try:
+            solver = ScenarioSolver(MixtureParams(mu1, mu2, q1, q2, x1, x2))
+        except UnexpectedOrdering:
+            continue
+        prof = solver.profile_at(solver.timeline.times["T_int"], n=256)
+        z5 = [i for i, zone in enumerate(prof.zone) if zone == "Z5"]
+        assert len(z5) == 1
+        assert (prof.R1[z5[0]], prof.R2[z5[0]]) == (q1, q2)
+        checked += 1
+    assert checked > 100
+
+
 def test_z5_collapses_at_separation_point(solver):
     # The zone shrinks to the separation point, cross-checking the position
     # surface at (mu1, mu2) against the boundary-curve route.
