@@ -95,10 +95,13 @@ class ImplicitSolution:
 
     def t(self, R1, R2):
         """t(R1, R2) = T_int * V(q1, q2 | R1, R2), expanded in closed form."""
-        p = self.params
         _check_separated(R1, R2)
+        return self._t_of(R1, R2, (R1 - R2) ** 3)
+
+    def _t_of(self, R1, R2, d3):
+        p = self.params
         num = 2.0 * R1 * R2 + 2.0 * p.q1 * p.q2 - (p.q1 + p.q2) * (R1 + R2)
-        return (p.x2 - p.x1) * num / (p.q1 * p.q2 * (R1 - R2) ** 3)
+        return (p.x2 - p.x1) * num / (p.q1 * p.q2 * d3)
 
     def t_partials(self, R1, R2):
         """Exact (dt/dR1, dt/dR2) of the closed form.
@@ -123,19 +126,20 @@ class ImplicitSolution:
 
     def x(self, R1, R2):
         """x(R1, R2) obtained from the kernel under t <-> x, R -> 1/R."""
+        _check_separated(R1, R2)
+        return self._x_of(R1, R2, (R1 - R2) ** 3)
+
+    def _x_of(self, R1, R2, d3):
         p = self.params
+        term1 = (p.x2 - p.x1) * (R1 * R2) ** 2 * (R2 + R1 - 2.0 * (p.q1 + p.q2))
+        term2 = p.x1 * R1**3 - p.x2 * R2**3 + 3.0 * R1 * R2 * (R2 * p.x2 - R1 * p.x1)
+        return term1 / (p.q1 * p.q2 * d3) + term2 / d3
+
+    def t_x(self, R1, R2):
+        """(t, x) in one pass: one separation check and one (R1 - R2)**3."""
         _check_separated(R1, R2)
         d3 = (R1 - R2) ** 3
-        term1 = (
-            (p.x2 - p.x1)
-            * (R1 * R2) ** 2
-            * (R2 + R1 - 2.0 * (p.q1 + p.q2))
-            / (p.q1 * p.q2 * d3)
-        )
-        term2 = (
-            p.x1 * R1**3 - p.x2 * R2**3 + 3.0 * R1 * R2 * (R2 * p.x2 - R1 * p.x1)
-        ) / d3
-        return term1 + term2
+        return self._t_of(R1, R2, d3), self._x_of(R1, R2, d3)
 
     def x_partials(self, R1, R2):
         """(dx/dR1, dx/dR2) via the hodograph relations x_Rk = lambda^(3-k) t_Rk."""
@@ -176,11 +180,11 @@ class ImplicitSolution:
         R1, R2 = R1l + s * (R1r - R1l), R2l + s * (R2r - R2l)
         for _ in range(NEWTON_MAX_ITER):
             t, xx, t_r1, t_r2 = self._t_x_partials(R1, R2)
-            P = R1 * R2
-            dR1 = (P * R1 * (t - t_star) - (xx - x)) / (t_r1 * P * (R1 - R2))
-            dR2 = ((xx - x) - P * R2 * (t - t_star)) / (t_r2 * P * (R1 - R2))
-            R1 = np.clip(R1 - dR1, R1l, R1r)
-            R2 = np.clip(R2 - dR2, R2l, R2r)
+            P, d, dt, dx = R1 * R2, R1 - R2, t - t_star, xx - x
+            dR1 = (P * R1 * dt - dx) / (t_r1 * P * d)
+            dR2 = (dx - P * R2 * dt) / (t_r2 * P * d)
+            R1 = np.minimum(np.maximum(R1 - dR1, R1l), R1r)
+            R2 = np.minimum(np.maximum(R2 - dR2, R2l), R2r)
             if np.all((abs(dR1) <= NEWTON_STOP * R1) & (abs(dR2) <= NEWTON_STOP * R2)):
                 return R1, R2
         raise NoRootInInterval(f"isochrone t* = {t_star}: Newton did not converge")

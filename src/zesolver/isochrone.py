@@ -47,8 +47,8 @@ class Profile:
 
     x is non-decreasing; it is strictly increasing within each zone run and
     repeats only at zone boundaries, where both one-sided states are kept
-    (shocks are genuinely two-valued there).  The zone runs are found once,
-    on construction.
+    (shocks are genuinely two-valued there).  Construction checks that
+    order on one diff of x; the zone runs are found on first use.
     """
 
     t_star: float
@@ -58,21 +58,23 @@ class Profile:
     u1: np.ndarray
     u2: np.ndarray
     zone: list
-    _runs: list = field(init=False, repr=False, compare=False)
+    _runs: list = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if np.any(np.diff(self.x) < 0):
+        dx = np.diff(self.x)
+        if (dx < 0).any():
             raise PhaseGap("profile samples are not ordered by x")
-        self._runs, start = [], 0
-        for label, run in itertools.groupby(self.zone):
-            stop = start + len(list(run))
-            if stop - start > 1 and np.any(np.diff(self.x[start:stop]) <= 0):
+        for i in np.flatnonzero(dx <= 0).tolist():
+            if self.zone[i] == self.zone[i + 1]:
                 raise PhaseGap("x not strictly increasing inside a zone run")
-            self._runs.append((label, slice(start, stop)))
-            start = stop
 
     def zone_runs(self):
         """Contiguous runs of equal zone label, as (label, slice) pairs."""
+        if self._runs is None:
+            sizes = [(label, len(list(run))) for label, run in itertools.groupby(self.zone)]
+            stops = itertools.accumulate(size for _, size in sizes)
+            self._runs = [(label, slice(stop - size, stop))
+                          for (label, size), stop in zip(sizes, stops)]
         return list(self._runs)
 
     def mass(self):
@@ -250,12 +252,11 @@ class ScenarioSolver:
         """Position reached at t* by the value rho leaving the Z5 boundary.
 
         rho may be a scalar or an array; an array is evaluated as a whole,
-        with one hodograph t and one x call for all of its values.
+        with one hodograph t_x call for all of its values.
         """
         s = self.timeline.side(side)
         R = s.pair(rho)
-        tau = self.hodograph.t(*R)
-        x0 = self.hodograph.x(*R)
+        tau, x0 = self.hodograph.t_x(*R)
         return x0 + lambda_k(s.k, *R) * (t_star - tau)
 
     def _transport_segment(self, side, t_star, n, zone):
@@ -312,59 +313,60 @@ class ScenarioSolver:
 
         Samples are spread over the finite zones proportionally to width
         (uniform in x, or uniform in the parameter for transport zones); the
-        two outer plateaus are clipped to the window.
+        two outer plateaus are clipped to the window.  Plateau and fan zones
+        take x from one multi-range linspace, in numpy's own arithmetic.
         """
         if t_star <= 0.0:
             raise DomainError("profiles exist for t > 0")
         intervals = self.timeline.zones_at(t_star)
 
-        x_lo_active = intervals[0].x_right
-        x_hi_active = intervals[-1].x_left
-        span = max(x_hi_active - x_lo_active, 1.0)
+        x_lo, x_hi = intervals[0].x_right, intervals[-1].x_left
         if window is None:
-            window = (x_lo_active - 0.1 * span, x_hi_active + 0.1 * span)
+            span = max(x_hi - x_lo, 1.0)
+            window = (x_lo - 0.1 * span, x_hi + 0.1 * span)
 
         ends = [(window[0] if iv.x_left is None else iv.x_left,
                  window[1] if iv.x_right is None else iv.x_right) for iv in intervals]
         widths = [max(xr - xl, 0.0) for xl, xr in ends]
         total = sum(widths) or 1.0
-        segments = [
-            self._zone_segment(iv, xl, xr, t_star, max(2, int(round(n * w / total))))
-            for iv, (xl, xr), w in zip(intervals, ends, widths)
-        ]
-        return self._merge_segments(t_star, segments)
-
-    def _zone_segment(self, iv, xl, xr, t_star, n_k) -> Segment:
-        zone = iv.zone
         s1, s2 = self.timeline.sides.values()
-        if zone == "Z5":
-            return self.z5_profile(t_star, n_k, iv)
-        if zone == s1.zone:
-            return self.z9_profile(t_star, n_k, iv)
-        if zone == s2.zone:
-            return self.z10_profile(t_star, n_k, iv)
-        # A plateau, or a fan zone: R1 unset in side 2's fan, R2 in side 1's.
-        R1, R2 = self.timeline.plateaus[zone]
-        degenerate = (xr - xl) < DEGENERATE_WIDTH * max(1.0, abs(xl))
-        xs = np.array([xl]) if degenerate else np.linspace(xl, xr, n_k)
-        R1 = s2.fan(xs, t_star) if R1 is None else np.full_like(xs, R1)
-        R2 = s1.fan(xs, t_star) if R2 is None else np.full_like(xs, R2)
-        return Segment(zone, xs, R1, R2)
+        samplers = {"Z5": self.z5_profile, s1.zone: self.z9_profile, s2.zone: self.z10_profile}
+        slices, stops, rows, segments = [], [], [], []
+        for iv, (xl, xr), w in zip(intervals, ends, widths):
+            n_k = max(2, int(round(n * w / total)))
+            first = slices[-1].stop if slices else 0
+            seg = samplers[iv.zone](t_star, n_k, iv) if iv.zone in samplers else None
+            if seg is not None:
+                n_k = len(seg.x)
+            elif (xr - xl) < DEGENERATE_WIDTH * max(1.0, abs(xl)):
+                xr, n_k = xl, 1  # a point zone
+            slices.append(slice(first, first + n_k))
+            stops.append(xr)
+            segments.append(seg)
+            # First index, step, start and (R1, R2), NaN where a fan or a sampler sets it.
+            rows.append((first, (xr - xl) / max(n_k - 1, 1), xl,
+                         *self.timeline.plateaus.get(iv.zone, (None, None))))
 
-    def _merge_segments(self, t_star, segments) -> Profile:
-        for a, b in zip(segments, segments[1:]):
-            if abs(a.x[-1] - b.x[0]) > ASSEMBLY_GAP * max(1.0, abs(a.x[-1])):
-                raise PhaseGap(
-                    f"assembly gap between {a.zone} ({a.x[-1]}) and {b.zone} ({b.x[0]})"
-                )
-        x = np.concatenate([s.x for s in segments])
-        R1 = np.concatenate([s.R1 for s in segments])
-        R2 = np.concatenate([s.R2 for s in segments])
-        zone = sum(([s.zone] * len(s.x) for s in segments), [])
+        counts = [sl.stop - sl.start for sl in slices]
+        k0, step, start, *R = np.repeat(np.array(rows, dtype=float).T, counts, axis=1)
+        x = (np.arange(len(k0)) - k0) * step + start
+        x[[sl.stop - 1 for sl in slices]] = stops
+        fans = {s.fan_zone: s for s in (s1, s2)}
+        zones = [iv.zone for iv in intervals]
+        for zone, sl, seg in zip(zones, slices, segments):
+            if seg is not None:
+                x[sl], R[0][sl], R[1][sl] = seg.x, seg.R1, seg.R2
+            elif zone in fans:  # a side's fan sets the other invariant
+                R[1 - fans[zone].index][sl] = fans[zone].fan(x[sl], t_star)
+        for i in range(1, len(slices)):  # neighbouring zones share an edge
+            a, b = x[slices[i].start - 1], x[slices[i].start]
+            if abs(a - b) > ASSEMBLY_GAP * max(1.0, abs(a)):
+                raise PhaseGap(f"assembly gap between {zones[i - 1]} ({a}) and {zones[i]} ({b})")
         # Shared boundary samples may disagree in the last bit; enforce order.
         x = np.maximum.accumulate(x)
-        u1, u2 = concentrations_from_invariants(self.params, R1, R2)
-        return Profile(t_star, x, R1, R2, np.asarray(u1), np.asarray(u2), zone)
+        u1, u2 = concentrations_from_invariants(self.params, *R)
+        zone = list(itertools.chain.from_iterable(map(itertools.repeat, zones, counts)))
+        return Profile(t_star, x, *R, np.asarray(u1), np.asarray(u2), zone)
 
 
 def profile_at(params_or_solver, t_star, n=1024, window=None) -> Profile:

@@ -6,6 +6,8 @@ two to agree to a few units in the last place, on instances drawn from the
 same law as acceptance criterion 9.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,10 +16,18 @@ from zesolver.errors import (
     CoincidentInvariants,
     DomainError,
     NoRootInInterval,
+    PhaseGap,
     UnexpectedOrdering,
 )
-from zesolver.hodograph import COINCIDENT_RTOL
-from zesolver.isochrone import Profile, ScenarioSolver
+from zesolver.hodograph import COINCIDENT_RTOL, NEWTON_MAX_ITER, NEWTON_STOP
+from zesolver.invariants import concentrations_from_invariants, lambda_k
+from zesolver.isochrone import (
+    ASSEMBLY_GAP,
+    DEGENERATE_WIDTH,
+    Profile,
+    ScenarioSolver,
+    Segment,
+)
 
 #: Array vs per-point agreement, relative to the largest value compared.
 RTOL = 1e-13
@@ -43,6 +53,11 @@ def _cone_instances(count, seed=20261017):
 
 
 CONE = _cone_instances(20)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def _assert_matches(array_result, per_point):
@@ -72,6 +87,11 @@ def test_hodograph_array_matches_per_point(solver):
     fused = hodo._t_x_partials(R1, R2)
     for got, ref in zip(fused, (hodo.t(R1, R2), hodo.x(R1, R2), d1, d2)):
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+    # The one-pass t/x evaluator is t and x bit for bit, also on an array
+    # against a scalar fixed invariant (as Side.pair gives it).
+    for args in ((R1, R2), (R1, p.mu2), (p.mu1, R2)):
+        t, x = hodo.t_x(*args)
+        assert _same_bits(t, hodo.t(*args)) and _same_bits(x, hodo.x(*args))
 
 
 @pytest.mark.parametrize("solver", CONE, ids=lambda s: f"mu1={s.params.mu1:.3f}")
@@ -136,20 +156,24 @@ def test_near_coincident_above_tolerance_passes(hodo, make):
 
 
 def test_scalar_and_array_guards_agree_at_the_threshold(hodo):
-    def raises(R1, R2):
+    def raises(method, R1, R2):
         try:
-            hodo.t(R1, R2)
+            method(R1, R2)
         except CoincidentInvariants:
             return True
         return False
 
+    # The one-pass t_x raises on exactly the inputs that t does, also on an
+    # array against a scalar fixed invariant.
     for base in (0.25, 1.0, R, 37.0):
         tol = COINCIDENT_RTOL * max(1.0, base)
         for factor in (0.5, 1.0 - 1e-6, 1.0 + 1e-6, 2.0):
             other = base + factor * tol
             expected = factor < 1.0
-            assert raises(base, other) is expected
-            assert raises(np.array([base, 2.0]), np.array([other, 8.0])) is expected
+            for method in (hodo.t, hodo.t_x):
+                assert raises(method, base, other) is expected
+                assert raises(method, np.array([base, 2.0]), np.array([other, 8.0])) is expected
+                assert raises(method, np.array([base, 2.0]), other) is expected
 
 
 # -- zone runs ----------------------------------------------------------------------
@@ -315,7 +339,7 @@ def test_samplers_read_their_edges_from_the_layout(solver):
                     if sl.stop - sl.start > 1:  # else a point zone at its left end
                         ends.append((sl.stop - 1, iv.x_right, right))
                     for i, x, state in ends:
-                        # _merge_segments' order clamp may raise x to the
+                        # The assembly's order clamp may raise x to the
                         # sample before it.
                         x = max(x, prof.x[i - 1]) if i else x
                         assert (prof.x[i], prof.R1[i], prof.R2[i]) == (x, *state), (t, i)
@@ -331,3 +355,127 @@ def test_samplers_read_their_edges_from_the_layout(solver):
                 for edge in (s.phi, s.theta):
                     with pytest.raises(DomainError):
                         edge(t)
+
+
+# -- the profile's bytes against the per-zone assembly ----------------------------
+
+
+def _invert_reference(hodo, t_star, x, left, right):
+    """ImplicitSolution.invert as a per-term Newton with np.clip."""
+    (xl, R1l, R2l), (xr, R1r, R2r) = left, right
+    if not R2l - R1r >= COINCIDENT_RTOL * max(1.0, abs(R2l)):
+        raise CoincidentInvariants(f"state box reaches R1 = R2 ({R1r}, {R2l})")
+    s = (x - xl) / (xr - xl)
+    R1, R2 = R1l + s * (R1r - R1l), R2l + s * (R2r - R2l)
+    for _ in range(NEWTON_MAX_ITER):
+        t, xx, t_r1, t_r2 = hodo._t_x_partials(R1, R2)
+        P = R1 * R2
+        dR1 = (P * R1 * (t - t_star) - (xx - x)) / (t_r1 * P * (R1 - R2))
+        dR2 = ((xx - x) - P * R2 * (t - t_star)) / (t_r2 * P * (R1 - R2))
+        R1 = np.clip(R1 - dR1, R1l, R1r)
+        R2 = np.clip(R2 - dR2, R2l, R2r)
+        if np.all((abs(dR1) <= NEWTON_STOP * R1) & (abs(dR2) <= NEWTON_STOP * R2)):
+            return R1, R2
+    raise NoRootInInterval(f"isochrone t* = {t_star}: Newton did not converge")
+
+
+def _transport_x_reference(solver, side, rho, t_star):
+    """ScenarioSolver.transport_x with separate hodograph t and x calls."""
+    s = solver.timeline.side(side)
+    R = s.pair(rho)
+    tau = solver.hodograph.t(*R)
+    x0 = solver.hodograph.x(*R)
+    return x0 + lambda_k(s.k, *R) * (t_star - tau)
+
+
+def _zone_segment_reference(solver, iv, xl, xr, t_star, n_k):
+    """One zone as its own Segment: a sampler, or np.linspace and the
+    plateau or fan state."""
+    zone = iv.zone
+    s1, s2 = solver.timeline.sides.values()
+    if zone == "Z5":
+        return solver.z5_profile(t_star, n_k, iv)
+    if zone == s1.zone:
+        return solver.z9_profile(t_star, n_k, iv)
+    if zone == s2.zone:
+        return solver.z10_profile(t_star, n_k, iv)
+    R1, R2 = solver.timeline.plateaus[zone]
+    degenerate = (xr - xl) < DEGENERATE_WIDTH * max(1.0, abs(xl))
+    xs = np.array([xl]) if degenerate else np.linspace(xl, xr, n_k)
+    R1 = s2.fan(xs, t_star) if R1 is None else np.full_like(xs, R1)
+    R2 = s1.fan(xs, t_star) if R2 is None else np.full_like(xs, R2)
+    return Segment(zone, xs, R1, R2)
+
+
+def _merge_segments_reference(solver, t_star, segments):
+    """The segments concatenated, with the gap check, the order clamp and
+    the per-run order check of the Profile."""
+    for a, b in zip(segments, segments[1:]):
+        if abs(a.x[-1] - b.x[0]) > ASSEMBLY_GAP * max(1.0, abs(a.x[-1])):
+            raise PhaseGap(
+                f"assembly gap between {a.zone} ({a.x[-1]}) and {b.zone} ({b.x[0]})"
+            )
+    x = np.maximum.accumulate(np.concatenate([s.x for s in segments]))
+    R1 = np.concatenate([s.R1 for s in segments])
+    R2 = np.concatenate([s.R2 for s in segments])
+    zone = sum(([s.zone] * len(s.x) for s in segments), [])
+    if np.any(np.diff(x) < 0):
+        raise PhaseGap("profile samples are not ordered by x")
+    start = 0
+    for _, run in itertools.groupby(zone):
+        stop = start + len(list(run))
+        if stop - start > 1 and np.any(np.diff(x[start:stop]) <= 0):
+            raise PhaseGap("x not strictly increasing inside a zone run")
+        start = stop
+    u1, u2 = concentrations_from_invariants(solver.params, R1, R2)
+    return x, R1, R2, np.asarray(u1), np.asarray(u2), zone
+
+
+def _profile_reference(solver, t_star, n, window, monkeypatch):
+    """profile_at assembled zone by zone, each zone its own Segment."""
+    with monkeypatch.context() as m:
+        hodo = solver.hodograph
+        m.setattr(hodo, "invert", lambda *a: _invert_reference(hodo, *a))
+        m.setattr(solver, "transport_x",
+                  lambda *a: _transport_x_reference(solver, *a))
+        intervals = solver.timeline.zones_at(t_star)
+        x_lo, x_hi = intervals[0].x_right, intervals[-1].x_left
+        span = max(x_hi - x_lo, 1.0)
+        if window is None:
+            window = (x_lo - 0.1 * span, x_hi + 0.1 * span)
+        ends = [(window[0] if iv.x_left is None else iv.x_left,
+                 window[1] if iv.x_right is None else iv.x_right) for iv in intervals]
+        widths = [max(xr - xl, 0.0) for xl, xr in ends]
+        total = sum(widths) or 1.0
+        segments = [
+            _zone_segment_reference(solver, iv, xl, xr, t_star,
+                                    max(2, int(round(n * w / total))))
+            for iv, (xl, xr), w in zip(intervals, ends, widths)
+        ]
+        return _merge_segments_reference(solver, t_star, segments)
+
+
+def _assert_profile_bytes(solver, t, n, window, monkeypatch):
+    prof = solver.profile_at(t, n=n, window=window)
+    x, R1, R2, u1, u2, zone = _profile_reference(solver, t, n, window, monkeypatch)
+    for got, ref in zip((prof.x, prof.R1, prof.R2, prof.u1, prof.u2), (x, R1, R2, u1, u2)):
+        assert _same_bits(got, ref), (t, n, window)
+    assert prof.zone == zone, (t, n, window)
+
+
+@pytest.mark.parametrize("n", [2, 7, 1024, 4096])
+def test_profile_bytes_match_per_zone_assembly_readme(solver, n, monkeypatch):
+    # compare's window is its FV domain [-3, 7] widened by 1 on each side.
+    times = _layout_times(solver) + [10.0 * solver.timeline.times["T_fin"]]
+    for t in times:
+        for window in (None, (-4.0, 8.0)):
+            _assert_profile_bytes(solver, t, n, window, monkeypatch)
+
+
+@pytest.mark.parametrize("solver", CONE, ids=lambda s: f"mu1={s.params.mu1:.3f}")
+def test_profile_bytes_match_per_zone_assembly_cone(solver, monkeypatch):
+    # Each time takes the next sample count and window in turn.
+    times = _layout_times(solver) + [10.0 * solver.timeline.times["T_fin"]]
+    cases = itertools.cycle(itertools.product((2, 7, 1024, 4096), (None, (-4.0, 8.0))))
+    for t, (n, window) in zip(times, cases):
+        _assert_profile_bytes(solver, t, n, window, monkeypatch)

@@ -9,10 +9,11 @@ from zesolver.errors import (
     DomainError,
     DomainMismatch,
     NoRootInInterval,
+    PhaseGap,
     UnexpectedOrdering,
 )
 from zesolver.invariants import InvariantPair, lambda_k
-from zesolver.isochrone import ScenarioSolver, csv_rows, profile_at
+from zesolver.isochrone import Profile, ScenarioSolver, Segment, csv_rows, profile_at
 
 
 def test_z5_degenerate_at_interaction_time(solver):
@@ -394,3 +395,54 @@ def test_profile_solves_each_boundary_root_once(solver, monkeypatch):
         calls.clear()
         solver.profile_at(t, n=1024)
         assert len(calls) == roots, t
+
+
+# -- sample order ------------------------------------------------------------------
+
+
+def _profile(x, zone):
+    ones = np.ones(len(x))
+    return Profile(0.1, np.array(x, dtype=float), ones, ones, ones, ones, zone)
+
+
+@pytest.mark.parametrize(
+    "x, zone, message",
+    [
+        ([0.0, 1.0, 0.5], ["Z1"] * 3, "not ordered by x"),
+        ([0.0, 1.0, 0.5, 2.0], ["Z1", "Z1", "Z2", "Z2"], "not ordered by x"),
+        ([0.0, 1.0, 1.0, 2.0], ["Z1"] * 4, "strictly increasing inside a zone run"),
+        ([0.0, 1.0, 1.0, 2.0, 2.0], ["Z1", "Z2", "Z2", "Z1", "Z1"],
+         "strictly increasing inside a zone run"),
+    ],
+)
+def test_profile_rejects_x_out_of_order(x, zone, message):
+    with pytest.raises(PhaseGap, match=message):
+        _profile(x, zone)
+
+
+def test_profile_accepts_equal_x_at_run_boundaries():
+    # Both one-sided states of a shock share its x; a label may recur.
+    prof = _profile([0.0, 1.0, 1.0, 2.0, 2.0, 3.0], ["Z1", "Z1", "Z2", "Z2", "Z1", "Z1"])
+    assert prof.zone_runs() == [
+        ("Z1", slice(0, 2)), ("Z2", slice(2, 4)), ("Z1", slice(4, 6))
+    ]
+    assert _profile([0.0, 0.0, 0.0], ["Z1", "Z2", "Z1"]).zone_runs() == [
+        ("Z1", slice(0, 1)), ("Z2", slice(1, 2)), ("Z1", slice(2, 3))
+    ]
+
+
+@pytest.mark.parametrize(
+    "name, zone", [("z5_profile", "Z5"), ("z9_profile", "Z9"), ("z10_profile", "Z10")]
+)
+def test_profile_at_raises_on_an_assembly_gap(solver, monkeypatch, name, zone):
+    # A sampler whose segment misses its neighbours' shared edge by 1e-3.
+    t = 0.05  # after T_3 and T_6, before T_fin: Z9, Z5 and Z10 all exist
+    sampler = getattr(solver, name)
+
+    def shifted(*args):
+        seg = sampler(*args)
+        return Segment(seg.zone, seg.x + 1e-3, seg.R1, seg.R2)
+
+    monkeypatch.setattr(solver, name, shifted)
+    with pytest.raises(PhaseGap, match=rf"assembly gap between \w+ \([^)]*\) and {zone} "):
+        solver.profile_at(t, n=1024)
