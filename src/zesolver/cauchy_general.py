@@ -22,14 +22,16 @@ run keeps both feet on fixed graph segments, and there the level line is
 explicit (_level_line): a straight line with both feet horizontal, the
 moving foot rational in the swept invariant with one foot on a jump, and a
 root of a cubic with both on jumps.  So each run is solved in closed form;
-the tests keep the RK45 march of the system above as its reference.
+the tests keep the RK45 march of the system above as its reference.  The
+march's seed is explicit too (find_seed): with a fixed and b inside one
+data piece, t d^3 is affine in b.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -53,8 +55,7 @@ _DRIFT = 1e-8
 _SEED_AGREE = 1e-9
 #: a point this close (relative) to a graph joint or a data edge sits on it.
 _EDGE = 1e-12
-#: find_seed's scan: this many rows of a across the domain, and samples of b
-#: per data piece in each row.
+#: find_seed's scan: this many rows of a across the domain.
 _SCAN_RESOLUTION = 128
 #: a march direction stops once its runs' chords sum to this arclength.
 _MAX_ARC = 1e4
@@ -642,87 +643,45 @@ def _sample_run(seg_a, seg_b, ys, t_star, anchor):
     }
 
 
-def _level_crossings(ray, rows, t_star):
-    """Points where ray(v) = t_star, scanning each row of v in order.
-
-    A sample that hits t_star exactly counts when its right neighbour is a
-    number; a sign change between neighbours is refined on the ray itself
-    by bracketed_newton with the chord's slope (within a row both feet stay
-    in their pieces, so t is affine in the free foot).  Neighbours in
-    different rows never form a bracket.
-    """
-    if not rows:
-        return
-    vv = np.concatenate(rows)
-    vals = ray(vv) - t_star
-    pair = np.ones(vv.size - 1, dtype=bool)
-    pair[np.cumsum([len(r) for r in rows])[:-1] - 1] = False
-    hit = pair & (vals[:-1] == 0.0) & ~np.isnan(vals[1:])
-    cross = pair & (vals[:-1] * vals[1:] < 0)
-    for k in np.flatnonzero(hit | cross):  # a hit is its own root
-        slope = (vals[k + 1] - vals[k]) / (vv[k + 1] - vv[k])
-        yield bracketed_newton(
-            lambda v: (ray(v) - t_star, slope), vv[k], vv[k + 1], vals[k], vals[k + 1]
-        )
-
-
 def find_seed(data: PiecewiseInitialData, t_star):
-    """Locate (a*, b*) with t(a*, b*) = t* by a scan and a root per bracket.
+    """Locate (a*, b*) with t(a*, b*) = t*, each row's root in closed form.
 
-    For _SCAN_RESOLUTION values of a across the domain, rows of b (one per
-    data piece right of a) are scanned and refined.  Brackets never
-    straddle a breakpoint.  Seeds whose feet sit in different data pieces
-    are preferred: a bracket with both feet in one piece lies on a
+    The rows are _SCAN_RESOLUTION values of a across the domain, and in
+    each row one segment of b per data piece right of a, from _EDGE (of the
+    domain's width) past the piece's start, or past a, to the piece's end.
+    With a fixed and b in one piece, r1 and r2 are fixed and F, G are
+    affine in b, so t d^3 = N is affine in b with slope
+    c = 2 - (r1 + r2) f + 2 r1 r2 g, f and g of b's piece, and the
+    segment's root is b = start + (t* d^3 - N(start)) / c.  A root between
+    its segment's ends (a start past the end where a lies within _EDGE of
+    the piece's end) is a candidate.  The seed is the first candidate in
+    (row, piece) order whose feet sit in different data pieces, else the
+    first candidate: a root with both feet in one piece lies on a
     constant-state arc, which is trivial and usually a
     characteristic-crossing ghost rather than the branch carrying the wave
-    structure.  Each row is evaluated by one _t_feet call with a fixed.
-
-    Only rows that can cross t* are scanned.  With a fixed and b in one
-    piece, r1 and r2 are fixed and F, G are affine in b, so t is affine in b
-    up to the rounding of each evaluation.  Each term of t's numerator is at
-    most its factor times b - a and is rounded a few times, so that
-    rounding stays below 10 eps K with
-    K = (b - a) (2 + |r1 + r2| max|f| + 2 |r1 r2| max|g|) / |r1 - r2|^3.
-    A sample pair can then bracket or hit t* only if the row's end values
-    come within 20 eps K of it.  One batched call evaluates the ends of
-    every row, and a row is scanned only if its ends straddle t* within
-    the slack 64 eps K, K at the row's end, where b - a is largest.  A row
-    whose start does not lie below its end (a within _EDGE of a breakpoint)
-    is always scanned.  Once a same-piece root is kept as the fallback,
-    same-piece rows are skipped: only a cross-piece root can still change
-    the result (and a skipped row's bracketed_newton cannot raise).
+    structure.  One _integrals call evaluates N at every segment's start.
     """
     lo, hi = data.domain
     edges = data._edges()
-    av = np.linspace(lo, hi, _SCAN_RESOLUTION)
+    av = np.linspace(lo, hi, _SCAN_RESOLUTION)[:, None]
     tab = data._table
-    ia = tab.breakpoints.searchsorted(av, side="right")[:, None]  # a's piece, per row of a
+    ia = tab.breakpoints.searchsorted(av, side="right")  # a's piece, per row of a
     piece = np.arange(edges.size - 1)
-    start = np.maximum(edges[:-1], av[:, None]) + _EDGE * (hi - lo)  # [row of a, piece]
-    end = np.broadcast_to(edges[1:], start.shape)
+    start = np.maximum(edges[:-1], av) + _EDGE * (hi - lo)  # [row of a, piece]
+    end = edges[1:]
     r1, r2 = tab.r1[piece], tab.r2[ia, piece]
-    K = (end - av[:, None]) * (2.0 + np.abs(r1 + r2) * np.abs(tab.f).max()
-                               + 2.0 * np.abs(r1 * r2) * np.abs(tab.g).max())
-    K /= np.abs(r1 - r2) ** 3
-    slack = 64.0 * np.finfo(float).eps * K
-    ends = _t_feet(data, av[:, None], np.stack((start, end))) - t_star
-    spans = start < end
-    crosses = ((np.minimum(*ends) <= slack) & (np.maximum(*ends) >= -slack)) | ~spans
-    crosses &= end > av[:, None]
-    same = spans & (piece == ia)
-    fallback = None
-    for i in np.flatnonzero(crosses.any(axis=1)):
-        keep = crosses[i] if fallback is None else crosses[i] & ~same[i]
-        rows = [np.linspace(start[i, k], end[i, k], _SCAN_RESOLUTION)
-                for k in np.flatnonzero(keep)]
-        for bv in _level_crossings(partial(_t_feet, data, av[i]), rows, t_star):
-            if ia[i, 0] != data.piece_of(bv, side="left"):
-                return av[i], bv
-            if fallback is None:
-                fallback = (av[i], bv)
-    if fallback is None:
-        raise NoRootInInterval(f"no seed found for t = {t_star} in the data domain")
-    return fallback
+    F, G = data._integrals(av, start)[2:]
+    d = r1 - r2
+    N = 2.0 * (start - av) - (r1 + r2) * F + 2.0 * r1 * r2 * G
+    c = 2.0 - (r1 + r2) * tab.f + 2.0 * r1 * r2 * tab.g
+    with np.errstate(divide="ignore", invalid="ignore"):  # c = 0: no root in the row
+        b = start + (t_star * d * d * d - N) / c
+    found = (np.minimum(start, end) <= b) & (b <= np.maximum(start, end)) & (end > av)
+    for pick in (found & (piece != ia), found):
+        if pick.any():
+            i, k = np.unravel_index(np.argmax(pick), pick.shape)
+            return float(av[i, 0]), float(b[i, k])
+    raise NoRootInInterval(f"no seed found for t = {t_star} in the data domain")
 
 
 def _dependence(data, t_star, x_window):

@@ -42,16 +42,16 @@ Exit codes:
 
     0  success
     2  bad input: a missing or unreadable config, a missing section or key,
-       a value that is not a number, a wrong value count (domain and window
-       take two, the [general] value lists one more than breakpoints), an
-       empty cell list, unsorted or non-positive times, two times with the
-       same file tag (their %.6f text), fewer than 2 `profile` samples,
-       mixture parameters that break 0 < q1 < mu1 < mu2 < q2 or x1 < x2
-       (`general` too, when it reads its mobilities from [mixture]),
-       [general] data that breaks its rules (domain lo < hi, breakpoints
-       increasing and inside it, R1 < R2 and R1 R2 != 0 on every piece), a
-       grid with fewer than 4 cells or x_min >= x_max, a CFL number outside
-       (0, 1)
+       a value that is not a number, a value that is not finite (nan, inf),
+       a wrong value count (domain and window take two, the [general] value
+       lists one more than breakpoints), an empty cell list, unsorted or
+       non-positive times, two times with the same file tag (their %.6f
+       text), fewer than 2 `profile` samples, mixture parameters that break
+       0 < q1 < mu1 < mu2 < q2 or x1 < x2 (`general` too, when it reads its
+       mobilities from [mixture]), [general] data that breaks its rules
+       (domain lo < hi, breakpoints increasing and inside it, R1 < R2 and
+       R1 R2 != 0 on every piece), a grid with fewer than 4 cells or
+       x_min >= x_max, a CFL number outside (0, 1)
     3  the solver failed on valid input (for example no seed at the
        requested time, a fold at the seed, level drift, or no sample of a
        `general` isochrone inside the window); the error type is printed
@@ -71,6 +71,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -85,9 +86,12 @@ from .svgplot import SvgPlot
 
 def _parse_list(text, kind):
     try:
-        return [kind(v) for v in str(text).replace(",", " ").split()]
+        values = [kind(v) for v in str(text).replace(",", " ").split()]
     except ValueError as exc:
         raise InputError(f"bad {kind.__name__} list {text!r}: {exc}") from exc
+    if not all(map(math.isfinite, values)):
+        raise InputError(f"bad {kind.__name__} list {text!r}: a value is not finite")
+    return values
 
 
 def _parse_floats(text):
@@ -130,8 +134,8 @@ class ScenarioConfig:
         if missing:
             raise InputError(f"[mixture]: missing {', '.join(missing)}")
         try:
-            params = MixtureParams(**{key: sec.getfloat(key) for key in keys})
-        except ValueError as exc:
+            params = MixtureParams(**{key: _parse_one(sec[key], float) for key in keys})
+        except InputError as exc:
             raise InputError(f"[mixture]: {exc}") from exc
         return validate_params(params)
 

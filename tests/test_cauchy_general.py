@@ -13,7 +13,6 @@ from zesolver.cauchy_general import (
     PiecewiseInitialData,
     _anchor,
     _dependence,
-    _level_crossings,
     _parts,
     _position,
     _t_feet,
@@ -115,12 +114,14 @@ def test_seed_point_near_corner_matches_interaction_point(data):
 
 @pytest.mark.parametrize("t_star", [0.005, 0.01, 0.05])
 def test_seed_on_a_breakpoint_takes_the_right_limit(data, params, t_star):
-    # a* = x2 exactly: t_ab and the seed scan read r2 = R2_0(a*+) = mu2, and
-    # so must seed_point, or its t* disagrees with the scan's level.  The
-    # seed is the first crossing of t* on the ray a = x2.
+    # a* = x2 exactly: t_ab and find_seed read r2 = R2_0(a*+) = mu2, and
+    # so must seed_point, or its t* disagrees with the seed's level.  The
+    # seed is the crossing of t* on the ray a = x2, where b's one piece
+    # makes t affine in b: the root of the chord through the ray's ends.
     lo, hi = data.domain
-    row = np.linspace(1.0 + cauchy_general._EDGE * (hi - lo), hi, 128)
-    b = next(_level_crossings(partial(_t_feet, data, 1.0), [row], t_star))
+    ends = np.array([1.0 + cauchy_general._EDGE * (hi - lo), hi])
+    t0, t1 = _t_feet(data, 1.0, ends)
+    b = ends[0] + (t_star - t0) / (t1 - t0) * (ends[1] - ends[0])
     st = seed_point(data, 1.0, b)
     assert st.a == 1.0
     assert st.r2 == params.mu2
@@ -839,32 +840,83 @@ SEED_CASES = LAW + [(COINCIDENT, 0.01)] + [
 ]
 
 
-def _seed_as_reference(data, t_star):
+def _row_root_mp(data, t_star, a, b):
+    """The 50-digit root of t(a, .) = t* on b's piece, with its scale.
+
+    With a fixed and b in one piece t d^3 is affine in b with slope
+    c = 2 - (r1 + r2) f + 2 r1 r2 g, so the root is b + (t* - t(a, b)) d^3 / c.
+    The scale (2|b-a| + |(r1+r2) F| + 2|r1 r2 G| + |t* d^3|) / |c| is what
+    the rounding of the closed-form root's terms can cost.
+    """
+    t_mp, t_scale = _t_mp(data, a, b)
+    k, ia = data.piece_of(b, side="left"), data.piece_of(a)
+    with mpmath.workdps(50):
+        r1, r2, r2_k = (mpmath.mpf(v) for v in
+                        (data.r1_values[k], data.r2_values[ia], data.r2_values[k]))
+        c = 2 - (r1 + r2) * (r1 + r2_k) / (r1 * r2_k) + 2 * r1 * r2 / (r1 * r2_k)
+        d3 = (r1 - r2) ** 3
+        root = mpmath.mpf(b) + (mpmath.mpf(t_star) - t_mp) * d3 / c
+        return root, abs(d3) * (t_scale + abs(mpmath.mpf(t_star))) / abs(c)
+
+
+def _assert_seed_as_reference(data, t_star, resolution):
+    """find_seed against the scalar scan: the same raise or no-raise, the same
+    a and piece of b, and b within 4 eps of the 50-digit root, in its scale."""
     got = _seed_or_error(find_seed, data, t_star)
-    ref = _seed_or_error(_reference_find_seed, data, t_star, resolution=32)
-    assert got == ref
-    assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
-    return got
+    ref = _seed_or_error(_reference_find_seed, data, t_star, resolution=resolution)
+    assert isinstance(got, str) == isinstance(ref, str), (got, ref)
+    if isinstance(ref, str):
+        return
+    a, b = got
+    assert a == ref[0]
+    assert data.piece_of(b, side="left") == data.piece_of(ref[1], side="left")
+    root, scale = _row_root_mp(data, t_star, a, b)
+    with mpmath.workdps(50):
+        assert abs(mpmath.mpf(b) - root) <= 4 * np.finfo(float).eps * scale, (a, b)
 
 
 @pytest.mark.parametrize("data, t_int", SEED_CASES)
 def test_find_seed_matches_scalar_reference(data, t_int, monkeypatch):
     monkeypatch.setattr(cauchy_general, "_SCAN_RESOLUTION", 32)
     for t_star in (1.4 * t_int, 100.0 * t_int):
-        _seed_as_reference(data, t_star)
-    # t* equal to a sample of the first row of a, on the piece right of the
-    # first breakpoint: t is affine in b there, so the scan hits that sample
-    # exactly and it is the first cross-piece root.
+        _assert_seed_as_reference(data, t_star, 32)
+    # t* equal to a sample of the reference's first row of a, on the piece
+    # right of the first breakpoint: the scan hits that sample exactly and
+    # it is the first cross-piece root.
     edges = data._edges()
     lo, hi = data.domain
     b_hit = np.linspace(edges[1] + cauchy_general._EDGE * (hi - lo), edges[2], 32)[9]
     t_hit = _scalar_t(data, lo, b_hit)
     if not np.isnan(t_hit):  # COINCIDENT has no such row
-        assert _seed_as_reference(data, t_hit) == (lo, b_hit)
+        assert _reference_find_seed(data, t_hit, resolution=32) == (lo, b_hit)
+        _assert_seed_as_reference(data, t_hit, 32)
 
 
 def test_find_seed_matches_scalar_reference_at_full_resolution(data):
-    assert find_seed(data, 0.018) == _reference_find_seed(data, 0.018)
+    _assert_seed_as_reference(data, 0.018, 128)
+
+
+#: Narrow gaps where the scan's bracket refinement ran out of steps.
+NARROW = PiecewiseInitialData((-1.4762,), (2.58732, 1.25465), (2.58800, 1.25575),
+                              (-10.954, 2.444))
+
+
+def test_find_seed_solves_no_root_iteratively(monkeypatch):
+    # Each row's root is closed-form, so no bracket refinement can fail:
+    # on NARROW bracketed_newton raised NoRootInInterval after 100 steps.
+    def refuse(*args):
+        raise AssertionError("find_seed called bracketed_newton")
+
+    monkeypatch.setattr(cauchy_general, "bracketed_newton", refuse)
+    for data, t_int in SEED_CASES:
+        for t_star in (1.4 * t_int, 100.0 * t_int):
+            _seed_or_error(find_seed, data, t_star)
+    a, b = find_seed(NARROW, 42.055)
+    assert a == -10.954
+    assert b == pytest.approx(-10.7625122624, abs=1e-10)
+    root, scale = _row_root_mp(NARROW, 42.055, a, b)
+    with mpmath.workdps(50):
+        assert abs(mpmath.mpf(b) - root) <= 4 * np.finfo(float).eps * scale
 
 
 @pytest.mark.parametrize("data", [LAW[0][0], LAW[1][0], COINCIDENT])

@@ -200,6 +200,34 @@ def test_non_numeric_config_scalar_exits_2(tmp_path, capsys, line, value):
     assert repr(value) in capsys.readouterr().err
 
 
+#: One non-finite value per key: (command, config edit or None, flags).
+NON_FINITE = {
+    "fv-x_min-nan": ("compare", ("x_min = -3", "x_min = nan"), []),
+    "fv-x_max-inf": ("compare", ("x_max = 7", "x_max = inf"), []),
+    "flag-times-nan": ("general", None, ["--times", "nan"]),
+    "flag-times-inf": ("general", None, ["--times", "inf"]),
+    "output-times-inf": ("profile", ("times = 0.01", "times = 0.01, inf"), []),
+    "mixture-x1-minus-inf": ("timeline", ("x1 = -1", "x1 = -inf"), []),
+    "mixture-q2-inf": ("timeline", ("q2 = 10", "q2 = inf"), []),
+    "mixture-mu1-nan": ("general", ("mu1 = 5", "mu1 = nan"), ["--times", "0.018"]),
+    "general-domain-minus-inf": (
+        "general", ("domain = -21, 21", "domain = -inf, 21"), ["--times", "0.018"]),
+    "general-window-inf": ("general", ("window = -2, 6", "window = -2, inf"), ["--times", "0.018"]),
+    "general-r1_values-nan": (
+        "general", ("r1_values = 5, 2, 5", "r1_values = 5, nan, 5"), ["--times", "0.018"]),
+}
+
+
+@pytest.mark.parametrize("command, edit, flags", NON_FINITE.values(), ids=NON_FINITE.keys())
+def test_non_finite_value_exits_2(tmp_path, capsys, command, edit, flags):
+    path = tmp_path / "bad.ini"
+    path.write_text(GOOD_CONFIG if edit is None else GOOD_CONFIG.replace(*edit))
+    code = main([command, "--config", str(path), "--out", str(tmp_path / "o"), *flags])
+    assert code == 2
+    assert "not finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_profile_outputs_and_determinism(config, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
