@@ -51,7 +51,9 @@ Exit codes:
        mobilities from [mixture]), [general] data that breaks its rules
        (domain lo < hi, breakpoints increasing and inside it, R1 < R2 and
        R1 R2 != 0 on every piece), a grid with fewer than 4 cells or
-       x_min >= x_max, a CFL number outside (0, 1)
+       x_min >= x_max, a grid whose first cell reaches past x1
+       (x_min + dx > x1: the copy ghost cell would feed the column's state
+       in from the left), a CFL number outside (0, 1)
     3  the solver failed on valid input (for example no seed at the
        requested time, a fold at the seed, level drift, or no sample of a
        `general` isochrone inside the window); the error type is printed
@@ -80,7 +82,7 @@ import numpy as np
 from . import fv_reference
 from .errors import CFLViolation, DomainError, InputError, OrderingViolation, SolverError
 from .invariants import MixtureParams, validate_params
-from .isochrone import PROFILE_HEADER, ScenarioSolver, csv_rows
+from .isochrone import PROFILE_HEADER, ScenarioSolver, column_text, csv_rows
 from .svgplot import SvgPlot
 
 
@@ -230,6 +232,14 @@ def cmd_compare(cfg: ScenarioConfig, out_dir: Path, times, cells_list, cfl) -> i
         grids = [fv_reference.Grid1D(x_min, x_max, cells, cfl) for cells in cells_list]
     except CFLViolation as exc:
         raise InputError(f"[fv]: {exc}") from exc
+    # The copy ghost cell keeps the first cell's average forever, so that
+    # cell must lie left of the column, in the outer plateau.
+    for grid in grids:
+        if grid.x_min + grid.dx > params.x1:
+            raise InputError(
+                f"[fv]: the first cell of the {grid.n_cells}-cell grid ends at "
+                f"{grid.x_min + grid.dx!r}, right of x1 = {params.x1!r}"
+            )
     solver = ScenarioSolver(params)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = {}
@@ -258,18 +268,18 @@ def cmd_compare(cfg: ScenarioConfig, out_dir: Path, times, cells_list, cfl) -> i
             )
         summary[_time_tag(t)] = runs
 
-        # result is the finest grid's run, the last of grids.
+        # result is the finest grid's run, the last of grids.  Both CSVs
+        # share its x, u1 and u2 columns, so each is formatted once.
         ua1, ua2 = profile.interp(result.x)
         tag = _time_tag(t)
         R1, R2 = fv_reference.invariants_field(params, result.u1, result.u2)
+        x, u1, u2 = map(column_text, (result.x, result.u1, result.u2))
         write_rows(
-            csv_rows(PROFILE_HEADER, (result.x, R1, R2, result.u1, result.u2),
-                     itertools.repeat("fv")),
+            csv_rows(PROFILE_HEADER, (x, R1, R2, u1, u2), itertools.repeat("fv")),
             out_dir / f"fv_t{tag}.csv",
         )
         write_rows(
-            csv_rows("x,u1_fv,u2_fv,u1_exact,u2_exact",
-                     (result.x, result.u1, result.u2, ua1, ua2)),
+            csv_rows("x,u1_fv,u2_fv,u1_exact,u2_exact", (x, u1, u2, ua1, ua2)),
             out_dir / f"compare_t{tag}.csv",
         )
         plot = SvgPlot(title=f"exact vs finite-volume, t = {tag}", xlabel="x")

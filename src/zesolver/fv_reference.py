@@ -22,7 +22,11 @@ cell.  The time step obeys the CFL rule dt = cfl dx / max lambda2.
 fv_runs advances several grids at once: their states sit side by side in
 one (2, sum n) array, so each step pays numpy's per-call cost once for all
 of them, while every grid keeps its own time step, time and step count.
-Each grid's result is bitwise that of the grid run alone (fv_run).
+Each grid's result is bitwise that of the grid run alone (fv_run).  A step
+allocates nothing: its temporaries are allocated once per stacking, and it
+calls numpy only through ufuncs with a positional out.  One reduction
+guards it, the minimum of lambda1; the checks that name a bad cell's fault
+run only when that minimum is not positive.
 
 The scheme shares nothing with the analytic path beyond the flux
 definition, which makes it a genuinely independent cross-check: shocks
@@ -78,41 +82,44 @@ def invariants_field(p: MixtureParams, u1, u2):
     """Per-cell (R1, R2) from the state quadratic, vectorized.
 
     R1 <= R2 are the roots of a R^2 - b R + c = 0 with a = 1 + (u1 + u2),
-    b = mu1 + mu2 + u1 mu2 + u2 mu1 and c = mu1 mu2.  Only the function's
-    own temporaries are updated in place; u1 and u2 are left unchanged.
+    b = mu1 + mu2 + u1 mu2 + u2 mu1 and c = mu1 mu2.  u1 and u2 are left
+    unchanged.
     """
-    a = u1 + u2
-    a += 1.0
+    a, b, disc, R1 = np.empty((4, *np.broadcast(u1, u2).shape))
+    _quadratic(p, u1, u2, a, b, disc, R1)
     # fmin skips NaN, and the empty minimum is +inf: exactly (a <= 0).any().
     if np.fmin.reduce(a, initial=np.inf) <= 0.0:
         raise NonPhysicalState("1 + u1 + u2 <= 0 in a cell")
-    b = u1 * p.mu2
-    b += p.mu1 + p.mu2
-    tmp = u2 * p.mu1
-    b += tmp
-    disc = b * b
-    # (4 a) c == a (4 c): scaling by 4 is exact, so both round one product.
-    np.multiply(a, 4.0 * (p.mu1 * p.mu2), out=tmp)
-    disc -= tmp
     if np.fmin.reduce(disc, initial=np.inf) < 0.0:
         raise ComplexRoots("cell state left the hyperbolic region")
-    sq = np.sqrt(disc, out=disc)
-    a += a
-    R1 = b - sq
-    R1 /= a
-    b += sq
-    b /= a
+    return _roots(a, b, disc, R1)
+
+
+def _quadratic(p, u1, u2, a, b, disc, tmp):
+    """a, b and disc = b^2 - 4 a c of the state quadratic, into the given
+    buffers; tmp is scratch."""
+    np.add(u1, u2, a)
+    np.add(a, 1.0, a)
+    np.multiply(u1, p.mu2, b)
+    np.add(b, p.mu1 + p.mu2, b)
+    np.multiply(u2, p.mu1, tmp)
+    np.add(b, tmp, b)
+    np.multiply(b, b, disc)
+    # (4 a) c == a (4 c): scaling by 4 is exact, so both round one product.
+    np.multiply(a, 4.0 * (p.mu1 * p.mu2), tmp)
+    np.subtract(disc, tmp, disc)
+
+
+def _roots(a, b, disc, R1):
+    """(R1, R2) = ((b - sqrt disc) / 2a, (b + sqrt disc) / 2a), R1 written
+    into R1 and R2 into b; a and disc are overwritten."""
+    np.sqrt(disc, disc)
+    np.add(a, a, a)
+    np.subtract(b, disc, R1)
+    np.divide(R1, a, R1)
+    np.add(b, disc, b)
+    np.divide(b, a, b)
     return R1, b
-
-
-def _wave_speeds(p: MixtureParams, u1, u2):
-    """(lambda1, lambda2) = ((R1 R1) R2, (R1 R2) R2) per cell."""
-    R1, R2 = invariants_field(p, u1, u2)
-    lam2 = R1 * R2
-    lam2 *= R2
-    R1 *= R1
-    R1 *= R2
-    return R1, lam2
 
 
 def initial_averages(p: MixtureParams, grid: Grid1D):
@@ -126,6 +133,7 @@ def initial_averages(p: MixtureParams, grid: Grid1D):
     return float(u1_in) * overlap, float(u2_in) * overlap
 
 
+@np.errstate(invalid="ignore", divide="ignore")
 def fv_runs(p: MixtureParams, grids, t_end: float) -> list:
     """Advance each grid to t_end by characteristic upwinding, side by side.
 
@@ -136,16 +144,20 @@ def fv_runs(p: MixtureParams, grids, t_end: float) -> list:
 
     The grids still running sit side by side in one (2, sum n) array U,
     whose rows u1 and u2 are views, so a step makes one set of wave-speed,
-    flux, difference and update calls for all of them; the fluxes F and
-    face differences D are preallocated.  Each grid keeps its own dt, t and
-    step count and scales only its own lane of D, by its own dt/dx.  The
-    stacked subtract takes a lane's first difference across the seam from
-    the grid to its left; it is set to +0.0, the copy ghost cell's flux
-    being the first cell's own, and u - (dt/dx) 0.0 is u.  A grid that
-    reaches t_end is copied out and the rest are re-stacked.  Every cell
-    sees the operations it would see on its own, so each result is bitwise
-    that of the grid run alone.  Returns one FvResult per grid of the
-    sequence grids, in order.
+    flux and update calls for all of them.  Each grid keeps its own dt, t
+    and step count, takes the differences of its inner faces into its own
+    columns of D and scales them by its own dt/dx.  A grid's first column
+    of D, the copy ghost cell's difference, stays the +0.0 it was allocated
+    as, and u - (dt/dx) 0.0 is u.  A grid that reaches t_end is copied out
+    and the rest are re-stacked.  Every cell sees the operations it would
+    see on its own, so each result is bitwise that of the grid run alone.
+    Returns one FvResult per grid, in order.
+
+    A cell with a <= 0 or disc < 0 makes lambda1 NaN or <= 0, so a positive
+    minimum of lambda1 passes every check (numpy's invalid and divide
+    warnings are off: such a cell makes NaNs before the guard).  Else
+    invariants_field raises on a bad a or disc, and the per-grid minima
+    decide, as lambda1.min() did for each grid alone.
     """
     validate_params(p)
     c = p.mu1 * p.mu2
@@ -160,49 +172,54 @@ def fv_runs(p: MixtureParams, grids, t_end: float) -> list:
         starts = bounds[:-1]
         mu = np.empty_like(U)
         mu[0], mu[1] = p.mu1, p.mu2
-        E = np.empty(U.shape[1])
+        a, b, disc, lam1, lam2, E = np.empty((6, U.shape[1]))
         F = np.empty_like(U)
         f1, f2 = F
-        D = np.empty_like(U)
-        # One lane per grid: its index, cfl dx, dx and its columns of U and D.
+        D = np.zeros_like(U)
+        # One lane per grid: its index, cfl dx, dx, its columns of U and D,
+        # and the flux columns right and left of its inner faces with their
+        # columns of D.
         lanes = [
-            (i, grids[i].cfl * grids[i].dx, grids[i].dx, U[:, lo:hi], D[:, lo:hi])
+            (i, grids[i].cfl * grids[i].dx, grids[i].dx, U[:, lo:hi], D[:, lo:hi],
+             F[:, lo + 1:hi], F[:, lo:hi - 1], D[:, lo + 1:hi])
             for (i, _), lo, hi in zip(live, starts.tolist(), bounds[1:].tolist())
         ]
         running = all(t[i] < t_end for i, *_ in lanes)
         while running:
-            lam1, lam2 = _wave_speeds(p, u1, u2)
-            # A positive stacked minimum makes every grid's positive; else the
-            # per-grid minima decide, as lam1.min() did for each grid alone,
-            # so one grid's NaN hides no other grid's zero.
-            if not np.minimum.reduce(lam1) > 0.0 and (
-                np.minimum.reduceat(lam1, starts) <= 0.0
-            ).any():
-                raise NonPhysicalState("a characteristic speed is not positive")
+            _quadratic(p, u1, u2, a, b, disc, lam1)
+            R1, R2 = _roots(a, b, disc, lam1)
+            # lambda2 = (R1 R2) R2, then lambda1 = (R1 R1) R2 over R1.
+            np.multiply(R1, R2, lam2)
+            np.multiply(lam2, R2, lam2)
+            np.multiply(R1, R1, lam1)
+            np.multiply(lam1, R2, lam1)
+            if not np.minimum.reduce(lam1) > 0.0:
+                invariants_field(p, u1, u2)
+                if (np.minimum.reduceat(lam1, starts) <= 0.0).any():
+                    raise NonPhysicalState("a characteristic speed is not positive")
             fastest = np.maximum.reduceat(lam2, starts).tolist()
 
             # f^k = (mu^k u^k) E with E = mu1 mu2 / ((1 + u1) + u2).  mu has
             # full rows and E scales F row by row: same-shape operands skip
             # numpy's broadcasting set-up, which costs more than the work here.
-            np.add(u1, 1.0, out=E)
-            E += u2
-            np.divide(c, E, out=E)
-            np.multiply(mu, U, out=F)
-            f1 *= E
-            f2 *= E
-            np.subtract(F[:, 1:], F[:, :-1], out=D[:, 1:])
-            for (i, cfl_dx, dx, _, d), lam2_max in zip(lanes, fastest):
+            np.add(u1, 1.0, E)
+            np.add(E, u2, E)
+            np.divide(c, E, E)
+            np.multiply(mu, U, F)
+            np.multiply(f1, E, f1)
+            np.multiply(f2, E, f2)
+            for (i, cfl_dx, dx, _, d, right, left, inner), lam2_max in zip(lanes, fastest):
                 dt = cfl_dx / lam2_max
                 if t[i] + dt > t_end:
                     dt = t_end - t[i]
-                d[:, 0] = 0.0
-                d *= dt / dx
+                np.subtract(right, left, inner)
+                np.multiply(d, dt / dx, d)
                 t[i] += dt
                 steps[i] += 1
                 running = running and t[i] < t_end
-            U -= D
+            np.subtract(U, D, U)
         live = []
-        for i, _, _, state, _ in lanes:
+        for i, _, _, state, *_ in lanes:
             if t[i] < t_end:
                 live.append((i, state))
             else:

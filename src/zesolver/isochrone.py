@@ -121,18 +121,20 @@ class Profile:
 def csv_rows(header, columns, labels=None):
     """A CSV as lines: the header, then one row per sample of the numeric
     columns, each number written as its shortest round-trip decimal, and
-    the sample's label last when labels are given."""
+    the sample's label last when labels are given.  A column given as a
+    list is taken as that text already (column_text's)."""
     yield header
-    cells = [_column_text(np.asarray(col, dtype=float)) for col in columns]
+    cells = [col if isinstance(col, list) else column_text(col) for col in columns]
     if labels is not None:
         cells.append(labels)
     yield from map(",".join, zip(*cells))
 
 
-def _column_text(col):
+def column_text(col):
     """repr of every value of the float column, called once per run of
     bitwise-equal values: repr depends only on the bits, so -0.0 beside 0.0
     and NaNs with different payloads are separate runs."""
+    col = np.asarray(col, dtype=float)
     bits = col.view(np.int64)
     starts = np.empty(len(col), dtype=bool)
     starts[:1] = True

@@ -384,6 +384,24 @@ def test_invalid_grid_exits_2(config, tmp_path, capsys, flags):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "x_min, cells, code",
+    [("0", "200", 2), ("-3", "200,4", 2), ("-1.02", "300", 2), ("-3", "5", 0)],
+)
+def test_grid_whose_first_cell_reaches_the_column_exits_2(tmp_path, capsys, x_min, cells, code):
+    # The copy ghost cell keeps the first cell's average forever, so a first
+    # cell inside [x1, x2] = [-1, 1] feeds the column's state in from the
+    # left.  The 5-cell grid's first cell ends exactly at x1 and is kept.
+    path = tmp_path / "grid.ini"
+    path.write_text(GOOD_CONFIG.replace("x_min = -3", f"x_min = {x_min}"))
+    out = tmp_path / "o"
+    assert main(["compare", "--config", str(path), "--out", str(out),
+                 "--times", "0.005", "--cells", cells]) == code
+    if code == 2:
+        assert "[fv]" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_main_calls_do_not_share_flags(tmp_path):
     # The parser is built once per process: the flags of one call must not
     # reach the next, which reads samples and cells from its config.

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from zesolver.errors import CFLViolation, ComplexRoots, DomainMismatch, NonPhysi
 from zesolver.fv_reference import (
     FvResult,
     Grid1D,
-    _wave_speeds,
     fv_run,
     fv_runs,
     initial_averages,
@@ -14,6 +15,7 @@ from zesolver.fv_reference import (
     mass,
     steepest_gradient_x,
 )
+from zesolver.invariants import lambda_k
 
 
 def test_grid_validation():
@@ -67,7 +69,7 @@ def test_invariants_field_guards(params):
 def test_real_state_with_negative_speed(params):
     # a = 0.5 > 0 and b^2 - 4ac = 300.25 > 0, yet both roots are negative,
     # so lambda1 = R1^2 R2 < 0: the state fv_run's lambda1 guard rejects.
-    lam1, lam2 = _wave_speeds(params, np.array([-10.0]), np.array([9.5]))
+    lam1 = lambda_k(1, *invariants_field(params, np.array([-10.0]), np.array([9.5])))
     assert lam1[0] < 0.0
 
 
@@ -76,7 +78,6 @@ def test_invariants_field_leaves_its_inputs_unchanged(params):
     u2 = np.array([-1.0, -0.2, 0.0, 2e-3])
     before = u1.tobytes(), u2.tobytes()
     invariants_field(params, u1, u2)
-    _wave_speeds(params, u1, u2)
     assert (u1.tobytes(), u2.tobytes()) == before
 
 
@@ -126,11 +127,14 @@ def test_fv_run_is_bitwise_the_per_component_loop(params, n_cells, t_end):
     assert (got[0].tobytes(), got[1].tobytes()) == (R1.tobytes(), R2.tobytes())
 
 
-@pytest.mark.parametrize("t_end", [0.005, 0.02])
-@pytest.mark.parametrize("cells", [[250], [300, 100, 400], [250, 250]])
+@pytest.mark.parametrize("t_end", [0.005, 0.0125, 0.02])
+@pytest.mark.parametrize(
+    "cells", [[250], [300, 100, 400], [250, 250], [200, 400], [250, 500], [300, 600]]
+)
 def test_fv_runs_is_bitwise_each_grid_alone(params, cells, t_end):
     # Grids finishing at different steps are re-stacked; equal grids finish
-    # together.  Neither changes a bit of any grid's result.
+    # together.  Neither changes a bit of any grid's result.  The (N, 2N)
+    # pairs are the shapes the fv_compare benchmark runs.
     grids = [Grid1D(-3.0, 7.0, n, 0.45) for n in cells]
     results = fv_runs(params, grids, t_end)
     assert len(results) == len(grids)
@@ -164,35 +168,68 @@ def test_convergence_and_shock_location(params, solver):
     assert errors[0][1] / errors[1][1] >= 1.5
 
 
+def _runs_with_states(params, monkeypatch, cells, states):
+    """fv_runs to 1e-3 on grids of the given cell counts, where the grid of
+    n cells starts with the (u1, u2) of states[n] = {cell: (u1, u2)}."""
+    averages = initial_averages
+
+    def patched(p, grid):
+        u1, u2 = averages(p, grid)
+        for k, (v1, v2) in states.get(grid.n_cells, {}).items():
+            u1[k], u2[k] = v1, v2
+        return u1, u2
+
+    monkeypatch.setattr("zesolver.fv_reference.initial_averages", patched)
+    return fv_runs(params, [Grid1D(-3.0, 7.0, n, 0.45) for n in cells], 1e-3)
+
+
+NEGATIVE_SPEED = (-10.0, 9.5)  # a = 0.5, disc > 0, lambda1 < 0
+
+
 def test_non_positive_speed_stops_upwinding(params, monkeypatch):
     # Upwinding is only right while every wave moves to the right; the
     # guard sees the first grid's cell alone and beside a second grid.
-    def speeds(p, u1, u2):
-        lam = np.ones_like(u1)
-        lam[3] = 0.0
-        return lam, lam
-
-    monkeypatch.setattr("zesolver.fv_reference._wave_speeds", speeds)
     for cells in ((100,), (100, 50)):
-        with pytest.raises(NonPhysicalState):
-            fv_runs(params, [Grid1D(-3.0, 7.0, n, 0.45) for n in cells], 1e-3)
+        with pytest.raises(NonPhysicalState, match="a characteristic speed is not positive"):
+            _runs_with_states(params, monkeypatch, cells, {100: {3: NEGATIVE_SPEED}})
 
 
 def test_nan_speed_hides_no_other_grids_zero(params, monkeypatch):
-    # A NaN speed in the last cell makes its grid's minimum NaN, which does
-    # not trip the guard, as lambda1.min() did for a grid alone; beside
-    # another grid it must not hide that grid's zero speed.
-    def speeds(p, u1, u2):
-        lam = np.ones_like(u1)
-        lam[3] = 0.0
-        lam[-1] = np.nan
-        return lam, lam
-
-    monkeypatch.setattr("zesolver.fv_reference._wave_speeds", speeds)
-    res = fv_run(params, Grid1D(-3.0, 7.0, 100, 0.45), 1e-3)
+    # A NaN cell makes its grid's minimum speed NaN, which does not trip the
+    # guard, as lambda1.min() did for a grid alone; beside another grid it
+    # must not hide that grid's negative speed.
+    nan = (np.nan, np.nan)
+    (res,) = _runs_with_states(
+        params, monkeypatch, (100,), {100: {3: NEGATIVE_SPEED, 99: nan}}
+    )
     assert res.steps == 1
-    with pytest.raises(NonPhysicalState):
-        fv_runs(params, [Grid1D(-3.0, 7.0, n, 0.45) for n in (100, 50)], 1e-3)
+    with pytest.raises(NonPhysicalState, match="a characteristic speed is not positive"):
+        _runs_with_states(
+            params, monkeypatch, (100, 50), {100: {3: NEGATIVE_SPEED}, 50: {49: nan}}
+        )
+
+
+@pytest.mark.parametrize("lane", [0, 1])
+@pytest.mark.parametrize(
+    "state, error, message",
+    [
+        ((-2.0, 0.0), NonPhysicalState, "1 + u1 + u2 <= 0 in a cell"),
+        ((-1.0, 0.0), NonPhysicalState, "1 + u1 + u2 <= 0 in a cell"),
+        ((-3.0, 2.1), ComplexRoots, "cell state left the hyperbolic region"),
+    ],
+)
+def test_bad_state_in_a_lane_raises_invariants_fields_error(
+    params, monkeypatch, lane, state, error, message
+):
+    # a <= 0 (a < 0 and a = 0) or disc < 0 in one grid of two, beside a NaN
+    # cell in the other: the step raises what invariants_field raises, and
+    # no RuntimeWarning from the NaNs such a cell makes escapes.
+    cells = (100, 50)
+    states = {cells[lane]: {3: state}, cells[1 - lane]: {-1: (np.nan, np.nan)}}
+    with pytest.raises(error, match=re.escape(message)):
+        invariants_field(params, np.array([state[0]]), np.array([state[1]]))
+    with pytest.raises(error, match=re.escape(message)):
+        _runs_with_states(params, monkeypatch, cells, states)
 
 
 def test_l1_error_identical_fields_is_zero(params, solver):

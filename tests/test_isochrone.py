@@ -13,7 +13,14 @@ from zesolver.errors import (
     UnexpectedOrdering,
 )
 from zesolver.invariants import InvariantPair, lambda_k
-from zesolver.isochrone import Profile, ScenarioSolver, Segment, csv_rows, profile_at
+from zesolver.isochrone import (
+    Profile,
+    ScenarioSolver,
+    Segment,
+    column_text,
+    csv_rows,
+    profile_at,
+)
 
 
 def test_z5_degenerate_at_interaction_time(solver):
@@ -380,6 +387,9 @@ def test_csv_rows_match_per_row_reference():
         assert list(csv_rows("a,b,zone", cols, labels)) == [
             "a,b,zone", *(f"{row},{z}" for row, z in zip(numbers, labels))
         ]
+        # A column given as its text is written as that text.
+        texts = [column_text(c) for c in cols]
+        assert list(csv_rows("a,b", [texts[0], cols[1]])) == ["a,b", *numbers]
 
 
 def test_profile_solves_each_boundary_root_once(solver, monkeypatch):
