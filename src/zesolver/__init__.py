@@ -9,7 +9,7 @@ independent finite-volume cross-check.
 """
 
 from .errors import SolverError
-from .hodograph import ImplicitSolution, goursat_solution, riemann_green
+from .hodograph import ImplicitSolution, riemann_green
 from .invariants import (
     ConcentrationPair,
     InvariantPair,
@@ -34,7 +34,6 @@ __all__ = [
     "Timeline",
     "build_timeline",
     "concentrations_to_invariants",
-    "goursat_solution",
     "invariants_to_concentrations",
     "lambda_k",
     "profile_at",

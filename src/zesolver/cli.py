@@ -49,11 +49,11 @@ Exit codes:
        text), fewer than 2 `profile` samples, mixture parameters that break
        0 < q1 < mu1 < mu2 < q2 or x1 < x2 (`general` too, when it reads its
        mobilities from [mixture]), [general] data that breaks its rules
-       (domain lo < hi, breakpoints increasing and inside it, R1 < R2 and
-       R1 R2 != 0 on every piece), a grid with fewer than 4 cells or
-       x_min >= x_max, a grid whose first cell reaches past x1
-       (x_min + dx > x1: the copy ghost cell would feed the column's state
-       in from the left), a CFL number outside (0, 1)
+       (domain lo < hi, window lo < hi, breakpoints increasing and inside
+       the domain, R1 < R2 and R1 R2 != 0 on every piece), a grid with
+       fewer than 4 cells or x_min >= x_max, a grid whose first cell
+       reaches past x1 (x_min + dx > x1: the copy ghost cell would feed the
+       column's state in from the left), a CFL number outside (0, 1)
     3  the solver failed on valid input (for example no seed at the
        requested time, a fold at the seed, level drift, or no sample of a
        `general` isochrone inside the window); the error type is printed
@@ -111,6 +111,13 @@ def _parse_one(text, kind):
     return values[0]
 
 
+def _require(section, keys):
+    """Raise InputError naming the keys that section lacks."""
+    missing = [key for key in keys if key not in section]
+    if missing:
+        raise InputError(f"[{section.name}]: missing {', '.join(missing)}")
+
+
 def _parse_pair(text, name):
     values = _parse_floats(text)
     if len(values) != 2:
@@ -132,9 +139,7 @@ class ScenarioConfig:
         """The [mixture] instance, checked by validate_params."""
         sec = self.cp["mixture"]
         keys = [f.name for f in dataclasses.fields(MixtureParams)]
-        missing = [key for key in keys if key not in sec]
-        if missing:
-            raise InputError(f"[mixture]: missing {', '.join(missing)}")
+        _require(sec, keys)
         try:
             params = MixtureParams(**{key: _parse_one(sec[key], float) for key in keys})
         except InputError as exc:
@@ -150,6 +155,7 @@ class ScenarioConfig:
         from .cauchy_general import PiecewiseInitialData  # loaded for `general` only
 
         sec = self.cp["general"]
+        _require(sec, ("r1_values", "r2_values", "domain"))
         try:
             return PiecewiseInitialData(
                 breakpoints=tuple(_parse_floats(sec.get("breakpoints", ""))),
@@ -300,6 +306,8 @@ def cmd_general(cfg: ScenarioConfig, out_dir: Path, times) -> int:
 
     data = cfg.general_data()
     window = _parse_pair(cfg.get("general", "window", "-10 10"), "[general] window")
+    if not window[0] < window[1]:
+        raise InputError(f"[general] window needs lo < hi, got {window}")
     mobilities = None
     if cfg.cp.has_section("mixture"):
         p = cfg.mixture()

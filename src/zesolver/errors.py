@@ -33,10 +33,6 @@ class CoincidentInvariants(SolverError):
     """R1 and R2 too close: (R1 - R2)^3 denominators blow up."""
 
 
-class QuadratureFailure(SolverError):
-    """Adaptive quadrature did not reach the requested tolerance."""
-
-
 class IntegrationFailure(SolverError):
     """An isochrone march produced no samples."""
 

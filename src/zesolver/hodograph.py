@@ -13,19 +13,14 @@ solution collapses to
 
 and x(R1, R2) follows from the same kernel after the substitution R -> 1/R.
 This module provides the kernel, the closed-form pair (t, x) with exact
-partial derivatives, and a generic Goursat evaluator whose boundary
-integrals run on adaptive Gauss-Legendre panels.
+partial derivatives, and the pair's inverse on an isochrone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cache
-from typing import Callable
-
 import numpy as np
 
-from .errors import CoincidentInvariants, NoRootInInterval, QuadratureFailure
+from .errors import CoincidentInvariants, NoRootInInterval
 from .invariants import MixtureParams, lambda_k, validate_params
 
 #: |R1 - R2| below this (times scale) counts as a coincident-invariant misuse.
@@ -35,13 +30,6 @@ COINCIDENT_RTOL = 1e-9
 NEWTON_STOP = 1e-10
 #: invert raises after this many Newton steps; a converging solve takes <= 5.
 NEWTON_MAX_ITER = 30
-#: Goursat data must meet t0 at the corner to this fraction of max(1, |t0|).
-CORNER_RTOL = 1e-9
-#: a boundary integral is done when its panels' error estimates sum below
-#: QUAD_ATOL or QUAD_RTOL of its value, and fails at QUAD_MAX_PANELS panels.
-QUAD_ATOL = 1e-10
-QUAD_RTOL = 1e-12
-QUAD_MAX_PANELS = 200
 
 
 def _check_separated(R1, R2):
@@ -188,110 +176,3 @@ class ImplicitSolution:
             if np.all((abs(dR1) <= NEWTON_STOP * R1) & (abs(dR2) <= NEWTON_STOP * R2)):
                 return R1, R2
         raise NoRootInInterval(f"isochrone t* = {t_star}: Newton did not converge")
-
-    # -- characteristic boundary restrictions -------------------------------
-
-    def t_on_phi(self, R2):
-        """Time along the left bounding characteristic R1 = q1."""
-        p = self.params
-        return self.T_int * (p.q2 - p.q1) ** 2 / (R2 - p.q1) ** 2
-
-    def t_on_theta(self, R1):
-        """Time along the right bounding characteristic R2 = q2."""
-        p = self.params
-        return self.T_int * (p.q1 - p.q2) ** 2 / (R1 - p.q2) ** 2
-
-
-@dataclass(frozen=True)
-class CharacteristicBoundaryData:
-    """Goursat data: t prescribed on the two characteristics of a corner.
-
-    on_r1_axis(R1) is t(R1, R2_0); on_r2_axis(R2) is t(R1_0, R2).  Both must
-    agree with t0 at the corner (R1_0, R2_0).
-    """
-
-    R1_0: float
-    R2_0: float
-    t0: float
-    on_r1_axis: Callable[[float], float]
-    on_r2_axis: Callable[[float], float]
-
-    def __post_init__(self):
-        for corner in (self.on_r1_axis(self.R1_0), self.on_r2_axis(self.R2_0)):
-            if abs(corner - self.t0) > CORNER_RTOL * max(1.0, abs(self.t0)):
-                raise ValueError(
-                    f"boundary data disagree at the corner: {corner} vs {self.t0}"
-                )
-
-
-def scenario_boundary_data(sol: ImplicitSolution) -> CharacteristicBoundaryData:
-    """Boundary data carried by the weak-discontinuity curves of the scenario."""
-    p = sol.params
-    return CharacteristicBoundaryData(
-        R1_0=p.q1,
-        R2_0=p.q2,
-        t0=sol.T_int,
-        on_r1_axis=sol.t_on_theta,
-        on_r2_axis=sol.t_on_phi,
-    )
-
-
-def goursat_solution(data: CharacteristicBoundaryData, R1: float, R2: float) -> float:
-    """Evaluate the Goursat solution with kernel V at a hodograph point.
-
-    t = -V(R1_0, R2_0 | R1, R2) t0
-        + 2 (R1-R1_0)(R2-R1_0) H2(R2) / (R1-R2)^3
-        - 2 (R1-R2_0)(R2-R2_0) H1(R1) / (R1-R2)^3
-        + (R1-R2_0)^2 t(R1, R2_0) / (R1-R2)^2
-        + (R2-R1_0)^2 t(R1_0, R2) / (R1-R2)^2
-
-    with H1, H2 the running integrals of the boundary data (_boundary_integral).
-    """
-    _check_separated(R1, R2)
-    H1 = _boundary_integral(data.on_r1_axis, data.R1_0, R1)
-    H2 = _boundary_integral(data.on_r2_axis, data.R2_0, R2)
-    d = R1 - R2
-    V0 = riemann_green(data.R1_0, data.R2_0, R1, R2)
-    return (
-        -V0 * data.t0
-        + 2.0 * (R1 - data.R1_0) * (R2 - data.R1_0) * H2 / d**3
-        - 2.0 * (R1 - data.R2_0) * (R2 - data.R2_0) * H1 / d**3
-        + (R1 - data.R2_0) ** 2 * data.on_r1_axis(R1) / d**2
-        + (R2 - data.R1_0) ** 2 * data.on_r2_axis(R2) / d**2
-    )
-
-
-@cache
-def _rules():
-    """(nodes, weights) of the Gauss-Legendre rules of orders 20 and 10,
-    built on first use: only the Goursat evaluator needs them."""
-    return [(x.tolist(), w) for x, w in map(np.polynomial.legendre.leggauss, (20, 10))]
-
-
-def _panel(fn, lo, hi):
-    """fn's integral over [lo, hi] by the order-20 Gauss-Legendre rule, and
-    its distance from the order-10 rule as the error estimate."""
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    fine, coarse = (half * float(np.dot(w, [fn(mid + half * x) for x in nodes]))
-                    for nodes, w in _rules())
-    return fine, abs(fine - coarse)
-
-
-def _boundary_integral(fn, a, b):
-    """int_a^b fn on adaptive panels: the panel with the largest error
-    estimate is halved until the estimates sum below max(QUAD_ATOL,
-    QUAD_RTOL |value|); QuadratureFailure once QUAD_MAX_PANELS are in use."""
-    panels = [(a, b, *_panel(fn, a, b))]
-    while True:
-        value = sum(p[2] for p in panels)
-        error = sum(p[3] for p in panels)
-        if error <= max(QUAD_ATOL, QUAD_RTOL * abs(value)):
-            return value
-        if len(panels) >= QUAD_MAX_PANELS:
-            raise QuadratureFailure(
-                f"boundary quadrature error estimate {error} on [{a}, {b}] "
-                f"after {len(panels)} panels"
-            )
-        lo, hi, *_ = panels.pop(max(range(len(panels)), key=lambda k: panels[k][3]))
-        mid = 0.5 * (lo + hi)
-        panels += [(lo, mid, *_panel(fn, lo, mid)), (mid, hi, *_panel(fn, mid, hi))]

@@ -49,7 +49,7 @@ class BoundaryCurve:
 
     kind is "shock", "weak-1" or "weak-2"; the digit is the characteristic
     family.  left_state/right_state map t to the (R1, R2) pair on each side
-    (equal for weak curves).  Parametric curves carry their (rho, t, x)
+    (equal for weak curves).  Parametric curves carry their (rho, t)
     table, rho_of_t (the exact root of t(rho) = t), position ((rho, t) ->
     x, so that x(t) = position(rho_of_t(t), t)) and param_point (rho ->
     (x, t)).  The curved shocks Phi and Theta carry rho_of_t (the invariant
@@ -65,7 +65,6 @@ class BoundaryCurve:
     right_state: Callable[[float], tuple]
     param_grid: Optional[np.ndarray] = field(default=None, repr=False)
     t_grid: Optional[np.ndarray] = field(default=None, repr=False)
-    x_grid: Optional[np.ndarray] = field(default=None, repr=False)
     rho_of_t: Optional[Callable[[float], float]] = field(default=None, repr=False)
     position: Optional[Callable[[float, float], float]] = field(default=None, repr=False)
     param_point: Optional[Callable[[float], tuple]] = field(default=None, repr=False)
@@ -260,9 +259,8 @@ def _parametric_curve(sol: ImplicitSolution, side: Side, t_start, t_end):
     The curve is (x, t)(side.pair(rho)) for rho in [side.lo, side.hi]: phi
     with R2 = mu2 on side 1, theta with R1 = mu1 on side 2.  It is a
     characteristic of the other family, across which the state is
-    side.pair(rho).  The t(rho) and x(rho) tables are each one array
-    evaluation of the hodograph over the whole rho grid.  The t(rho) table
-    must be strictly monotone.  rho_of_t is the one solver of
+    side.pair(rho).  The t(rho) table is one array evaluation of the
+    hodograph over the whole rho grid, and must be strictly monotone.  rho_of_t is the one solver of
     t(side.pair(rho)) = t: the table of t at the bracket nodes picks the
     cell holding t and gives the ends' values, and bracketed_newton refines
     the root with dt/drho from t_partials; x(t), the states and the
@@ -276,7 +274,6 @@ def _parametric_curve(sol: ImplicitSolution, side: Side, t_start, t_end):
 
     grid = np.linspace(lo, hi, PARAM_TABLE_SIZE)
     t_tab = t_of(grid)
-    x_tab = x_of(grid)
     d = np.diff(t_tab)
     if not (np.all(d > 0) or np.all(d < 0)):
         raise UnexpectedOrdering(
@@ -313,7 +310,7 @@ def _parametric_curve(sol: ImplicitSolution, side: Side, t_start, t_end):
     return BoundaryCurve(
         side.curve, f"weak-{3 - side.k}", t_start, t_end,
         lambda t: x_of(rho_of_t(t)), state, state,
-        param_grid=grid, t_grid=t_tab, x_grid=x_tab,
+        param_grid=grid, t_grid=t_tab,
         rho_of_t=rho_of_t, position=lambda r, t: x_of(r),
         param_point=lambda r: (x_of(r), t_of(r)),
     )

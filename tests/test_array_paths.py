@@ -111,9 +111,7 @@ def test_transport_and_boundary_tables_match_per_point(solver):
     phi_rho = phi.param_grid.tolist()
     theta_rho = theta.param_grid.tolist()
     _assert_matches(phi.t_grid, [hodo.t(r, p.mu2) for r in phi_rho])
-    _assert_matches(phi.x_grid, [hodo.x(r, p.mu2) for r in phi_rho])
     _assert_matches(theta.t_grid, [hodo.t(p.mu1, r) for r in theta_rho])
-    _assert_matches(theta.x_grid, [hodo.x(p.mu1, r) for r in theta_rho])
 
 
 # -- coincidence guard -----------------------------------------------------------

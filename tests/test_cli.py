@@ -355,7 +355,10 @@ def test_readme_config_block_runs_as_pasted(tmp_path):
     [("r1_values = 5, 2, 5", "r1_values = 5, 2"),
      ("domain = -21, 21", "domain = -21"),
      ("domain = -21, 21", "domain = 21, -21"),
-     ("window = -2, 6", "window = -2")],
+     ("window = -2, 6", "window = -2"),
+     ("window = -2, 6", "window = 6, -2"),
+     ("window = -2, 6", "window = 3, 3"),
+     ("domain = -21, 21", "")],
 )
 def test_general_wrong_value_count_exits_2(tmp_path, capsys, line, replacement):
     path = tmp_path / "bad.ini"

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from zesolver import MixtureParams
-from zesolver.errors import QuadratureFailure, UnexpectedOrdering
-from zesolver.hodograph import CharacteristicBoundaryData, goursat_solution
+from zesolver.errors import UnexpectedOrdering
 from zesolver.invariants import concentrations_from_invariants
 from zesolver.isochrone import ScenarioSolver
 
@@ -57,16 +56,6 @@ def test_profiles_at_exact_event_times(solver):
         m1, m2 = prof.mass()
         assert m1 == pytest.approx(4.0, abs=1e-3), label
         assert m2 == pytest.approx(-2.0, abs=1e-3), label
-
-
-def test_goursat_quadrature_failure_on_unresolvable_data():
-    data = CharacteristicBoundaryData(
-        R1_0=2.0, R2_0=10.0, t0=1.0,
-        on_r1_axis=lambda r: 1.0,
-        on_r2_axis=lambda r: 1.0 + np.sin(1e7 * (r - 10.0)),
-    )
-    with pytest.raises(QuadratureFailure):
-        goursat_solution(data, 3.0, 8.5)
 
 
 def test_profile_state_continuity_at_zone_boundaries(solver):
