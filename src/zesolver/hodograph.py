@@ -65,14 +65,18 @@ def riemann_green(r1, r2, R1, R2):
     """
     _check_separated(R1, R2)
     num = ((R1 + R2) * (r1 + r2) - 2.0 * (R1 * R2 + r1 * r2)) * (r1 - r2)
-    return num / (R1 - R2) ** 3
+    d = R1 - R2
+    return num / (d * d * d)
 
 
 class ImplicitSolution:
     """Closed-form implicit solution t(R1, R2), x(R1, R2) for one instance.
 
     Normalized so t(q1, q2) = T_int, the birth time of the interaction
-    region.  Evaluators accept scalars or numpy arrays.
+    region.  Evaluators accept scalars or numpy arrays.  Powers are taken as
+    products, so a point evaluated alone gives the same bits as inside an
+    array (numpy's power and Python's disagree in the last bit, and numpy's
+    is slow on the negative R1 - R2).
     """
 
     def __init__(self, params: MixtureParams):
@@ -84,7 +88,8 @@ class ImplicitSolution:
     def t(self, R1, R2):
         """t(R1, R2) = T_int * V(q1, q2 | R1, R2), expanded in closed form."""
         _check_separated(R1, R2)
-        return self._t_of(R1, R2, (R1 - R2) ** 3)
+        d = R1 - R2
+        return self._t_of(R1, R2, d * d * d)
 
     def _t_of(self, R1, R2, d3):
         p = self.params
@@ -106,8 +111,9 @@ class ImplicitSolution:
         S = p.q1 + p.q2
         d = R1 - R2
         N = 2.0 * R1 * R2 + 2.0 * p.q1 * p.q2 - S * (R1 + R2)
-        t_r1 = C * ((2.0 * R2 - S) * d - 3.0 * N) / d**4
-        t_r2 = C * ((2.0 * R1 - S) * d + 3.0 * N) / d**4
+        d4 = d * d * d * d
+        t_r1 = C * ((2.0 * R2 - S) * d - 3.0 * N) / d4
+        t_r2 = C * ((2.0 * R1 - S) * d + 3.0 * N) / d4
         return t_r1, t_r2
 
     # -- position -----------------------------------------------------------
@@ -115,18 +121,22 @@ class ImplicitSolution:
     def x(self, R1, R2):
         """x(R1, R2) obtained from the kernel under t <-> x, R -> 1/R."""
         _check_separated(R1, R2)
-        return self._x_of(R1, R2, (R1 - R2) ** 3)
+        d = R1 - R2
+        return self._x_of(R1, R2, d * d * d)
 
     def _x_of(self, R1, R2, d3):
         p = self.params
-        term1 = (p.x2 - p.x1) * (R1 * R2) ** 2 * (R2 + R1 - 2.0 * (p.q1 + p.q2))
-        term2 = p.x1 * R1**3 - p.x2 * R2**3 + 3.0 * R1 * R2 * (R2 * p.x2 - R1 * p.x1)
+        P = R1 * R2
+        term1 = (p.x2 - p.x1) * (P * P) * (R2 + R1 - 2.0 * (p.q1 + p.q2))
+        term2 = (p.x1 * (R1 * R1 * R1) - p.x2 * (R2 * R2 * R2)
+                 + 3.0 * R1 * R2 * (R2 * p.x2 - R1 * p.x1))
         return term1 / (p.q1 * p.q2 * d3) + term2 / d3
 
     def t_x(self, R1, R2):
-        """(t, x) in one pass: one separation check and one (R1 - R2)**3."""
+        """(t, x) in one pass: one separation check and one (R1 - R2)^3."""
         _check_separated(R1, R2)
-        d3 = (R1 - R2) ** 3
+        d = R1 - R2
+        d3 = d * d * d
         return self._t_of(R1, R2, d3), self._x_of(R1, R2, d3)
 
     def x_partials(self, R1, R2):
@@ -138,7 +148,7 @@ class ImplicitSolution:
 
     def _t_x_partials(self, R1, R2):
         """(t, x, dt/dR1, dt/dR2) of arrays in one pass: the formulas of t, x
-        and t_partials sharing d = R1 - R2 and N, with products for powers."""
+        and t_partials sharing d = R1 - R2, R1 R2 and N."""
         p = self.params
         C, S = (p.x2 - p.x1) / (p.q1 * p.q2), p.q1 + p.q2
         d, P = R1 - R2, R1 * R2

@@ -296,8 +296,7 @@ def _parametric_curve(sol: ImplicitSolution, side: Side, t_start, t_end):
 
     def rho_of_t(t):
         # The cell comes from the table, so a time equal to a node's table
-        # value is that node's root even where a scalar evaluation of t
-        # differs from the table in the last bit.
+        # value is that node's root.
         j = min(max(int(np.searchsorted(t_nodes, t)), 1), last)
         fa, fb = t_list[j - 1] - t, t_list[j] - t
         if fa * fb > 0.0:
@@ -340,7 +339,10 @@ def _shock_curve(sol: ImplicitSolution, side: Side, event: Event):
     C = (1.0 if side.k == 1 else -1.0) * (p.x2 - p.x1) / (p.q1 * p.q2)
     A = C * (2.0 * f - (p.q1 + p.q2))
     B = C * 2.0 * (f - p.q1) * (f - p.q2)
-    tau = lambda r: (A * (r - f) + B) / (r - f) ** 3
+
+    def tau(r):
+        e = r - f
+        return (A * e + B) / (e * e * e)
 
     def primitive(r):
         e = r - f
@@ -354,7 +356,8 @@ def _shock_curve(sol: ImplicitSolution, side: Side, event: Event):
 
     def level(r, t):  # g(r) - t (far - r)^2 and its derivative
         w, e = far - r, r - f
-        dF = w * (-(f - r) * (2.0 * A * e + 3.0 * B) / e**4 - 2.0 * tau(r) + 2.0 * t)
+        e4 = e * e * e * e
+        dF = w * (-(f - r) * (2.0 * A * e + 3.0 * B) / e4 - 2.0 * tau(r) + 2.0 * t)
         return g(r) - t * w * w, dF
 
     def rho_of_t(t):
