@@ -244,11 +244,11 @@ class ScenarioSolver:
         root of Phi after T_9) and the Z5-side value (the root rho* of phi,
         mu1 on xf1 after T_fin); zone as for z5_profile.
         """
-        return self._transport_segment(self.timeline.side(1), t_star, n, zone)
+        return self._transport_segments(t_star, [(self.timeline.side(1), n, zone)])[0]
 
     def z10_profile(self, t_star, n=64, zone=None) -> Segment:
         """Mirror of z9_profile: Z10 with R2 = rho between sigma* and q2 or Theta."""
-        return self._transport_segment(self.timeline.side(2), t_star, n, zone)
+        return self._transport_segments(t_star, [(self.timeline.side(2), n, zone)])[0]
 
     def transport_x(self, side, rho, t_star):
         """Position reached at t* by the value rho leaving the Z5 boundary.
@@ -261,32 +261,36 @@ class ScenarioSolver:
         tau, x0 = self.hodograph.t_x(*R)
         return x0 + lambda_k(s.k, *R) * (t_star - tau)
 
-    def _transport_segment(self, side, t_star, n, zone):
-        """Sample a side's transport zone at n parameter values.
-
-        The parameter runs between rho at the zone interval's two ends (see
-        _edge_states; zone as for z5_profile).  The positions x(rho) of all
-        samples come from one array evaluation of transport_x; they must
-        increase strictly.
+    def _transport_segments(self, t_star, entries):
+        """One Segment per (side, n, zone) entry: n parameter values between
+        rho at the zone interval's two ends (see _edge_states; zone as for
+        z5_profile), one where they coincide.  All zones take transport_x's
+        x(rho) from one hodograph t_x call, with lambda_k's bits as (R1 rho)
+        R2 on both sides; x must increase strictly inside each zone.
         """
-        zone = self._interval(side.zone, t_star, zone)
-        ends = self._edge_states(zone, t_star, side, side)
-        lo, hi = sorted(state[side.index] for state in ends)
-        if hi - lo < DEGENERATE_RHO * max(1.0, abs(hi)):
-            rho = np.array([lo])
-            x = np.array([self.transport_x(side.k, lo, t_star)])
-        else:
-            rho = np.linspace(lo, hi, max(n, 2))
-            x = self.transport_x(side.k, rho, t_star)
-            if np.any(np.diff(x) <= 0):
+        rhos, slices = [], []
+        for side, n, zone in entries:
+            zone = self._interval(side.zone, t_star, zone)
+            lo, hi = sorted(end[side.index] for end in self._edge_states(zone, t_star, side, side))
+            degenerate = hi - lo < DEGENERATE_RHO * max(1.0, abs(hi))
+            rhos.append(np.array([lo]) if degenerate else np.linspace(lo, hi, max(n, 2)))
+            first = slices[-1].stop if slices else 0
+            slices.append(slice(first, first + rhos[-1].size))
+        rho = np.concatenate(rhos)
+        R = np.array([rho, rho])
+        for (side, _, _), sl in zip(entries, slices):
+            R[1 - side.index, sl] = side.fixed
+        tau, x0 = self.hodograph.t_x(*R)
+        x = x0 + (R[0] * rho) * R[1] * (t_star - tau)
+        rising = np.diff(x) > 0
+        for (side, _, _), sl in zip(entries, slices):  # each zone's own run
+            if not rising[sl.start:sl.stop - 1].all():
                 raise NonMonotoneParametrization(
                     f"{side.zone} parametrization x(rho) not strictly increasing "
                     f"at t* = {t_star}"
                 )
-        R = np.empty((2, rho.size))
-        R[side.index] = rho
-        R[1 - side.index] = side.fixed
-        return Segment(side.zone, x, R[0], R[1])
+        return [Segment(side.zone, x[sl], R[0][sl], R[1][sl])
+                for (side, _, _), sl in zip(entries, slices)]
 
     # -- curved shocks after T_9 / T_10 ----------------------------------------
 
@@ -314,12 +318,13 @@ class ScenarioSolver:
         """Complete profile across all zones alive at t*.
 
         Samples are spread over the finite zones proportionally to width
-        (uniform in x, or uniform in the parameter for transport zones); the
-        two outer plateaus are clipped to the window.  Plateau and fan zones
-        take x from one multi-range linspace, in numpy's own arithmetic.
+        (uniform in x, or uniform in the parameter for transport zones, which
+        are sampled together); the two outer plateaus are clipped to the
+        window.  Plateau and fan zones take x from one multi-range linspace,
+        in numpy's own arithmetic.
         """
-        if t_star <= 0.0:
-            raise DomainError("profiles exist for t > 0")
+        if not 0.0 < t_star < np.inf:
+            raise DomainError("profiles exist for finite t > 0")
         intervals = self.timeline.zones_at(t_star)
 
         x_lo, x_hi = intervals[0].x_right, intervals[-1].x_left
@@ -332,12 +337,15 @@ class ScenarioSolver:
         widths = [max(xr - xl, 0.0) for xl, xr in ends]
         total = sum(widths) or 1.0
         s1, s2 = self.timeline.sides.values()
-        samplers = {"Z5": self.z5_profile, s1.zone: self.z9_profile, s2.zone: self.z10_profile}
+        sides = {s1.zone: s1, s2.zone: s2}
+        sizes = [max(2, int(round(n * w / total))) for w in widths]
+        entries = [(sides[iv.zone], k, iv) for iv, k in zip(intervals, sizes) if iv.zone in sides]
+        transport = iter(self._transport_segments(t_star, entries) if entries else ())
         slices, stops, rows, segments = [], [], [], []
-        for iv, (xl, xr), w in zip(intervals, ends, widths):
-            n_k = max(2, int(round(n * w / total)))
+        for iv, (xl, xr), n_k in zip(intervals, ends, sizes):
             first = slices[-1].stop if slices else 0
-            seg = samplers[iv.zone](t_star, n_k, iv) if iv.zone in samplers else None
+            seg = (self.z5_profile(t_star, n_k, iv) if iv.zone == "Z5"
+                   else next(transport) if iv.zone in sides else None)
             if seg is not None:
                 n_k = len(seg.x)
             elif (xr - xl) < DEGENERATE_WIDTH * max(1.0, abs(xl)):

@@ -13,6 +13,7 @@ solution is rational in rho (see _shock_curve).
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -297,7 +298,7 @@ def _parametric_curve(sol: ImplicitSolution, side: Side, t_start, t_end):
     def rho_of_t(t):
         # The cell comes from the table, so a time equal to a node's table
         # value is that node's root.
-        j = min(max(int(np.searchsorted(t_nodes, t)), 1), last)
+        j = min(max(bisect.bisect_left(t_list, t), 1), last)
         fa, fb = t_list[j - 1] - t, t_list[j] - t
         if fa * fb > 0.0:
             raise NoRootInInterval(f"{side.curve}: time {t} outside the curve's span")
@@ -371,9 +372,9 @@ def _shock_curve(sol: ImplicitSolution, side: Side, event: Event):
             beta = g_tab[:-1] / (far - rho) ** 2
             if not (np.all(np.diff(beta) > 0) and g_tab[-1] > 0):
                 raise DomainExit(f"shock {side.shock}: beta(rho) does not rise to {far}")
-            table = np.append(rho, far).tolist(), g_tab.tolist(), beta
+            table = np.append(rho, far).tolist(), g_tab.tolist(), beta.tolist()
         nodes, g_tab, beta = table
-        j = max(int(np.searchsorted(beta, t)), 1)
+        j = max(bisect.bisect_left(beta, t), 1)
         a, b = nodes[j - 1], nodes[j]
         fa, fb = g_tab[j - 1] - t * (far - a) ** 2, g_tab[j] - t * (far - b) ** 2
         return bracketed_newton(lambda r: level(r, t), a, b, fa, fb)
@@ -519,8 +520,8 @@ class Timeline:
         which curve bounds a zone at t; the isochrone samplers read their
         ends from these intervals.
         """
-        if t <= 0.0:
-            raise DomainError("zone layout defined for t > 0 only")
+        if not 0.0 < t < math.inf:
+            raise DomainError("zone layout defined for finite t > 0 only")
         T = self.times
         c = self.curves
 

@@ -25,6 +25,7 @@ from zesolver.hodograph import COINCIDENT_RTOL, NEWTON_MAX_ITER, NEWTON_STOP
 from zesolver.invariants import concentrations_from_invariants, lambda_k
 from zesolver.isochrone import (
     ASSEMBLY_GAP,
+    DEGENERATE_RHO,
     DEGENERATE_WIDTH,
     Profile,
     ScenarioSolver,
@@ -420,16 +421,22 @@ def _transport_x_reference(solver, side, rho, t_star):
 
 
 def _zone_segment_reference(solver, iv, xl, xr, t_star, n_k):
-    """One zone as its own Segment: a sampler, or np.linspace and the
-    plateau or fan state."""
+    """One zone as its own Segment: Z5's sampler; a transport zone's rho
+    between its edge values (one value where they coincide) placed by
+    _transport_x_reference; or np.linspace and the plateau or fan state."""
     zone = iv.zone
     s1, s2 = solver.timeline.sides.values()
     if zone == "Z5":
         return solver.z5_profile(t_star, n_k, iv)
-    if zone == s1.zone:
-        return solver.z9_profile(t_star, n_k, iv)
-    if zone == s2.zone:
-        return solver.z10_profile(t_star, n_k, iv)
+    if zone in (s1.zone, s2.zone):
+        side = s1 if zone == s1.zone else s2
+        ends = solver._edge_states(iv, t_star, side, side)
+        lo, hi = sorted(state[side.index] for state in ends)
+        degenerate = hi - lo < DEGENERATE_RHO * max(1.0, abs(hi))
+        rho = np.array([lo]) if degenerate else np.linspace(lo, hi, n_k)
+        R = np.empty((2, rho.size))
+        R[side.index], R[1 - side.index] = rho, side.fixed
+        return Segment(zone, _transport_x_reference(solver, side.k, rho, t_star), *R)
     R1, R2 = solver.timeline.plateaus[zone]
     degenerate = (xr - xl) < DEGENERATE_WIDTH * max(1.0, abs(xl))
     xs = np.array([xl]) if degenerate else np.linspace(xl, xr, n_k)
@@ -467,8 +474,6 @@ def _profile_reference(solver, t_star, n, window, monkeypatch):
     with monkeypatch.context() as m:
         hodo = solver.hodograph
         m.setattr(hodo, "invert", lambda *a: _invert_reference(hodo, *a))
-        m.setattr(solver, "transport_x",
-                  lambda *a: _transport_x_reference(solver, *a))
         intervals = solver.timeline.zones_at(t_star)
         x_lo, x_hi = intervals[0].x_right, intervals[-1].x_left
         span = max(x_hi - x_lo, 1.0)

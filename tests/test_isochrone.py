@@ -9,6 +9,7 @@ from zesolver.errors import (
     DomainError,
     DomainMismatch,
     NoRootInInterval,
+    NonMonotoneParametrization,
     PhaseGap,
     UnexpectedOrdering,
 )
@@ -346,8 +347,12 @@ def test_mass_conservation(solver):
 
 
 def test_profile_time_validation(solver):
-    with pytest.raises(DomainError):
-        solver.profile_at(0.0)
+    # A non-finite time is refused up front, not after a root search fails.
+    for t in (0.0, -1.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(DomainError):
+            solver.profile_at(t)
+        with pytest.raises(DomainError):
+            solver.timeline.zones_at(t)
 
 
 def test_profile_interp_domain_guard(solver):
@@ -445,14 +450,53 @@ def test_profile_accepts_equal_x_at_run_boundaries():
     "name, zone", [("z5_profile", "Z5"), ("z9_profile", "Z9"), ("z10_profile", "Z10")]
 )
 def test_profile_at_raises_on_an_assembly_gap(solver, monkeypatch, name, zone):
-    # A sampler whose segment misses its neighbours' shared edge by 1e-3.
+    # One zone's segment misses its neighbours' shared edge by 1e-3.  Z5
+    # comes from z5_profile; Z9 and Z10 come from the one transport
+    # sampler, which z9_profile and z10_profile call for their zone alone.
     t = 0.05  # after T_3 and T_6, before T_fin: Z9, Z5 and Z10 all exist
-    sampler = getattr(solver, name)
 
-    def shifted(*args):
-        seg = sampler(*args)
-        return Segment(seg.zone, seg.x + 1e-3, seg.R1, seg.R2)
+    def shifted(seg):
+        return Segment(seg.zone, seg.x + 1e-3, seg.R1, seg.R2) if seg.zone == zone else seg
 
-    monkeypatch.setattr(solver, name, shifted)
+    unshifted = getattr(solver, name)(t)
+    if zone == "Z5":
+        sampler = solver.z5_profile
+        monkeypatch.setattr(solver, name, lambda *a: shifted(sampler(*a)))
+    else:
+        sampler = solver._transport_segments
+        monkeypatch.setattr(solver, "_transport_segments",
+                            lambda *a: [shifted(seg) for seg in sampler(*a)])
+    assert np.array_equal(getattr(solver, name)(t).x, unshifted.x + 1e-3)
     with pytest.raises(PhaseGap, match=rf"assembly gap between \w+ \([^)]*\) and {zone} "):
         solver.profile_at(t, n=1024)
+
+
+@pytest.mark.parametrize("zone", ["Z9", "Z10"])
+def test_transport_sampler_checks_each_zone_alone(solver, monkeypatch, zone):
+    # The transport zones are sampled together; x must rise inside each
+    # zone's run, but may fall across the seam between the two runs.
+    t = 0.05  # before T_fin: Z9 has R2 = mu2 and Z10 R1 = mu1, never both
+    s1, s2 = solver.timeline.sides.values()
+    layout = {iv.zone: iv for iv in solver.timeline.zones_at(t)}
+    entries = [(s1, 16, layout["Z9"]), (s2, 16, layout["Z10"])]
+    ahead = solver._transport_segments(t, entries)
+    behind = solver._transport_segments(t, entries[::-1])  # x drops at the seam
+    assert [seg.zone for seg in behind] == ["Z10", "Z9"]
+    assert behind[1].x[0] < behind[0].x[-1]
+    for a, b in zip(ahead, behind[::-1]):
+        assert all(np.array_equal(u, v) for u, v in zip((a.x, a.R1, a.R2), (b.x, b.R1, b.R2)))
+
+    side = s1 if zone == "Z9" else s2
+    t_x = solver.hodograph.t_x
+
+    def falling(R1, R2):  # the zone's second sample lands far left of its first
+        tau, x0 = t_x(R1, R2)
+        x0[np.flatnonzero((R1, R2)[1 - side.index] == side.fixed)[1]] -= 1e3
+        return tau, x0
+
+    monkeypatch.setattr(solver.hodograph, "t_x", falling)
+    for call in (lambda: solver._transport_segments(t, entries),
+                 lambda: solver._transport_segments(t, entries[::-1]),
+                 lambda: solver.profile_at(t, n=256)):
+        with pytest.raises(NonMonotoneParametrization, match=rf"^{zone} parametrization"):
+            call()
