@@ -24,9 +24,8 @@ from .errors import DomainError, DomainExit, NoRootInInterval, UnexpectedOrderin
 from .hodograph import ImplicitSolution, interaction_time
 from .invariants import MixtureParams, lambda_k, validate_params
 
-#: rho samples used to tabulate the parametric boundaries (monotonicity check).
-PARAM_TABLE_SIZE = 512
-#: relative bracket extension for root solves just beyond a curve's endpoint.
+#: a Z5 boundary's rho_of_t admits roots this fraction of its rho span
+#: beyond each end, at most halfway to the pole at the fixed invariant.
 PARAM_MARGIN = 0.02
 #: relative tolerance of every root (4 ulp), on the step and the bracket.
 ROOT_RTOL = 8.9e-16
@@ -50,11 +49,11 @@ class BoundaryCurve:
 
     kind is "shock", "weak-1" or "weak-2"; the digit is the characteristic
     family.  left_state/right_state map t to the (R1, R2) pair on each side
-    (equal for weak curves).  Parametric curves carry their (rho, t)
-    table, rho_of_t (the exact root of t(rho) = t), position ((rho, t) ->
-    x, so that x(t) = position(rho_of_t(t), t)) and param_point (rho ->
-    (x, t)).  The curved shocks Phi and Theta carry rho_of_t (the invariant
-    behind the shock), position and param_point too, without the tables.
+    (equal for weak curves).  The parametric Z5 boundaries phi and theta
+    carry rho_of_t (the root of t(rho) = t, in closed form), position
+    ((rho, t) -> x, so that x(t) = position(rho_of_t(t), t)) and
+    param_point (rho -> (x, t)).  The curved shocks Phi and Theta carry
+    rho_of_t (the invariant behind the shock), position and param_point too.
     """
 
     id: str
@@ -64,8 +63,6 @@ class BoundaryCurve:
     x: Callable[[float], float]
     left_state: Callable[[float], tuple]
     right_state: Callable[[float], tuple]
-    param_grid: Optional[np.ndarray] = field(default=None, repr=False)
-    t_grid: Optional[np.ndarray] = field(default=None, repr=False)
     rho_of_t: Optional[Callable[[float], float]] = field(default=None, repr=False)
     position: Optional[Callable[[float, float], float]] = field(default=None, repr=False)
     param_point: Optional[Callable[[float], tuple]] = field(default=None, repr=False)
@@ -122,7 +119,7 @@ class Side:
 
     @property
     def index(self) -> int:
-        """Slot of rho in (R1, R2), and so of d/drho in t_partials."""
+        """Slot of rho in (R1, R2)."""
         return self.k - 1
 
     def fan(self, x, t):
@@ -254,63 +251,68 @@ def bracketed_newton(fn, a, b, fa, fb):
     raise NoRootInInterval(f"no convergence in the bracket [{a}, {b}]")
 
 
+def _negative_cubic_root(k, a, c):
+    """The one negative root of k d^3 - 2 (a - c) d + 4 a c = 0, for k, a, c > 0.
+
+    As d^3 + p d + q = 0 the roots sum to 0 and multiply to -q < 0.  Cardano
+    gives it as A + B = -q / (A^2 - AB + B^2), which cancels nowhere, where
+    q^2/4 + p^3/27 >= 0, the trigonometric form elsewhere; one Newton step
+    on the cubic polishes it (and the cube root's last bit).
+    """
+    p, q = -2.0 * (a - c) / k, 4.0 * a * c / k
+    h = 0.25 * q * q + p * p * p / 27.0
+    if h < 0.0:
+        m = math.sqrt(-p / 3.0)
+        d = -2.0 * m * math.cos(math.acos(min(q / (2.0 * m * m * m), 1.0)) / 3.0)
+    else:
+        A = -(0.5 * q + math.sqrt(h)) ** (1.0 / 3.0)
+        B = -p / (3.0 * A)
+        d = -q / (A * A + B * B + p / 3.0)
+    return d - ((d * d + p) * d + q) / (3.0 * d * d + p)
+
+
 def _parametric_curve(sol: ImplicitSolution, side: Side, t_start, t_end):
     """Build the Z5 boundary of one side, given parametrically by the hodograph.
 
     The curve is (x, t)(side.pair(rho)) for rho in [side.lo, side.hi]: phi
     with R2 = mu2 on side 1, theta with R1 = mu1 on side 2.  It is a
     characteristic of the other family, across which the state is
-    side.pair(rho).  The t(rho) table is one array evaluation of the
-    hodograph over the whole rho grid, and must be strictly monotone.  rho_of_t is the one solver of
-    t(side.pair(rho)) = t: the table of t at the bracket nodes picks the
-    cell holding t and gives the ends' values, and bracketed_newton refines
-    the root with dt/drho from t_partials; x(t), the states and the
-    isochrone's rho*/sigma* all read it.  A time outside the curve's span
-    (beyond the bracket margin) raises NoRootInInterval.
+    side.pair(rho).  rho_of_t, the one solver of t(side.pair(rho)) = t, is
+    read by x(t), the states and the isochrone's rho*/sigma*.
+
+    With u = R1 - q1, v = q2 - R2, D = q2 - q1, d = R1 - R2 = u + v - D
+    and C = (x2 - x1)/(q1 q2), t = C (D d - 2 u v) / d^3.  One offset is
+    fixed on the curve, c = q2 - mu2 (v, phi) or mu1 - q1 (u, theta); the
+    other is s = d + a, a = D - c.  So t = t* is k d^3 - 2 (a - c) d + 4 a c
+    = 0 with k = 2 t*/C, and R1 < R2 picks its negative root: rho = mu2 + d
+    on phi, mu1 - d on theta.  t is monotone in s, so the root is unique:
+    dt/ds = 2 C ((D^2 - c^2) - s (D - 2 c)) / d^4 is linear in s and
+    positive at s = 0 and s = a (3 a c), and on the margin s = -delta,
+    delta < a/50, since delta |D - 2 c| < (D^2 - c^2)/50.  A root beyond
+    [lo, hi] by more than the margin raises NoRootInInterval.
     """
-    lo, hi = side.lo, side.hi
+    p = sol.params
+    lo, hi, f = side.lo, side.hi, side.fixed
+    C = (p.x2 - p.x1) / (p.q1 * p.q2)
+    a, c = (f - p.q1, p.q2 - f) if side.k == 1 else (p.q2 - f, f - p.q1)
+    first = lo - min(PARAM_MARGIN * (hi - lo), 0.5 * abs(lo - f))
+    last = hi + min(PARAM_MARGIN * (hi - lo), 0.5 * abs(hi - f))
     t_of = lambda r: sol.t(*side.pair(r))
     x_of = lambda r: sol.x(*side.pair(r))
-    level = lambda r, t: (t_of(r) - t, sol.t_partials(*side.pair(r))[side.index])
-
-    grid = np.linspace(lo, hi, PARAM_TABLE_SIZE)
-    t_tab = t_of(grid)
-    d = np.diff(t_tab)
-    if not (np.all(d > 0) or np.all(d < 0)):
-        raise UnexpectedOrdering(
-            f"boundary {side.curve}: t(rho) is not monotone over [{lo}, {hi}]"
-        )
-
-    # Bracket nodes: the grid with its two ends pushed out by the margin, so
-    # times at or just beyond the curve's endpoints still find their root.
-    # A push stops halfway to the fixed invariant: at rho = side.fixed
-    # (R1 = R2) t(rho) has its pole, and a node past it brackets nothing.
-    nodes = grid.copy()
-    nodes[0] -= min(PARAM_MARGIN * (hi - lo), 0.5 * abs(lo - side.fixed))
-    nodes[-1] += min(PARAM_MARGIN * (hi - lo), 0.5 * abs(hi - side.fixed))
-    t_nodes = t_tab.copy()
-    t_nodes[[0, -1]] = t_of(nodes[[0, -1]])
-    if d[0] < 0:
-        nodes, t_nodes = nodes[::-1], t_nodes[::-1]
-    node_list, t_list = nodes.tolist(), t_nodes.tolist()
-    last = PARAM_TABLE_SIZE - 1
 
     def rho_of_t(t):
-        # The cell comes from the table, so a time equal to a node's table
-        # value is that node's root.
-        j = min(max(bisect.bisect_left(t_list, t), 1), last)
-        fa, fb = t_list[j - 1] - t, t_list[j] - t
-        if fa * fb > 0.0:
-            raise NoRootInInterval(f"{side.curve}: time {t} outside the curve's span")
-        return bracketed_newton(
-            lambda r: level(r, t), node_list[j - 1], node_list[j], fa, fb
-        )
+        k = 2.0 * t / C
+        if 0.0 < k < math.inf:
+            d = _negative_cubic_root(k, a, c)
+            rho = f + d if side.k == 1 else f - d
+            if first <= rho <= last:
+                return rho
+        raise NoRootInInterval(f"{side.curve}: time {t} outside the curve's span")
 
     state = lambda t: side.pair(rho_of_t(t))
     return BoundaryCurve(
         side.curve, f"weak-{3 - side.k}", t_start, t_end,
         lambda t: x_of(rho_of_t(t)), state, state,
-        param_grid=grid, t_grid=t_tab,
         rho_of_t=rho_of_t, position=lambda r, t: x_of(r),
         param_point=lambda r: (x_of(r), t_of(r)),
     )
@@ -368,6 +370,8 @@ def _shock_curve(sol: ImplicitSolution, side: Side, event: Event):
         if table is None:
             rho = far - w0 * np.geomspace(1.0, SHOCK_TABLE_DEPTH, SHOCK_TABLE_SIZE)
             rho[0] = start
+            # At narrow gaps offsets below an ulp of far repeat a node or far.
+            rho = rho[np.append(True, rho[1:] != rho[:-1]) & (rho != far)]
             g_tab = np.append(g(rho), g(far))
             beta = g_tab[:-1] / (far - rho) ** 2
             if not (np.all(np.diff(beta) > 0) and g_tab[-1] > 0):
@@ -429,32 +433,25 @@ class Timeline:
         self.plateaus = {"Z1": pure, "Z4": (p.q1, p.q2), "Z8": pure, "Z11": pure}
         self.curves = {}
         deaths, shocks = [], []
+        separated = _const_state(*pure)
         for side in self.sides.values():
+            k = side.k
             death, shock, curves = _side_timeline(p, side, T_int, X_int)
             deaths.append(death)
             shocks.append(shock)
             self.curves.update(curves)
-            self.plateaus[side.plateau_zone] = side.pair(side.start)
-            self.plateaus[side.fan_zone] = _ordered(side, side.start, None)
-
-        self._check_partial_order(ev_int, *deaths, *shocks, ev_fin)
-        self.events = sorted([ev_int, *deaths, *shocks, ev_fin], key=lambda e: e.T)
-        self.event_by_label = {e.label: e for e in self.events}
-
-        # The curves read from the hodograph come after the gate, so that an
-        # instance out of order fails on its order and not on a boundary's
-        # monotonicity check: the parametric Z5 boundaries from the fan
-        # deaths to T_fin, the Z11 boundaries leaving the separation point
-        # at the pure state's speeds, and the curved shocks.
-        separated = _const_state(*pure)
-        for side, death, shock in zip(self.sides.values(), deaths, shocks):
-            k = side.k
             self.curves[side.curve] = _parametric_curve(sol, side, death.T, T_fin)
             self.curves[f"xf{k}"] = BoundaryCurve(
                 f"xf{k}", f"weak-{k}", T_fin, math.inf,
                 _ray(X_fin, lambda_k(k, *pure), T_fin), separated, separated,
             )
             self.curves[side.shock] = _shock_curve(sol, side, shock)
+            self.plateaus[side.plateau_zone] = side.pair(side.start)
+            self.plateaus[side.fan_zone] = _ordered(side, side.start, None)
+
+        self._check_partial_order(ev_int, *deaths, *shocks, ev_fin)
+        self.events = sorted([ev_int, *deaths, *shocks, ev_fin], key=lambda e: e.T)
+        self.event_by_label = {e.label: e for e in self.events}
 
         T = self.times = {e.label: e.T for e in self.events}
         self.zone_lifetimes = {

@@ -8,10 +8,13 @@ criterion 9.
 """
 
 import itertools
+import math
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zesolver import MixtureParams
 from zesolver.errors import (
@@ -21,7 +24,12 @@ from zesolver.errors import (
     PhaseGap,
     UnexpectedOrdering,
 )
-from zesolver.hodograph import COINCIDENT_RTOL, NEWTON_MAX_ITER, NEWTON_STOP
+from zesolver.hodograph import (
+    COINCIDENT_RTOL,
+    NEWTON_MAX_ITER,
+    NEWTON_STOP,
+    ImplicitSolution,
+)
 from zesolver.invariants import concentrations_from_invariants, lambda_k
 from zesolver.isochrone import (
     ASSEMBLY_GAP,
@@ -31,6 +39,7 @@ from zesolver.isochrone import (
     ScenarioSolver,
     Segment,
 )
+from zesolver.wavefield import _parametric_curve, mirrored_sides
 
 
 def _cone_instances(count, seed=20261017):
@@ -145,13 +154,15 @@ def test_transport_and_boundary_tables_match_per_point(solver):
             solver.transport_x(side, rho, t_star),
             [solver.transport_x(side, r, t_star) for r in rho.tolist()],
         )
-    hodo = solver.hodograph
-    phi = solver.timeline.curves["phi"]
-    theta = solver.timeline.curves["theta"]
-    phi_rho = phi.param_grid.tolist()
-    theta_rho = theta.param_grid.tolist()
-    assert _same_bits(phi.t_grid, [hodo.t(r, p.mu2) for r in phi_rho])
-    assert _same_bits(theta.t_grid, [hodo.t(p.mu1, r) for r in theta_rho])
+    # An array evaluation of t along a Z5 boundary (as the transport zones
+    # take their tau) is the bits of the curve's own one-point evaluation.
+    for side in solver.timeline.sides.values():
+        curve = solver.timeline.curves[side.curve]
+        rho = np.linspace(side.lo, side.hi, 97)
+        assert _same_bits(
+            solver.hodograph.t(*side.pair(rho)),
+            [curve.param_point(r)[1] for r in rho.tolist()],
+        )
 
 
 # -- coincidence guard -----------------------------------------------------------
@@ -264,30 +275,24 @@ def test_param_fields_default_to_none(solver):
         assert curve.rho_of_t is None and curve.param_point is None
 
 
-@pytest.mark.parametrize("cid", ["phi", "theta"])
-def test_rho_of_t_on_nodes_ends_and_outside(solver, cid):
-    curve = solver.timeline.curves[cid]
-    for k in (0, 1, 100, 255, 510, 511):
-        t = float(curve.t_grid[k])
-        rho = curve.rho_of_t(t)
-        assert curve.param_point(rho)[1] == pytest.approx(t, rel=1e-14)
-        assert rho == pytest.approx(curve.param_grid[k], rel=1e-12)
+@pytest.mark.parametrize("k", [1, 2], ids=["phi", "theta"])
+def test_rho_of_t_on_nodes_ends_and_outside(solver, k):
+    side = solver.timeline.side(k)
+    curve = solver.timeline.curves[side.curve]
+    span = side.hi - side.lo
+    for rho in (side.lo, side.lo + 1e-9 * span, side.lo + 0.3 * span,
+                side.hi - 1e-9 * span, side.hi):
+        t = curve.param_point(rho)[1]
+        root = curve.rho_of_t(t)
+        assert curve.param_point(root)[1] == pytest.approx(t, rel=1e-14)
+        assert root == pytest.approx(rho, rel=1e-14)
     for t in (curve.t_start, curve.t_end, curve.t_end * (1 + 1e-12)):
         assert curve.param_point(curve.rho_of_t(t))[1] == pytest.approx(t, rel=1e-14)
-    span = curve.t_end - curve.t_start
-    for t in (curve.t_start - span, curve.t_end + span):
+    duration = curve.t_end - curve.t_start
+    for t in (curve.t_start - duration, curve.t_end + duration, 0.0, -1.0,
+              math.inf, math.nan):
         with pytest.raises(NoRootInInterval):
             curve.rho_of_t(t)
-
-
-def test_t_grid_nodes_equal_one_point_evaluation():
-    # The t(rho) table is one array evaluation; each node is the bits of
-    # the curve's own one-point evaluation at that rho.
-    for solver in CONE:
-        for cid in ("phi", "theta"):
-            curve = solver.timeline.curves[cid]
-            one_point = [curve.param_point(rho)[1] for rho in curve.param_grid.tolist()]
-            assert _same_bits(curve.t_grid, one_point), (solver.params, cid)
 
 
 @pytest.mark.parametrize(
@@ -299,18 +304,120 @@ def test_t_grid_nodes_equal_one_point_evaluation():
     ],
 )
 def test_rho_of_t_in_end_cells_when_mu1_and_mu2_are_close(mu1, mu2, q1, q2):
-    # mu2 - mu1 is below the bracket margin; the extended end node must stay
-    # on the curve's side of the pole of t(rho) at the fixed invariant.
+    # mu2 - mu1 is below the margin: past T_fin the root must stay on the
+    # curve's side of the pole of t(rho) at the fixed invariant, and a root
+    # beyond halfway to the pole is outside the span.
     p = MixtureParams(mu1=mu1, mu2=mu2, q1=q1, q2=q2, x1=-1.0, x2=1.0)
     solver = ScenarioSolver(p)
-    for cid in ("phi", "theta"):
-        curve = solver.timeline.curves[cid]
-        ts = curve.t_grid
-        for t in (0.5 * (ts[0] + ts[1]), 0.5 * (ts[-2] + ts[-1])):
-            t = float(t)
+    for side in solver.timeline.sides.values():
+        curve = solver.timeline.curves[side.curve]
+        cell = (side.hi - side.lo) / 1022
+        for rho in (side.lo + cell, side.hi - cell):
+            t = curve.param_point(rho)[1]
             t_back = curve.param_point(curve.rho_of_t(t))[1]
             assert t_back == pytest.approx(t, rel=1e-12)
             solver.profile_at(t, n=256)
+        past = curve.rho_of_t(curve.t_end * (1 + 1e-9))
+        assert 0.0 < (past - side.far) / (side.fixed - side.far) < 0.5
+        beyond = curve.param_point(side.far + 0.75 * (side.fixed - side.far))[1]
+        with pytest.raises(NoRootInInterval):
+            curve.rho_of_t(beyond)
+
+
+def _narrow_instances(count, seed=20261020):
+    """Instances whose gaps q1 < mu1 < mu2 < q2 are 1e-5 to 3e-2 of q1."""
+    rng = np.random.default_rng(seed)
+    solvers = []
+    while len(solvers) < count:
+        q1 = rng.uniform(1.0, 6.0)
+        gap = q1 * 10 ** rng.uniform(-4.0, math.log10(3e-2))
+        mu1, mu2, q2 = (q1 + np.cumsum(gap * rng.uniform(0.1, 1.0, 3))).tolist()
+        x1 = rng.uniform(-2.0, 0.0)
+        x2 = x1 + rng.uniform(0.5, 3.0)
+        p = MixtureParams(mu1=mu1, mu2=mu2, q1=q1, q2=q2, x1=x1, x2=x2)
+        try:
+            solvers.append(ScenarioSolver(p))
+        except UnexpectedOrdering:
+            continue
+    return solvers
+
+
+NARROW = _narrow_instances(40)
+
+
+def _mp_t(p, side, rho):
+    """t(side.pair(rho)) at the float inputs in mpmath, in the factored form
+    C (D d - 2 u v) / d^3 (u = R1 - q1, v = q2 - R2, d = R1 - R2)."""
+    q1, q2, x1, x2, f = map(mpmath.mpf, (p.q1, p.q2, p.x1, p.x2, side.fixed))
+    R1, R2 = (rho, f) if side.k == 1 else (f, rho)
+    d = R1 - R2
+    return (x2 - x1) * ((q2 - q1) * d - 2 * (R1 - q1) * (q2 - R2)) / (q1 * q2 * d**3)
+
+
+def _mp_rho(p, side, t, guess):
+    """The root of t(side.pair(rho)) = t at the float inputs, to 50 digits."""
+    with mpmath.workdps(50):
+        t = mpmath.mpf(t)
+        return mpmath.findroot(lambda r: _mp_t(p, side, r) - t, mpmath.mpf(guess))
+
+
+#: phi and theta roots against a 50-digit root, in eps of max(rho, |d|):
+#: the cubic's unknown is d = R1 - R2, which can exceed rho on wide cones.
+#: Measured at most 0.74 on CONE and 0.47 on NARROW (relative to rho, the
+#: 512-node tables' roots reached 7.3 and 7,200 eps).
+ROOT_EPS = 4.0
+
+
+def _root_scale(side, rho):
+    return max(rho, abs(rho - side.fixed))
+
+
+@pytest.mark.parametrize("law", ["cone", "narrow"])
+def test_boundary_roots_against_mpmath(law):
+    eps = np.finfo(float).eps
+    for s in CONE if law == "cone" else NARROW:
+        for side in s.timeline.sides.values():
+            curve = s.timeline.curves[side.curve]
+            for t in np.linspace(curve.t_start, curve.t_end, 10).tolist():
+                rho = curve.rho_of_t(t)
+                exact = _mp_rho(s.params, side, t, rho)
+                bound = ROOT_EPS * eps * _root_scale(side, exact)
+                assert abs(rho - exact) <= bound, (s.params, side.curve, t)
+
+
+_LOG_GAP = st.floats(-6.0, 0.5)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(q1=st.floats(0.05, 10.0), a=_LOG_GAP, b=_LOG_GAP, c=_LOG_GAP,
+       log_width=st.floats(-4.0, 3.0))
+def test_boundary_t_is_monotone_and_inverted_on_degenerate_edges(q1, a, b, c, log_width):
+    # Gaps of 10^-6 to 10^0.5 times their lower end: each of q1 -> mu1,
+    # mu1 -> mu2 and mu2 -> q2 runs up to the cone's edge, and the column
+    # is very narrow or very wide.  The curves need no timeline, so the
+    # instances the event-order gate rejects count too.
+    mu1 = q1 * (1 + 10**a)
+    mu2 = mu1 * (1 + 10**b)
+    q2 = mu2 * (1 + 10**c)
+    p = MixtureParams(mu1=mu1, mu2=mu2, q1=q1, q2=q2, x1=-1.0, x2=-1.0 + 10**log_width)
+    sol = ImplicitSolution(p)
+    eps = np.finfo(float).eps
+    for side in mirrored_sides(p).values():
+        curve = _parametric_curve(sol, side, 0.0, math.inf)
+        rho = np.linspace(side.lo, side.hi, 257).tolist()
+        with mpmath.workdps(50):
+            t = [_mp_t(p, side, r) for r in rho]
+            # t rises with the free offset s: with rho on phi, against it on theta.
+            sign = 1 if side.k == 1 else -1
+            assert all(sign * (b - a) > 0 for a, b in zip(t, t[1:])), (p, side.curve)
+            for r, exact in list(zip(rho, t))[::16]:
+                t_float = curve.param_point(r)[1]
+                slope = mpmath.diff(lambda x: _mp_t(p, side, x), r)
+                # A few ulps, plus what the float time's own rounding moves
+                # the root by.
+                moved = abs((t_float - exact) / slope)
+                bound = ROOT_EPS * eps * _root_scale(side, r) + 1.01 * moved
+                assert abs(curve.rho_of_t(t_float) - r) <= bound, (p, side.curve, r)
 
 
 def test_z5_edges_take_x_and_state_from_one_root(solver):

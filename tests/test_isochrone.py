@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
-from zesolver import MixtureParams, rh_residual, wavefield
+from zesolver import MixtureParams, rh_residual
 from zesolver.errors import (
     DomainError,
     DomainMismatch,
@@ -402,14 +402,17 @@ def test_profile_solves_each_boundary_root_once(solver, monkeypatch):
     # alive at t* (phi after T_3, theta after T_6, both until T_fin; Phi
     # after T_9, Theta after T_10) and the samplers reuse it.
     calls = []
-    solve = wavefield.bracketed_newton
-    monkeypatch.setattr(
-        wavefield, "bracketed_newton", lambda *args: calls.append(args) or solve(*args)
-    )
-    for t, roots in ((0.03, 1), (0.05, 3), (0.1, 4), (0.3, 2)):
+    for cid in ("phi", "theta", "Phi", "Theta"):
+        curve = solver.timeline.curves[cid]
+        solve = curve.rho_of_t
+        monkeypatch.setattr(
+            curve, "rho_of_t", lambda t, cid=cid, solve=solve: calls.append(cid) or solve(t)
+        )
+    for t, roots in ((0.03, ["phi"]), (0.05, ["Phi", "phi", "theta"]),
+                     (0.1, ["Phi", "Theta", "phi", "theta"]), (0.3, ["Phi", "Theta"])):
         calls.clear()
         solver.profile_at(t, n=1024)
-        assert len(calls) == roots, t
+        assert sorted(calls) == roots, t
 
 
 # -- sample order ------------------------------------------------------------------

@@ -189,3 +189,26 @@ def test_shock_before_its_event_raises(solver):
             solver.shock_boundary(side.k, curve.t_start)
         with pytest.raises(DomainError):
             curve.rho_of_t(0.999 * curve.t_start)
+
+
+#: Relative gaps near 1e-4: the beta table's densest nodes lie below an ulp
+#: of far from each other (in the third, seven of them round onto far), and
+#: the closed form g cancels.  At 1e6 T_s a root's time is met to 4.4e-11,
+#: 4.9e-10 and 6.7e-9 relative; at the other times to 1e-10 or better.
+NARROW_SHOCKS = [
+    (MixtureParams(1.77411, 1.77453, 1.77302, 1.7751, -1.52146, 0.184989), 2),
+    (MixtureParams(2.98075, 2.98155, 2.98, 2.98257, -1.81901, -1.73078), 1),
+    (MixtureParams(2.508304466453854, 2.5083806398080135, 2.508255270278554,
+                   2.5086108807277623, -1.2355591117232283, 1.2429532623230468), 1),
+]
+
+
+@pytest.mark.parametrize("p, k", NARROW_SHOCKS, ids=["Theta", "Phi", "Phi-at-far"])
+def test_shock_root_at_narrow_gaps(p, k):
+    solver = ScenarioSolver(p)
+    side = solver.timeline.side(k)
+    curve = solver.timeline.curves[side.shock]
+    T_s = solver.timeline.times[side.shock_event]
+    for m in (1.001, 2.0, 10.0, 1e3, 1e6):
+        t = m * T_s
+        assert curve.param_point(curve.rho_of_t(t))[1] == pytest.approx(t, rel=2e-8)

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from zesolver import MixtureParams, build_timeline, rh_residual
+from zesolver import MixtureParams, build_timeline, rh_residual, wavefield
 from zesolver.errors import DomainError, UnexpectedOrdering
-from zesolver.hodograph import interaction_time
+from zesolver.hodograph import ImplicitSolution, interaction_time
 from zesolver.invariants import InvariantPair, lambda_k
 from zesolver.wavefield import (
     ROOT_MAX_ITER,
@@ -208,11 +208,10 @@ def test_weak_curves_are_characteristics(timeline):
             state = curve.left_state(t)
             lam = lambda_k(curve.family, *state)
             assert slope == pytest.approx(lam, rel=1e-8)
-    for cid in ("phi", "theta"):
-        c = timeline.curves[cid]
-        lo, hi = c.param_grid[0], c.param_grid[-1]
-        dr = 1e-5 * (hi - lo)
-        for rho in np.linspace(lo + 2 * dr, hi - 2 * dr, 25):
+    for side in timeline.sides.values():
+        c = timeline.curves[side.curve]
+        dr = 1e-5 * (side.hi - side.lo)
+        for rho in np.linspace(side.lo + 2 * dr, side.hi - 2 * dr, 25):
             x_p, t_p = c.param_point(rho + dr)
             x_m, t_m = c.param_point(rho - dr)
             slope = (x_p - x_m) / (t_p - t_m)
@@ -285,3 +284,18 @@ def test_bracketed_newton_bisects_on_a_zero_derivative():
     assert abs(r - root) <= ROOT_RTOL
     # A zero at a bracket end is the root.
     assert bracketed_newton(lambda r: (r - 2.0, 1.0), 2.0, 3.0, 0.0, 1.0) == 2.0
+
+
+def test_z5_boundary_roots_need_no_hodograph_and_no_newton(timeline, monkeypatch):
+    # phi's and theta's roots are the closed-form root of a cubic: neither
+    # the implicit solution nor bracketed_newton is called.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Z5 boundary root called a solver")
+
+    monkeypatch.setattr(wavefield, "bracketed_newton", refuse)
+    for name in ("t", "x", "t_x", "t_partials", "invert"):
+        monkeypatch.setattr(ImplicitSolution, name, refuse)
+    T = timeline.times
+    for cid in ("phi", "theta"):
+        for t in (T["T_6"], 0.05, 0.1, T["T_fin"]):
+            timeline.curves[cid].rho_of_t(t)
