@@ -262,10 +262,15 @@ def _coincident(r1, r2):
     return abs(r1 - r2) < _COINCIDENT * max(1.0, abs(r1), abs(r2))
 
 
+def _numerator(width, r1, r2, F, G):
+    """t d^3 = 2 width - (r1 + r2) F + 2 r1 r2 G, for scalars or arrays."""
+    return 2.0 * width - (r1 + r2) * F + 2.0 * r1 * r2 * G
+
+
 def _level(width, r1, r2, F, G):
     """The implicit time t from its parts, for scalars or arrays."""
     d = r1 - r2
-    return (2.0 * width - (r1 + r2) * F + 2.0 * r1 * r2 * G) / (d * d * d)
+    return _numerator(width, r1, r2, F, G) / (d * d * d)
 
 
 def _t_feet(data, a, b):
@@ -361,8 +366,8 @@ def _parts(seg_a, seg_b, s_a, s_b, anchor):
     t = _level(b - a, r1, r2, F, G)
     t_r1 = (-F + 2.0 * r2 * G) / d3 - 3.0 * t / d
     t_r2 = (-F + 2.0 * r1 * G) / d3 + 3.0 * t / d
-    t_sb = (2.0 - (r1 + r2) * seg_b.f + 2.0 * r1 * r2 * seg_b.g) / d3 * dXb + t_r1 * dr1
-    t_sa = (-2.0 + (r1 + r2) * seg_a.f - 2.0 * r1 * r2 * seg_a.g) / d3 * dXa + t_r2 * dr2
+    t_sb = _numerator(1.0, r1, r2, seg_b.f, seg_b.g) / d3 * dXb + t_r1 * dr1
+    t_sa = -_numerator(1.0, r1, r2, seg_a.f, seg_a.g) / d3 * dXa + t_r2 * dr2
     return t, t_sa, t_sb, r1, r2
 
 
@@ -600,8 +605,8 @@ def _level_line(seg_a, seg_b, anchor, t_star, y0, i, p):
     seg = (seg_a, seg_b)[1 - i]
     if seg.kind == "h":
         d = r1 - r2
-        N = 2.0 * (b - a) - (r1 + r2) * F + 2.0 * r1 * r2 * G
-        c = (2.0 - (r1 + r2) * seg.f + 2.0 * r1 * r2 * seg.g) * (1.0 if i == 0 else -1.0)
+        N = _numerator(b - a, r1, r2, F, G)
+        c = _numerator(1.0, r1, r2, seg.f, seg.g) * (1.0 if i == 0 else -1.0)
         ys[1 - i] += (t_star * d * d * d - N) / c
         return ys
     P = (2.0 * r1 * G - F) / t_star
@@ -672,8 +677,8 @@ def find_seed(data: PiecewiseInitialData, t_star):
     r1, r2 = tab.r1[piece], tab.r2[ia, piece]
     F, G = data._integrals(av, start)[2:]
     d = r1 - r2
-    N = 2.0 * (start - av) - (r1 + r2) * F + 2.0 * r1 * r2 * G
-    c = 2.0 - (r1 + r2) * tab.f + 2.0 * r1 * r2 * tab.g
+    N = _numerator(start - av, r1, r2, F, G)
+    c = _numerator(1.0, r1, r2, tab.f, tab.g)
     with np.errstate(divide="ignore", invalid="ignore"):  # c = 0: no root in the row
         b = start + (t_star * d * d * d - N) / c
     found = (np.minimum(start, end) <= b) & (b <= np.maximum(start, end)) & (end > av)

@@ -49,10 +49,6 @@ class DomainError(SolverError):
     """Evaluation requested outside a curve's or zone's validity window."""
 
 
-class DomainExit(SolverError):
-    """Shock-boundary invariant left its admissible interval."""
-
-
 class UnexpectedOrdering(SolverError):
     """Computed event times violate the partial order the construction needs."""
 

@@ -35,9 +35,10 @@ NEWTON_MAX_ITER = 30
 def _check_separated(R1, R2):
     """Raise where |R1 - R2| < COINCIDENT_RTOL * max(1, |R1|, |R2|).
 
-    Scalars and 0-d arrays take a plain-float path: root solves call the
-    evaluators one point at a time, and there the numpy version of the test
-    costs more than the formula it guards.
+    Scalars and 0-d arrays take a plain-float path: the curve positions in
+    Timeline.zones_at and T_fin/X_fin call the evaluators one point at a
+    time, and there the numpy version of the test costs more than the
+    formula it guards.
     """
     try:
         r1, r2 = float(R1), float(R2)

@@ -300,9 +300,8 @@ class ScenarioSolver:
         Its rho_of_t is the invariant carried just behind the shock and its
         x the position; the Rankine-Hugoniot speed is D = mu1 mu2 rho.  The
         curve is exact at every t after the shock event; t_end only has to
-        follow that event (else DomainError), and evaluating it here builds
-        the curve's table, so a beta(rho) that does not rise raises
-        DomainExit on this call.
+        follow that event (else DomainError), and the curve's root is
+        solved at t_end on this call.
         """
         s = self.timeline.side(side)
         t0 = self.timeline.times[s.shock_event]

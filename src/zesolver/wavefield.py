@@ -13,14 +13,13 @@ solution is rational in rho (see _shock_curve).
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, DomainExit, NoRootInInterval, UnexpectedOrdering
+from .errors import DomainError, NoRootInInterval, UnexpectedOrdering
 from .hodograph import ImplicitSolution, interaction_time
 from .invariants import MixtureParams, lambda_k, validate_params
 
@@ -32,10 +31,6 @@ ROOT_RTOL = 8.9e-16
 #: bracketed_newton raises after this many steps; bisection alone takes
 #: about 50 to shrink a bracket at the root's scale to ROOT_RTOL.
 ROOT_MAX_ITER = 100
-#: a curved shock's beta table: rho = far - (far - start) s, s geometric
-#: from 1 down to SHOCK_TABLE_DEPTH, so dense toward far.
-SHOCK_TABLE_SIZE = 128
-SHOCK_TABLE_DEPTH = 1e-12
 #: the early weak curves accept times down to T_int (1 - EARLY_RTOL).
 EARLY_RTOL = 1e-12
 #: adjacent zones must meet, and zone boundaries keep their order, to this
@@ -326,15 +321,24 @@ def _shock_curve(sol: ImplicitSolution, side: Side, event: Event):
     fixed rho^2 (t - tau).  With the Rankine-Hugoniot speed D = mu1 mu2 rho
     this gives an ODE for the time beta(rho) at which the shock carries rho,
     linear in beta; the integrating factor (far - rho)^2 and one integration
-    by parts solve it:
+    by parts solve it.  Since tau = A/e^2 + B/e^3 with e = rho - fixed, the
+    solution is rational in rho; with w = far - rho it reduces to
 
-        g(rho) = beta (far - rho)^2 = T_s (far - start)^2
-                 + [(far - r)(fixed - r) tau(r) + (fixed - far) int tau dr]_start^rho,
+        g(rho) = beta w^2 = G0 + B (e - w) / (2 e^2),
+        G0 = C ((mu1 - q1) - (q2 - mu2)),
 
-    rational in rho, since tau = A/e^2 + B/e^3 with e = rho - fixed.
-    rho_of_t(t) solves g(rho) = t (far - rho)^2 by bracketed_newton, in the
-    cell of a table of beta dense toward far (built on first use).  beta
-    must rise over the table and to infinity at far, else DomainExit.
+    in which the event time T_s = g(start) / (far - start)^2 drops out.
+
+    beta rises strictly from T_s to infinity at far.  g'(rho) = B w / e^3
+    has the sign of far - start on the cone: on side 1 B < 0, w > 0 and
+    e < 0; on side 2 B > 0, w < 0 and e > 0.  So g rises from g(start) =
+    T_s (far - start)^2 > 0 to g(far) = G0 + B / (2 (far - fixed)) as rho
+    moves toward far, while |w| falls to 0.
+
+    rho_of_t(t) solves F = g(rho) - t w^2 = 0, F' = w (B/e^3 + 2 t).  At the
+    root |w| = sqrt(g(rho)/t) and g(start) <= g(rho) <= g(far), which
+    brackets rho between the offsets sqrt(g(far)/t) and sqrt(g(start)/t)
+    from far, clipped to [start, far]; bracketed_newton solves it there.
     """
     p = sol.params
     f, far, start = side.fixed, side.far, side.start
@@ -342,45 +346,35 @@ def _shock_curve(sol: ImplicitSolution, side: Side, event: Event):
     C = (1.0 if side.k == 1 else -1.0) * (p.x2 - p.x1) / (p.q1 * p.q2)
     A = C * (2.0 * f - (p.q1 + p.q2))
     B = C * 2.0 * (f - p.q1) * (f - p.q2)
+    # Written as C ((mu1 + mu2) - (q1 + q2)) it cancels at narrow gaps.
+    G0 = C * ((p.mu1 - p.q1) - (p.q2 - p.mu2))
 
     def tau(r):
         e = r - f
         return (A * e + B) / (e * e * e)
 
-    def primitive(r):
+    def g(r):
         e = r - f
-        return (far - r) * (f - r) * tau(r) - (f - far) * (A + 0.5 * B / e) / e
+        return G0 + B * (e - (far - r)) / (2.0 * e * e)
 
-    w0 = far - start
-    g0, p0 = event.T * w0 * w0, primitive(start)
-    g = lambda r: g0 + (primitive(r) - p0)
     position = lambda r, t: sol.x(*side.pair(r)) + f * r * r * (t - tau(r))
-    table = None
+    g_ends = (g(far), event.T * (far - start) ** 2)
+    toward = 1.0 if far > start else -1.0
+    lo, hi = min(start, far), max(start, far)
 
-    def level(r, t):  # g(r) - t (far - r)^2 and its derivative
+    def level(r, t):  # F = g(r) - t (far - r)^2 and its derivative
         w, e = far - r, r - f
-        e4 = e * e * e * e
-        dF = w * (-(f - r) * (2.0 * A * e + 3.0 * B) / e4 - 2.0 * tau(r) + 2.0 * t)
-        return g(r) - t * w * w, dF
+        return g(r) - t * w * w, w * (B / (e * e * e) + 2.0 * t)
 
     def rho_of_t(t):
-        nonlocal table
         if t < event.T:
             raise DomainError(f"shock {side.shock} starts at {event.label} = {event.T}")
-        if table is None:
-            rho = far - w0 * np.geomspace(1.0, SHOCK_TABLE_DEPTH, SHOCK_TABLE_SIZE)
-            rho[0] = start
-            # At narrow gaps offsets below an ulp of far repeat a node or far.
-            rho = rho[np.append(True, rho[1:] != rho[:-1]) & (rho != far)]
-            g_tab = np.append(g(rho), g(far))
-            beta = g_tab[:-1] / (far - rho) ** 2
-            if not (np.all(np.diff(beta) > 0) and g_tab[-1] > 0):
-                raise DomainExit(f"shock {side.shock}: beta(rho) does not rise to {far}")
-            table = np.append(rho, far).tolist(), g_tab.tolist(), beta.tolist()
-        nodes, g_tab, beta = table
-        j = max(bisect.bisect_left(beta, t), 1)
-        a, b = nodes[j - 1], nodes[j]
-        fa, fb = g_tab[j - 1] - t * (far - a) ** 2, g_tab[j] - t * (far - b) ** 2
+        a, b = (min(max(far - toward * math.sqrt(gr / t), lo), hi) for gr in g_ends)
+        fa, fb = level(a, t)[0], level(b, t)[0]
+        if fa >= 0.0:  # rounding left no sign change: that end is the root
+            return a
+        if fb <= 0.0:
+            return b
         return bracketed_newton(lambda r: level(r, t), a, b, fa, fb)
 
     def param_point(r):

@@ -7,6 +7,8 @@ derived from, to a 50-digit evaluation of its defining integral, and to the
 shock conditions across the parameter cone.
 """
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -191,10 +193,11 @@ def test_shock_before_its_event_raises(solver):
             curve.rho_of_t(0.999 * curve.t_start)
 
 
-#: Relative gaps near 1e-4: the beta table's densest nodes lie below an ulp
-#: of far from each other (in the third, seven of them round onto far), and
-#: the closed form g cancels.  At 1e6 T_s a root's time is met to 4.4e-11,
-#: 4.9e-10 and 6.7e-9 relative; at the other times to 1e-10 or better.
+#: Relative gaps near 1e-4.  g is accurate to 5e-16 here, but beta = g /
+#: (far - rho)^2 is ill-conditioned near far: one ulp of rho moves it by
+#: 2 ulp(rho) / |far - rho| relative.  So at 1e6 T_s, where the root lies
+#: 1e-3 of the gap from far, the root's time is met to 4.4e-11, 4.9e-10 and
+#: 6.7e-9 relative; at the other times to 1e-10 or better.
 NARROW_SHOCKS = [
     (MixtureParams(1.77411, 1.77453, 1.77302, 1.7751, -1.52146, 0.184989), 2),
     (MixtureParams(2.98075, 2.98155, 2.98, 2.98257, -1.81901, -1.73078), 1),
@@ -212,3 +215,133 @@ def test_shock_root_at_narrow_gaps(p, k):
     for m in (1.001, 2.0, 10.0, 1e3, 1e6):
         t = m * T_s
         assert curve.param_point(curve.rho_of_t(t))[1] == pytest.approx(t, rel=2e-8)
+
+
+# -- roots against a 50-digit root ------------------------------------------------
+
+
+def _reference_g(p, side):
+    """(g, B, G0) to 50 digits, g a function of rho to call inside
+    mpmath.workdps(50).  g is the unreduced integration by parts: T_s
+    (far - start)^2 plus the bracket [(far - r)(fixed - r) tau(r) +
+    (fixed - far) I(r)] from start to rho, with tau the hodograph's t and
+    I = -A/e - B/(2 e^2) its antiderivative.  B and G0 are the constants of
+    the reduced form g = G0 + B (e - w) / (2 e^2)."""
+    mp = mpmath
+    with mp.workdps(50):
+        q1, q2, mu1, mu2, x1, x2 = (mp.mpf(v) for v in (p.q1, p.q2, p.mu1, p.mu2, p.x1, p.x2))
+        f, far, start = (mp.mpf(v) for v in (side.fixed, side.far, side.start))
+        C = (1 if side.k == 1 else -1) * (x2 - x1) / (q1 * q2)
+        A, B = C * (2 * f - (q1 + q2)), 2 * C * (f - q1) * (f - q2)
+
+        def tau(r):
+            R1, R2 = (r, f) if side.k == 1 else (f, r)
+            N = 2 * R1 * R2 + 2 * q1 * q2 - (q1 + q2) * (R1 + R2)
+            return (x2 - x1) * N / (q1 * q2 * (R1 - R2) ** 3)
+
+        def bracket(r):
+            e = r - f
+            return (far - r) * (f - r) * tau(r) + (f - far) * (-A / e - B / (2 * e * e))
+
+        g_start = _event_time(p, side.k) * (far - start) ** 2 - bracket(start)
+        return (lambda r: g_start + bracket(mp.mpf(r))), B, C * ((mu1 - q1) - (q2 - mu2))
+
+
+def _reference_root(p, side, t, guess):
+    """The root of g(rho) = t (far - rho)^2 to 50 digits, and the float
+    evaluation's rounding scale there: the sum of the magnitudes of G0,
+    B (e - w) / (2 e^2) and t w^2, over |F'| = |w (B/e^3 + 2 t)|."""
+    mp = mpmath
+    g, B, G0 = _reference_g(p, side)
+    with mp.workdps(50):
+        far = mp.mpf(side.far)
+        rho = mp.findroot(lambda r: g(r) - t * (far - r) ** 2, mp.mpf(guess),
+                          tol=mp.mpf(10) ** -45)
+        e, w = rho - side.fixed, far - rho
+        terms = abs(G0) + abs(B * (e - w) / (2 * e * e)) + t * w * w
+        return rho, float(terms / abs(w * (B / e**3 + 2 * t)))
+
+
+def _cone_sides(count=16, seed=28):
+    """count (instance, side) pairs of seeded draws on the cone, relative
+    gaps log-uniform in [1e-3, 5], inside the covered scenario."""
+    rng = np.random.default_rng(seed)
+    sides = []
+    while len(sides) < count:
+        q1 = rng.uniform(0.05, 10.0)
+        a, b, c = np.exp(rng.uniform(math.log(1e-3), math.log(5.0), 3))
+        mu1 = q1 * (1 + a)
+        mu2 = mu1 * (1 + b)
+        x1 = rng.uniform(-3.0, 0.0)
+        p = MixtureParams(mu1=mu1, mu2=mu2, q1=q1, q2=mu2 * (1 + c), x1=x1,
+                          x2=x1 + rng.uniform(1e-2, 10.0))
+        try:
+            ScenarioSolver(p)
+        except UnexpectedOrdering:
+            continue
+        sides += [(p, 1), (p, 2)]
+    return sides
+
+
+@pytest.mark.parametrize("p, k", NARROW_SHOCKS + _cone_sides())
+def test_shock_root_matches_50_digit_root(p, k):
+    """Each root is within an ulp of the 50-digit root, plus g's and t w^2's
+    rounding carried through F': the terms of F can cancel, so the root of
+    the float F can sit several ulp from the exact one (8 ulp on one of 400
+    drawn cone sides with gaps down to 5e-2)."""
+    solver = ScenarioSolver(p)
+    side = solver.timeline.side(k)
+    curve = solver.timeline.curves[side.shock]
+    T_s = solver.timeline.times[side.shock_event]
+    for m in (1.001, 2.0, 10.0, 1e3, 1e6):
+        rho = curve.rho_of_t(m * T_s)
+        ref, scale = _reference_root(p, side, m * T_s, rho)
+        bound = math.ulp(rho) + 2.0 * 2.0**-52 * scale
+        assert abs(rho - float(ref)) <= bound, (m, float((rho - ref) / math.ulp(rho)))
+
+
+@pytest.mark.parametrize("p, k", NARROW_SHOCKS, ids=["Theta", "Phi", "Phi-at-far"])
+def test_shock_beta_at_narrow_gaps_matches_50_digit_reference(p, k):
+    solver = ScenarioSolver(p)
+    side = solver.timeline.side(k)
+    curve = solver.timeline.curves[side.shock]
+    t_s = _event_time(p, k)
+    for s in (1.0, 0.9, 0.5, 0.1, 1e-2, 1e-4, 1e-6):
+        rho = side.far - (side.far - side.start) * s
+        beta_ref = _reference(p, side, t_s, rho)[1]
+        assert abs(curve.param_point(rho)[1] - beta_ref) <= 1e-15 * beta_ref, s
+
+
+_LOG_GAP = st.floats(-4.0, math.log10(5.0)).map(lambda v: 10.0**v)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(q1=st.floats(0.05, 10.0), a=_LOG_GAP, b=_LOG_GAP, c=_LOG_GAP,
+       x1=st.floats(-3.0, 0.0), width=st.floats(1e-2, 10.0))
+def test_shock_roots_in_their_bracket_down_to_narrow_gaps(q1, a, b, c, x1, width):
+    mu1 = q1 * (1 + a)
+    mu2 = mu1 * (1 + b)
+    p = MixtureParams(mu1=mu1, mu2=mu2, q1=q1, q2=mu2 * (1 + c), x1=x1, x2=x1 + width)
+    try:
+        solver = ScenarioSolver(p)
+    except UnexpectedOrdering:
+        assume(False)
+    for side, curve in _sides(solver):
+        t_s, w0 = curve.t_start, side.far - side.start
+        g = lambda s: curve.param_point(side.far - w0 * s)[1] * (w0 * s) ** 2
+        # g = beta (far - rho)^2 rises from start toward far; the samples
+        # stop at 1e-2 of the gap, where g's steps still exceed its rounding.
+        assert np.all(np.diff([g(s) for s in np.geomspace(1.0, 1e-2, 9)]) > 0), side.k
+        betas = [curve.param_point(side.far - w0 * s)[1] for s in np.geomspace(1.0, 1e-9, 64)]
+        assert np.all(np.diff(betas) > 0), side.k
+        # At the root |far - rho| = sqrt(g(rho) / t), g between g(start) =
+        # T_s w0^2 and g(far); the bracket's ends round to an ulp of far.
+        with mpmath.workdps(50):
+            g_far = float(_reference_g(p, side)[0](side.far))
+        lo, hi = sorted((side.start, side.far))
+        for t in t_s * np.geomspace(1.0, 1e12, 13):
+            rho = curve.rho_of_t(t)
+            assert lo <= rho <= hi, (side.k, t)
+            offset, slack = abs(side.far - rho), 2.0 * math.ulp(side.far)
+            assert offset >= abs(w0) * math.sqrt(t_s / t) * (1.0 - 1e-15) - slack, (side.k, t)
+            assert offset <= math.sqrt(g_far / t) * (1.0 + 1e-15) + slack, (side.k, t)
