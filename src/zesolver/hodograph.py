@@ -88,14 +88,11 @@ class ImplicitSolution:
 
     def t(self, R1, R2):
         """t(R1, R2) = T_int * V(q1, q2 | R1, R2), expanded in closed form."""
+        p = self.params
         _check_separated(R1, R2)
         d = R1 - R2
-        return self._t_of(R1, R2, d * d * d)
-
-    def _t_of(self, R1, R2, d3):
-        p = self.params
         num = 2.0 * R1 * R2 + 2.0 * p.q1 * p.q2 - (p.q1 + p.q2) * (R1 + R2)
-        return (p.x2 - p.x1) * num / (p.q1 * p.q2 * d3)
+        return (p.x2 - p.x1) * num / (p.q1 * p.q2 * (d * d * d))
 
     def t_partials(self, R1, R2):
         """Exact (dt/dR1, dt/dR2) of the closed form.
@@ -121,24 +118,15 @@ class ImplicitSolution:
 
     def x(self, R1, R2):
         """x(R1, R2) obtained from the kernel under t <-> x, R -> 1/R."""
+        p = self.params
         _check_separated(R1, R2)
         d = R1 - R2
-        return self._x_of(R1, R2, d * d * d)
-
-    def _x_of(self, R1, R2, d3):
-        p = self.params
+        d3 = d * d * d
         P = R1 * R2
         term1 = (p.x2 - p.x1) * (P * P) * (R2 + R1 - 2.0 * (p.q1 + p.q2))
         term2 = (p.x1 * (R1 * R1 * R1) - p.x2 * (R2 * R2 * R2)
                  + 3.0 * R1 * R2 * (R2 * p.x2 - R1 * p.x1))
         return term1 / (p.q1 * p.q2 * d3) + term2 / d3
-
-    def t_x(self, R1, R2):
-        """(t, x) in one pass: one separation check and one (R1 - R2)^3."""
-        _check_separated(R1, R2)
-        d = R1 - R2
-        d3 = d * d * d
-        return self._t_of(R1, R2, d3), self._x_of(R1, R2, d3)
 
     def x_partials(self, R1, R2):
         """(dx/dR1, dx/dR2) via the hodograph relations x_Rk = lambda^(3-k) t_Rk."""

@@ -24,7 +24,7 @@ from .errors import (
     PhaseGap,
 )
 from .hodograph import ImplicitSolution
-from .invariants import MixtureParams, concentrations_from_invariants, lambda_k
+from .invariants import MixtureParams, concentrations_from_invariants
 from .wavefield import Timeline, build_timeline
 
 #: |interval| below this counts as a degenerate (point) zone.
@@ -239,10 +239,10 @@ class ScenarioSolver:
     def z9_profile(self, t_star, n=64, zone=None) -> Segment:
         """One-parameter representation of Z9 at time t*.
 
-        x(rho) = x(rho, mu2) + rho^2 mu2 (t* - t(rho, mu2)) for rho between
-        the values at Z9's two ends: the shock-side value (q1 on xw1, the
-        root of Phi after T_9) and the Z5-side value (the root rho* of phi,
-        mu1 on xf1 after T_fin); zone as for z5_profile.
+        x(rho) = x(rho, mu2) + rho^2 mu2 (t* - t(rho, mu2)) (Side.transport_x)
+        for rho between the values at Z9's two ends: the shock-side value
+        (q1 on xw1, the root of Phi after T_9) and the Z5-side value (the
+        root rho* of phi, mu1 on xf1 after T_fin); zone as for z5_profile.
         """
         return self._transport_segments(t_star, [(self.timeline.side(1), n, zone)])[0]
 
@@ -251,46 +251,33 @@ class ScenarioSolver:
         return self._transport_segments(t_star, [(self.timeline.side(2), n, zone)])[0]
 
     def transport_x(self, side, rho, t_star):
-        """Position reached at t* by the value rho leaving the Z5 boundary.
-
-        rho may be a scalar or an array; an array is evaluated as a whole,
-        with one hodograph t_x call for all of its values.
-        """
-        s = self.timeline.side(side)
-        R = s.pair(rho)
-        tau, x0 = self.hodograph.t_x(*R)
-        return x0 + lambda_k(s.k, *R) * (t_star - tau)
+        """Position reached at t* by the value rho leaving the Z5 boundary
+        of side 1 or 2 (Side.transport_x); rho may be a scalar or an array."""
+        return self.timeline.side(side).transport_x(rho, t_star)
 
     def _transport_segments(self, t_star, entries):
         """One Segment per (side, n, zone) entry: n parameter values between
         rho at the zone interval's two ends (see _edge_states; zone as for
-        z5_profile), one where they coincide.  All zones take transport_x's
-        x(rho) from one hodograph t_x call, with lambda_k's bits as (R1 rho)
-        R2 on both sides; x must increase strictly inside each zone.
+        z5_profile), one where they coincide, placed by the side's closed
+        form Side.transport_x.  x must increase strictly inside each zone;
+        Side.transport_x proves it does, and the check stays as a guard.
         """
-        rhos, slices = [], []
+        segments = []
         for side, n, zone in entries:
             zone = self._interval(side.zone, t_star, zone)
             lo, hi = sorted(end[side.index] for end in self._edge_states(zone, t_star, side, side))
             degenerate = hi - lo < DEGENERATE_RHO * max(1.0, abs(hi))
-            rhos.append(np.array([lo]) if degenerate else np.linspace(lo, hi, max(n, 2)))
-            first = slices[-1].stop if slices else 0
-            slices.append(slice(first, first + rhos[-1].size))
-        rho = np.concatenate(rhos)
-        R = np.array([rho, rho])
-        for (side, _, _), sl in zip(entries, slices):
-            R[1 - side.index, sl] = side.fixed
-        tau, x0 = self.hodograph.t_x(*R)
-        x = x0 + (R[0] * rho) * R[1] * (t_star - tau)
-        rising = np.diff(x) > 0
-        for (side, _, _), sl in zip(entries, slices):  # each zone's own run
-            if not rising[sl.start:sl.stop - 1].all():
+            rho = np.array([lo]) if degenerate else np.linspace(lo, hi, max(n, 2))
+            x = side.transport_x(rho, t_star)
+            if not (x[1:] > x[:-1]).all():
                 raise NonMonotoneParametrization(
                     f"{side.zone} parametrization x(rho) not strictly increasing "
                     f"at t* = {t_star}"
                 )
-        return [Segment(side.zone, x[sl], R[0][sl], R[1][sl])
-                for (side, _, _), sl in zip(entries, slices)]
+            R = np.empty((2, rho.size))
+            R[side.index], R[1 - side.index] = rho, side.fixed
+            segments.append(Segment(side.zone, x, *R))
+        return segments
 
     # -- curved shocks after T_9 / T_10 ----------------------------------------
 
@@ -317,9 +304,9 @@ class ScenarioSolver:
         """Complete profile across all zones alive at t*.
 
         Samples are spread over the finite zones proportionally to width
-        (uniform in x, or uniform in the parameter for transport zones, which
-        are sampled together); the two outer plateaus are clipped to the
-        window.  Plateau and fan zones take x from one multi-range linspace,
+        (uniform in x, or uniform in the parameter for transport zones, each
+        placed by its side's closed form); the two outer plateaus are clipped
+        to the window.  Plateau and fan zones take x from one multi-range linspace,
         in numpy's own arithmetic.
         """
         if not 0.0 < t_star < np.inf:

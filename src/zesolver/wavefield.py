@@ -86,7 +86,7 @@ class Side:
     speed shock_speed (xs1, xs2) and a fan of R_{3-k} (fan zone Z3, Z6)
     between the outer front (xl2, xr1) and the inner front (xr2, xl1); the
     plateau zone (Z2, Z7) with state pair(start) lies between the shock
-    and the fan.
+    and the fan.  x0 and K place its transport characteristics (transport_x).
     """
 
     k: int
@@ -107,6 +107,8 @@ class Side:
     plateau_zone: str
     outer_front: str
     inner_front: str
+    x0: float
+    K: float
 
     def pair(self, rho):
         """The hodograph point (R1, R2) with R_k = rho; rho may be an array."""
@@ -121,18 +123,36 @@ class Side:
         """R_{3-k} in the side's fan, sqrt((x - origin) / (start t)); x may be an array."""
         return np.sqrt((x - self.origin) / (self.start * t))
 
+    def transport_x(self, rho, t):
+        """Position at t of the k-characteristic that carries rho from the
+        Z5 boundary, x(pair) + fixed rho^2 (t - t(pair)); rho may be an array.
+
+        Its hodograph terms collapse to x0 + K (rho / (rho - fixed))^2 +
+        fixed rho^2 t, where no term cancels: x0 = x2 and K = (mu2 - q1)
+        (q2 - mu2) C on side 1, x0 = x1 and K = (mu1 - q1)(mu1 - q2) C on
+        side 2, C = (x2 - x1)/(q1 q2).  x rises strictly with rho at t > 0:
+        dx/drho = 2 fixed rho (t - K / (rho - fixed)^3), and K / (rho -
+        fixed)^3 < 0 on the cone (K > 0 with rho < mu2 on side 1, K < 0
+        with rho > mu1 on side 2).
+        """
+        g = rho / (rho - self.fixed)
+        return self.x0 + self.K * (g * g) + (self.fixed * t) * (rho * rho)
+
 
 def mirrored_sides(p: MixtureParams) -> dict:
     """The two Side descriptors of an instance, keyed by k."""
+    C = (p.x2 - p.x1) / (p.q1 * p.q2)
     return {
         1: Side(k=1, fixed=p.mu2, lo=p.q1, hi=p.mu1, start=p.q1, far=p.mu1,
                 curve="phi", early="phi_early", death="T_3", shock_event="T_9",
                 shock="Phi", zone="Z9", origin=p.x1, shock_speed=p.q1 * p.mu1 * p.mu2,
-                fan_zone="Z3", plateau_zone="Z2", outer_front="xl2", inner_front="xr2"),
+                fan_zone="Z3", plateau_zone="Z2", outer_front="xl2", inner_front="xr2",
+                x0=p.x2, K=(p.mu2 - p.q1) * (p.q2 - p.mu2) * C),
         2: Side(k=2, fixed=p.mu1, lo=p.mu2, hi=p.q2, start=p.q2, far=p.mu2,
                 curve="theta", early="theta_early", death="T_6", shock_event="T_10",
                 shock="Theta", zone="Z10", origin=p.x2, shock_speed=p.mu1 * p.mu2 * p.q2,
-                fan_zone="Z6", plateau_zone="Z7", outer_front="xr1", inner_front="xl1"),
+                fan_zone="Z6", plateau_zone="Z7", outer_front="xr1", inner_front="xl1",
+                x0=p.x1, K=(p.mu1 - p.q1) * (p.mu1 - p.q2) * C),
     }
 
 
@@ -367,8 +387,8 @@ def _shock_curve(sol: ImplicitSolution, side: Side, event: Event):
         return g(r) - t * w * w, w * (B / (e * e * e) + 2.0 * t)
 
     def rho_of_t(t):
-        if t < event.T:
-            raise DomainError(f"shock {side.shock} starts at {event.label} = {event.T}")
+        if not event.T <= t < math.inf:  # nan and inf too
+            raise DomainError(f"shock {side.shock} lives on [{event.label} = {event.T}, inf)")
         a, b = (min(max(far - toward * math.sqrt(gr / t), lo), hi) for gr in g_ends)
         fa, fb = level(a, t)[0], level(b, t)[0]
         if fa >= 0.0:  # rounding left no sign change: that end is the root

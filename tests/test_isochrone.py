@@ -22,6 +22,7 @@ from zesolver.isochrone import (
     csv_rows,
     profile_at,
 )
+from zesolver.wavefield import Side
 
 
 def test_z5_degenerate_at_interaction_time(solver):
@@ -476,28 +477,28 @@ def test_profile_at_raises_on_an_assembly_gap(solver, monkeypatch, name, zone):
 
 @pytest.mark.parametrize("zone", ["Z9", "Z10"])
 def test_transport_sampler_checks_each_zone_alone(solver, monkeypatch, zone):
-    # The transport zones are sampled together; x must rise inside each
-    # zone's run, but may fall across the seam between the two runs.
+    # Each transport zone is placed by its own side's closed form, so the
+    # segments do not depend on the order of the entries; x must rise
+    # inside each zone's run.
     t = 0.05  # before T_fin: Z9 has R2 = mu2 and Z10 R1 = mu1, never both
     s1, s2 = solver.timeline.sides.values()
     layout = {iv.zone: iv for iv in solver.timeline.zones_at(t)}
     entries = [(s1, 16, layout["Z9"]), (s2, 16, layout["Z10"])]
     ahead = solver._transport_segments(t, entries)
-    behind = solver._transport_segments(t, entries[::-1])  # x drops at the seam
+    behind = solver._transport_segments(t, entries[::-1])
     assert [seg.zone for seg in behind] == ["Z10", "Z9"]
-    assert behind[1].x[0] < behind[0].x[-1]
     for a, b in zip(ahead, behind[::-1]):
         assert all(np.array_equal(u, v) for u, v in zip((a.x, a.R1, a.R2), (b.x, b.R1, b.R2)))
 
-    side = s1 if zone == "Z9" else s2
-    t_x = solver.hodograph.t_x
+    transport_x = Side.transport_x
 
-    def falling(R1, R2):  # the zone's second sample lands far left of its first
-        tau, x0 = t_x(R1, R2)
-        x0[np.flatnonzero((R1, R2)[1 - side.index] == side.fixed)[1]] -= 1e3
-        return tau, x0
+    def falling(side, rho, t):  # the zone's second sample lands far left of its first
+        x = transport_x(side, rho, t)
+        if side.zone == zone:
+            x[1] -= 1e3
+        return x
 
-    monkeypatch.setattr(solver.hodograph, "t_x", falling)
+    monkeypatch.setattr(Side, "transport_x", falling)
     for call in (lambda: solver._transport_segments(t, entries),
                  lambda: solver._transport_segments(t, entries[::-1]),
                  lambda: solver.profile_at(t, n=256)):

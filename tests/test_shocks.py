@@ -191,6 +191,12 @@ def test_shock_before_its_event_raises(solver):
             solver.shock_boundary(side.k, curve.t_start)
         with pytest.raises(DomainError):
             curve.rho_of_t(0.999 * curve.t_start)
+        # A non-finite time is outside the shock's life too.
+        for t in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                solver.shock_boundary(side.k, t)
+            with pytest.raises(DomainError):
+                curve.rho_of_t(t)
 
 
 #: Relative gaps near 1e-4.  g is accurate to 5e-16 here, but beta = g /
