@@ -530,7 +530,7 @@ def _march_run(seg_a, seg_b, y0, direction, t_star, x_window, arc_budget, start)
     s_j does ("segment"), X leaves the window ("window"), t_sa t_sb changes
     sign ("fold") or the chord from y0 exceeds arc_budget ("arc-budget"):
     roots in s_i bracketed on a grid (its ends if both feet are horizontal,
-    where the run is straight) and refined by bracketed_newton with the
+    where the run is straight) and refined by _secant_root from the
     bracket's slope; a refinement evaluates only its own event.  The run
     has max(9, int(_DENSITY * chord)) samples, uniform in s_i.
     """
@@ -574,8 +574,8 @@ def _march_run(seg_a, seg_b, y0, direction, t_star, x_window, arc_budget, start)
     if past.any():
         k = int(np.argmax(past.any(axis=0)))
         slope = (g[:, k] - g[:, k - 1]) / (grid[k] - grid[k - 1])  # exact on a straight run
-        roots = {e: bracketed_newton(lambda p: (events(np.array([p]), (e,))[0, 0], slope[e]),
-                                     grid[k - 1], grid[k], g[e, k - 1], g[e, k])
+        roots = {e: _secant_root(lambda p: events(np.array([p]), (e,))[0, 0],
+                                 grid[k - 1], grid[k], g[e, k - 1], g[e, k], slope[e])
                  for e in np.flatnonzero(past[:, k])}
         hit = min(roots, key=lambda e: abs(roots[e] - p0))  # the first event ends the run
         p_stop, stop = roots[hit], ("segment", "window", "fold", "arc-budget")[hit]
@@ -586,6 +586,23 @@ def _march_run(seg_a, seg_b, y0, direction, t_star, x_window, arc_budget, start)
     if hit == 0:
         ys[j, -1] = q_end
     return _sample_run(seg_a, seg_b, ys, t_star, anchor), stop, ys[:, -1].copy(), arc
+
+
+def _secant_root(F, a, b, fa, fb, slope):
+    """The root of F in [a, b] (fa = F(a), fb = F(b) not of one sign) by
+    bracketed_newton with the slope of F's last two evaluations, slope
+    before there are two: a fixed slope that overstates F' creeps."""
+    last = []
+
+    def fn(p):
+        nonlocal slope
+        f = F(p)
+        if last and p != last[0]:
+            slope = (f - last[1]) / (p - last[0])
+        last[:] = p, f
+        return f, slope
+
+    return bracketed_newton(fn, a, b, fa, fb)
 
 
 def _level_line(seg_a, seg_b, anchor, t_star, y0, i, p):

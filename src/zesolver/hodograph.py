@@ -103,16 +103,8 @@ class ImplicitSolution:
             dt/dR1 = C ((2 R2 - S) d - 3 N) / d^4
             dt/dR2 = C ((2 R1 - S) d + 3 N) / d^4
         """
-        p = self.params
         _check_separated(R1, R2)
-        C = (p.x2 - p.x1) / (p.q1 * p.q2)
-        S = p.q1 + p.q2
-        d = R1 - R2
-        N = 2.0 * R1 * R2 + 2.0 * p.q1 * p.q2 - S * (R1 + R2)
-        d4 = d * d * d * d
-        t_r1 = C * ((2.0 * R2 - S) * d - 3.0 * N) / d4
-        t_r2 = C * ((2.0 * R1 - S) * d + 3.0 * N) / d4
-        return t_r1, t_r2
+        return self._t_x_partials(R1, R2)[2:]
 
     # -- position -----------------------------------------------------------
 
@@ -136,8 +128,8 @@ class ImplicitSolution:
     # -- inverse map on an isochrone --------------------------------------------
 
     def _t_x_partials(self, R1, R2):
-        """(t, x, dt/dR1, dt/dR2) of arrays in one pass: the formulas of t, x
-        and t_partials sharing d = R1 - R2, R1 R2 and N."""
+        """(t, x, dt/dR1, dt/dR2) in one pass, sharing d = R1 - R2, R1 R2
+        and N; scalars or arrays, unchecked (t_partials checks)."""
         p = self.params
         C, S = (p.x2 - p.x1) / (p.q1 * p.q2), p.q1 + p.q2
         d, P = R1 - R2, R1 * R2

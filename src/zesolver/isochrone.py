@@ -3,11 +3,11 @@
 Inside the interaction zone Z5 the map (R1, R2) -> (t, x) is known in closed
 form, so the state at (x, t*) is the root of t(R1, R2) = t*, x(R1, R2) = x
 (ImplicitSolution.invert).  The transport zones created after the fan deaths
-are one-parameter families x(rho) at fixed t*, bounded after T_9 / T_10 by
-the curved shocks.  A shock carries rho at the time beta(rho) = g(rho) /
-(far - rho)^2 with g rational in rho: the ODE that the Rankine-Hugoniot
-speed imposes on beta is linear (wavefield._shock_curve).  This module
-reconstructs every zone and assembles complete profiles.
+are one-parameter families x(rho) at fixed t* (Side.transport_x), bounded
+after T_9 / T_10 by the curved shocks, whose time beta(rho) of carrying rho
+is rational in rho (wavefield._shock_curve).  This module samples every zone
+but Z5 on one multi-range grid, plateaus and fans in x and transport zones
+in rho, and assembles complete profiles.
 """
 
 from __future__ import annotations
@@ -243,41 +243,18 @@ class ScenarioSolver:
         for rho between the values at Z9's two ends: the shock-side value
         (q1 on xw1, the root of Phi after T_9) and the Z5-side value (the
         root rho* of phi, mu1 on xf1 after T_fin); zone as for z5_profile.
+        Z9's row of profile_at's grid (_grid), sampled alone.
         """
-        return self._transport_segments(t_star, [(self.timeline.side(1), n, zone)])[0]
+        return self._zone_alone("Z9", t_star, n, zone)
 
     def z10_profile(self, t_star, n=64, zone=None) -> Segment:
         """Mirror of z9_profile: Z10 with R2 = rho between sigma* and q2 or Theta."""
-        return self._transport_segments(t_star, [(self.timeline.side(2), n, zone)])[0]
+        return self._zone_alone("Z10", t_star, n, zone)
 
-    def transport_x(self, side, rho, t_star):
-        """Position reached at t* by the value rho leaving the Z5 boundary
-        of side 1 or 2 (Side.transport_x); rho may be a scalar or an array."""
-        return self.timeline.side(side).transport_x(rho, t_star)
-
-    def _transport_segments(self, t_star, entries):
-        """One Segment per (side, n, zone) entry: n parameter values between
-        rho at the zone interval's two ends (see _edge_states; zone as for
-        z5_profile), one where they coincide, placed by the side's closed
-        form Side.transport_x.  x must increase strictly inside each zone;
-        Side.transport_x proves it does, and the check stays as a guard.
-        """
-        segments = []
-        for side, n, zone in entries:
-            zone = self._interval(side.zone, t_star, zone)
-            lo, hi = sorted(end[side.index] for end in self._edge_states(zone, t_star, side, side))
-            degenerate = hi - lo < DEGENERATE_RHO * max(1.0, abs(hi))
-            rho = np.array([lo]) if degenerate else np.linspace(lo, hi, max(n, 2))
-            x = side.transport_x(rho, t_star)
-            if not (x[1:] > x[:-1]).all():
-                raise NonMonotoneParametrization(
-                    f"{side.zone} parametrization x(rho) not strictly increasing "
-                    f"at t* = {t_star}"
-                )
-            R = np.empty((2, rho.size))
-            R[side.index], R[1 - side.index] = rho, side.fixed
-            segments.append(Segment(side.zone, x, *R))
-        return segments
+    def _zone_alone(self, name, t_star, n, zone):
+        zone = self._interval(name, t_star, zone)
+        x, R, _ = self._grid(t_star, [zone], [(zone.x_left, zone.x_right)], [max(n, 2)])
+        return Segment(name, x, *R)
 
     # -- curved shocks after T_9 / T_10 ----------------------------------------
 
@@ -303,11 +280,11 @@ class ScenarioSolver:
     def profile_at(self, t_star, n=1024, window=None) -> Profile:
         """Complete profile across all zones alive at t*.
 
-        Samples are spread over the finite zones proportionally to width
-        (uniform in x, or uniform in the parameter for transport zones, each
-        placed by its side's closed form); the two outer plateaus are clipped
-        to the window.  Plateau and fan zones take x from one multi-range linspace,
-        in numpy's own arithmetic.
+        Samples are spread over the zones proportionally to width in x (the
+        two outer plateaus clipped to the window) and taken on one grid
+        (_grid).  Neighbouring zones meet within ASSEMBLY_GAP; a transport
+        zone's end x (Side.transport_x) may differ in the last bits from the
+        layout's x of the same curve, and x is raised where that breaks order.
         """
         if not 0.0 < t_star < np.inf:
             raise DomainError("profiles exist for finite t > 0")
@@ -322,47 +299,71 @@ class ScenarioSolver:
                  window[1] if iv.x_right is None else iv.x_right) for iv in intervals]
         widths = [max(xr - xl, 0.0) for xl, xr in ends]
         total = sum(widths) or 1.0
-        s1, s2 = self.timeline.sides.values()
-        sides = {s1.zone: s1, s2.zone: s2}
         sizes = [max(2, int(round(n * w / total))) for w in widths]
-        entries = [(sides[iv.zone], k, iv) for iv, k in zip(intervals, sizes) if iv.zone in sides]
-        transport = iter(self._transport_segments(t_star, entries) if entries else ())
-        slices, stops, rows, segments = [], [], [], []
-        for iv, (xl, xr), n_k in zip(intervals, ends, sizes):
-            first = slices[-1].stop if slices else 0
-            seg = (self.z5_profile(t_star, n_k, iv) if iv.zone == "Z5"
-                   else next(transport) if iv.zone in sides else None)
-            if seg is not None:
-                n_k = len(seg.x)
-            elif (xr - xl) < DEGENERATE_WIDTH * max(1.0, abs(xl)):
-                xr, n_k = xl, 1  # a point zone
-            slices.append(slice(first, first + n_k))
-            stops.append(xr)
-            segments.append(seg)
-            # First index, step, start and (R1, R2), NaN where a fan or a sampler sets it.
-            rows.append((first, (xr - xl) / max(n_k - 1, 1), xl,
-                         *self.timeline.plateaus.get(iv.zone, (None, None))))
-
-        counts = [sl.stop - sl.start for sl in slices]
-        k0, step, start, *R = np.repeat(np.array(rows, dtype=float).T, counts, axis=1)
-        x = (np.arange(len(k0)) - k0) * step + start
-        x[[sl.stop - 1 for sl in slices]] = stops
-        fans = {s.fan_zone: s for s in (s1, s2)}
+        x, R, slices = self._grid(t_star, intervals, ends, sizes)
         zones = [iv.zone for iv in intervals]
-        for zone, sl, seg in zip(zones, slices, segments):
-            if seg is not None:
-                x[sl], R[0][sl], R[1][sl] = seg.x, seg.R1, seg.R2
-            elif zone in fans:  # a side's fan sets the other invariant
-                R[1 - fans[zone].index][sl] = fans[zone].fan(x[sl], t_star)
         for i in range(1, len(slices)):  # neighbouring zones share an edge
             a, b = x[slices[i].start - 1], x[slices[i].start]
             if abs(a - b) > ASSEMBLY_GAP * max(1.0, abs(a)):
                 raise PhaseGap(f"assembly gap between {zones[i - 1]} ({a}) and {zones[i]} ({b})")
-        # Shared boundary samples may disagree in the last bit; enforce order.
         x = np.maximum.accumulate(x)
         u1, u2 = concentrations_from_invariants(self.params, *R)
+        counts = [sl.stop - sl.start for sl in slices]
         zone = list(itertools.chain.from_iterable(map(itertools.repeat, zones, counts)))
         return Profile(t_star, x, *R, np.asarray(u1), np.asarray(u2), zone)
+
+    def _grid(self, t_star, intervals, ends, sizes):
+        """x, [R1, R2] and each zone's slice of them, on one multi-range grid.
+
+        Each zone is a row of n_k values, (arange - k0) step + start with the
+        last pinned to stop: np.linspace's bits.  A plateau or fan zone runs
+        in x between its ends, with its plateau state or Side.fan.  A
+        transport zone runs in rho between the values at its interval's ends
+        (_edge_states), lower first, with the other invariant side.fixed,
+        and Side.transport_x places it (x must rise: proved there, checked
+        here).  A zone below DEGENERATE_WIDTH in x (DEGENERATE_RHO in rho)
+        is one sample at its start.  Z5 comes from z5_profile.
+        """
+        sides = {s.zone: s for s in self.timeline.sides.values()}
+        fans = {s.fan_zone: s for s in sides.values()}
+        rows, slices, stops, z5 = [], [], [], None
+        for iv, (start, stop), n_k in zip(intervals, ends, sizes):
+            first = slices[-1].stop if slices else 0
+            state, side = self.timeline.plateaus.get(iv.zone, (None, None)), sides.get(iv.zone)
+            if iv.zone == "Z5":
+                z5 = self.z5_profile(t_star, n_k, iv)
+                n_k = len(z5.x)
+            elif side is not None:
+                state, edges = side.pair(None), self._edge_states(iv, t_star, side, side)
+                start, stop = sorted(end[side.index] for end in edges)
+                if stop - start < DEGENERATE_RHO * max(1.0, abs(stop)):
+                    stop, n_k = start, 1
+            elif stop - start < DEGENERATE_WIDTH * max(1.0, abs(start)):
+                stop, n_k = start, 1  # a point zone
+            # First index, step, start and (R1, R2), NaN where the grid value sets it.
+            rows.append((first, (stop - start) / max(n_k - 1, 1), start, *state))
+            slices.append(slice(first, first + n_k))
+            stops.append(stop)
+
+        k0, step, start, *R = np.repeat(np.array(rows, dtype=float).T,
+                                        [sl.stop - sl.start for sl in slices], axis=1)
+        x = (np.arange(len(k0)) - k0) * step + start
+        x[[sl.stop - 1 for sl in slices]] = stops
+        for iv, sl in zip(intervals, slices):
+            side = sides.get(iv.zone)
+            if iv.zone == "Z5":
+                x[sl], R[0][sl], R[1][sl] = z5.x, z5.R1, z5.R2
+            elif side is not None:
+                R[side.index][sl] = x[sl]
+                x[sl] = side.transport_x(x[sl], t_star)
+                if not (x[sl][1:] > x[sl][:-1]).all():
+                    raise NonMonotoneParametrization(
+                        f"{side.zone} parametrization x(rho) not strictly increasing "
+                        f"at t* = {t_star}"
+                    )
+            elif iv.zone in fans:  # a side's fan sets the other invariant
+                R[1 - fans[iv.zone].index][sl] = fans[iv.zone].fan(x[sl], t_star)
+        return x, R, slices
 
 
 def profile_at(params_or_solver, t_star, n=1024, window=None) -> Profile:

@@ -33,8 +33,7 @@ ROOT_RTOL = 8.9e-16
 ROOT_MAX_ITER = 100
 #: the early weak curves accept times down to T_int (1 - EARLY_RTOL).
 EARLY_RTOL = 1e-12
-#: adjacent zones must meet, and zone boundaries keep their order, to this
-#: absolute x.
+#: zone boundaries keep their order to this absolute x.
 TILING_ATOL = 1e-9
 
 
@@ -575,21 +574,10 @@ class Timeline:
             push("Z7", "xs2")
         chain.append(ZoneInterval("Z8", cursor_x, None, cursor_id, None, cursor_rho))
 
-        self._check_tiling(chain)
-        return chain
-
-    @staticmethod
-    def _check_tiling(chain):
-        for left, right in zip(chain, chain[1:]):
-            if left.x_right is None or right.x_left is None:
-                raise DomainError("interior zone with an open end")
-            if not math.isclose(left.x_right, right.x_left, rel_tol=0.0, abs_tol=TILING_ATOL):
-                raise DomainError(
-                    f"zone tiling gap between {left.zone} and {right.zone}"
-                )
-        xs = [z.x_right for z in chain[:-1]]
+        xs = [z.x_right for z in chain[:-1]]  # each x_left is the x_right before it
         if any(b < a - TILING_ATOL for a, b in zip(xs, xs[1:])):
             raise UnexpectedOrdering("zone boundaries out of order")
+        return chain
 
     # -- export ---------------------------------------------------------------
 

@@ -145,9 +145,9 @@ def test_transport_and_boundary_tables_match_per_point(solver):
     t_star = 1.5 * T["T_fin"]
     for side, lo, hi in ((1, p.q1, p.mu1), (2, p.mu2, p.q2)):
         rho = np.linspace(lo, hi, 97)
+        transport_x = solver.timeline.side(side).transport_x
         assert _same_bits(
-            solver.transport_x(side, rho, t_star),
-            [solver.transport_x(side, r, t_star) for r in rho.tolist()],
+            transport_x(rho, t_star), [transport_x(r, t_star) for r in rho.tolist()]
         )
     # An array evaluation of t along a Z5 boundary is the bits of the
     # curve's own one-point evaluation.
@@ -471,7 +471,7 @@ def test_transport_x_rises_on_narrow_gaps(q1, a, b, c, log_width):
     except UnexpectedOrdering:
         assume(False)
     T = solver.timeline.times
-    sides = {side.zone: side for side in solver.timeline.sides.values()}
+    samplers = {"Z9": solver.z9_profile, "Z10": solver.z10_profile}
     times = (1.001 * T["T_3"], 0.5 * (max(T["T_3"], T["T_6"]) + T["T_fin"]),
              0.999 * T["T_fin"], 1.5 * T["T_fin"], 20.0 * T["T_fin"])
     for t in times:
@@ -483,9 +483,10 @@ def test_transport_x_rises_on_narrow_gaps(q1, a, b, c, log_width):
             # leave their order, and there is no layout to sample.
             event("layout out of order")
             continue
-        entries = [(sides[iv.zone], 64, iv) for iv in layout if iv.zone in sides]
-        for seg in solver._transport_segments(t, entries):
-            assert seg.x.size == 1 or np.all(np.diff(seg.x) > 0), (p, seg.zone, t)
+        for iv in layout:
+            if iv.zone in samplers:
+                seg = samplers[iv.zone](t, 64, iv)
+                assert seg.x.size == 1 or np.all(np.diff(seg.x) > 0), (p, seg.zone, t)
 
 
 def test_z5_edges_take_x_and_state_from_one_root(solver):
@@ -511,6 +512,18 @@ def _layout_times(s):
     ts.update(0.5 * (a + b) for a, b in zip(T, T[1:]))
     ts.add(2.0 * T[-1])
     return sorted(ts)
+
+
+def test_layout_zones_share_their_joints_bit_for_bit(solver):
+    # Each zone starts at the very x at which the zone before it ends, and
+    # only the two outer plateaus have an open end.
+    for s in (solver, *CONE):
+        for t in _layout_times(s):
+            layout = s.timeline.zones_at(t)
+            assert layout[0].x_left is None and layout[-1].x_right is None, t
+            for left, right in zip(layout, layout[1:]):
+                assert None not in (left.x_right, right.x_left), (t, left.zone)
+                assert _same_bits(left.x_right, right.x_left), (t, left.zone)
 
 
 def test_samplers_read_their_edges_from_the_layout(solver):

@@ -15,6 +15,7 @@ from zesolver.cauchy_general import (
     _dependence,
     _parts,
     _position,
+    _secant_root,
     _t_feet,
     find_seed,
     general_profile,
@@ -689,6 +690,24 @@ def test_march_drift_ignores_the_arclength_origin():
         for left in (-21.0, -1001.0)
     ]
     assert drifts[1] <= 2.0 * drifts[0]
+
+
+@pytest.mark.parametrize("factor", [3, 10, 30, 100, 1000])
+def test_event_refinement_does_not_creep_on_a_steep_bracket_slope(factor):
+    # _march_run refines an event root from its bracket's chord slope.
+    # Held fixed, a slope that overstates F' creeps: on exp(3 v) - 2 over
+    # [0, 1], 3 times the root's slope takes 81 steps, and 10 times or more
+    # raises NoRootInInterval after 100.  The secant slope takes 9.
+    F = lambda v: math.exp(3.0 * v) - 2.0
+    slope = factor * 6.0
+    fixed, secant = [], []
+    try:
+        bracketed_newton(lambda v: (fixed.append(v) or F(v), slope), 0.0, 1.0, F(0.0), F(1.0))
+    except NoRootInInterval:
+        pass
+    r = _secant_root(lambda v: secant.append(v) or F(v), 0.0, 1.0, F(0.0), F(1.0), slope)
+    assert r == pytest.approx(math.log(2.0) / 3.0, rel=0.0, abs=1e-15)
+    assert len(secant) <= 10 < 80 <= len(fixed)
 
 
 def test_dependence_cut_keeps_t_inside_it():

@@ -280,7 +280,7 @@ def test_shock_boundary_mirror_side(solver):
 @pytest.mark.parametrize("side", [0, 3])
 def test_invalid_side_raises(solver, side):
     with pytest.raises(ValueError):
-        solver.transport_x(side, 4.0, 0.05)
+        solver.timeline.side(side)
     with pytest.raises(ValueError):
         solver.shock_boundary(side, 0.1)
 
@@ -455,21 +455,23 @@ def test_profile_accepts_equal_x_at_run_boundaries():
 )
 def test_profile_at_raises_on_an_assembly_gap(solver, monkeypatch, name, zone):
     # One zone's segment misses its neighbours' shared edge by 1e-3.  Z5
-    # comes from z5_profile; Z9 and Z10 come from the one transport
-    # sampler, which z9_profile and z10_profile call for their zone alone.
+    # comes from z5_profile; Z9 and Z10 are placed by their side's
+    # Side.transport_x, in profile_at's grid and in z9_profile and
+    # z10_profile alike.
     t = 0.05  # after T_3 and T_6, before T_fin: Z9, Z5 and Z10 all exist
-
-    def shifted(seg):
-        return Segment(seg.zone, seg.x + 1e-3, seg.R1, seg.R2) if seg.zone == zone else seg
-
     unshifted = getattr(solver, name)(t)
     if zone == "Z5":
         sampler = solver.z5_profile
-        monkeypatch.setattr(solver, name, lambda *a: shifted(sampler(*a)))
+
+        def shifted(*a):
+            seg = sampler(*a)
+            return Segment(zone, seg.x + 1e-3, seg.R1, seg.R2)
+
+        monkeypatch.setattr(solver, name, shifted)
     else:
-        sampler = solver._transport_segments
-        monkeypatch.setattr(solver, "_transport_segments",
-                            lambda *a: [shifted(seg) for seg in sampler(*a)])
+        transport_x = Side.transport_x
+        monkeypatch.setattr(Side, "transport_x", lambda side, rho, t: (
+            transport_x(side, rho, t) + (1e-3 if side.zone == zone else 0.0)))
     assert np.array_equal(getattr(solver, name)(t).x, unshifted.x + 1e-3)
     with pytest.raises(PhaseGap, match=rf"assembly gap between \w+ \([^)]*\) and {zone} "):
         solver.profile_at(t, n=1024)
@@ -477,18 +479,19 @@ def test_profile_at_raises_on_an_assembly_gap(solver, monkeypatch, name, zone):
 
 @pytest.mark.parametrize("zone", ["Z9", "Z10"])
 def test_transport_sampler_checks_each_zone_alone(solver, monkeypatch, zone):
-    # Each transport zone is placed by its own side's closed form, so the
-    # segments do not depend on the order of the entries; x must rise
-    # inside each zone's run.
+    # Each transport zone is placed by its own side's closed form, so a
+    # zone sampled alone gives the bits of its run in the full profile
+    # (whose order clamp may raise the run's first x to the sample before
+    # it); x must rise inside each zone's run.
     t = 0.05  # before T_fin: Z9 has R2 = mu2 and Z10 R1 = mu1, never both
-    s1, s2 = solver.timeline.sides.values()
-    layout = {iv.zone: iv for iv in solver.timeline.zones_at(t)}
-    entries = [(s1, 16, layout["Z9"]), (s2, 16, layout["Z10"])]
-    ahead = solver._transport_segments(t, entries)
-    behind = solver._transport_segments(t, entries[::-1])
-    assert [seg.zone for seg in behind] == ["Z10", "Z9"]
-    for a, b in zip(ahead, behind[::-1]):
-        assert all(np.array_equal(u, v) for u, v in zip((a.x, a.R1, a.R2), (b.x, b.R1, b.R2)))
+    samplers = {"Z9": solver.z9_profile, "Z10": solver.z10_profile}
+    prof = solver.profile_at(t, n=256)
+    for name, sl in prof.zone_runs():
+        if name in samplers:
+            seg = samplers[name](t, sl.stop - sl.start)
+            assert np.array_equal(seg.R1, prof.R1[sl]) and np.array_equal(seg.R2, prof.R2[sl])
+            assert np.array_equal(seg.x[1:], prof.x[sl][1:])
+            assert prof.x[sl.start] == max(seg.x[0], prof.x[sl.start - 1])
 
     transport_x = Side.transport_x
 
@@ -499,8 +502,9 @@ def test_transport_sampler_checks_each_zone_alone(solver, monkeypatch, zone):
         return x
 
     monkeypatch.setattr(Side, "transport_x", falling)
-    for call in (lambda: solver._transport_segments(t, entries),
-                 lambda: solver._transport_segments(t, entries[::-1]),
-                 lambda: solver.profile_at(t, n=256)):
+    for other, sampler in samplers.items():
+        if other != zone:
+            sampler(t, 16)  # the other zone is placed by its own side alone
+    for call in (lambda: samplers[zone](t, 16), lambda: solver.profile_at(t, n=256)):
         with pytest.raises(NonMonotoneParametrization, match=rf"^{zone} parametrization"):
             call()
