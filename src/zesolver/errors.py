@@ -50,11 +50,11 @@ class DomainError(SolverError):
 
 
 class UnexpectedOrdering(SolverError):
-    """Computed event times violate the partial order the construction needs."""
+    """Event times, or a layout's zone edges, violate the order the construction needs."""
 
 
 class PhaseGap(SolverError):
-    """Profile assembly left an x-range uncovered by any zone."""
+    """Profile samples out of x order, or repeating an x inside a zone run."""
 
 
 class LevelDrift(SolverError):

@@ -33,23 +33,9 @@ NEWTON_MAX_ITER = 30
 
 
 def _check_separated(R1, R2):
-    """Raise where |R1 - R2| < COINCIDENT_RTOL * max(1, |R1|, |R2|).
-
-    Scalars and 0-d arrays take a plain-float path: the curve positions in
-    Timeline.zones_at and T_fin/X_fin call the evaluators one point at a
-    time, and there the numpy version of the test costs more than the
-    formula it guards.
-    """
-    try:
-        r1, r2 = float(R1), float(R2)
-    except TypeError:  # an array of several points: test elementwise
-        scale = np.maximum(1.0, np.maximum(np.abs(R1), np.abs(R2)))
-        coincident = np.any(
-            np.abs(np.asarray(R1) - np.asarray(R2)) < COINCIDENT_RTOL * scale
-        )
-    else:
-        coincident = abs(r1 - r2) < COINCIDENT_RTOL * max(1.0, abs(r1), abs(r2))
-    if coincident:
+    """Raise where |R1 - R2| < COINCIDENT_RTOL * max(1, |R1|, |R2|), elementwise."""
+    scale = np.maximum(1.0, np.maximum(np.abs(R1), np.abs(R2)))
+    if np.any(np.abs(np.asarray(R1) - np.asarray(R2)) < COINCIDENT_RTOL * scale):
         raise CoincidentInvariants("R1 and R2 coincide: (R1-R2)^3 denominator")
 
 
@@ -87,18 +73,14 @@ class ImplicitSolution:
     # -- time ---------------------------------------------------------------
 
     def t(self, R1, R2):
-        """t(R1, R2) = T_int * V(q1, q2 | R1, R2), expanded in closed form."""
-        p = self.params
+        """t(R1, R2) = T_int * V(q1, q2 | R1, R2), in closed form (_t_x_partials)."""
         _check_separated(R1, R2)
-        d = R1 - R2
-        num = 2.0 * R1 * R2 + 2.0 * p.q1 * p.q2 - (p.q1 + p.q2) * (R1 + R2)
-        return (p.x2 - p.x1) * num / (p.q1 * p.q2 * (d * d * d))
+        return self._t_x_partials(R1, R2)[0]
 
     def t_partials(self, R1, R2):
         """Exact (dt/dR1, dt/dR2) of the closed form.
 
-        With C = (x2-x1)/(q1 q2), S = q1+q2, d = R1-R2 and
-        N = 2 R1 R2 + 2 q1 q2 - S (R1+R2):
+        With C, d and N as in _t_x_partials and S = q1 + q2:
 
             dt/dR1 = C ((2 R2 - S) d - 3 N) / d^4
             dt/dR2 = C ((2 R1 - S) d + 3 N) / d^4
@@ -109,16 +91,9 @@ class ImplicitSolution:
     # -- position -----------------------------------------------------------
 
     def x(self, R1, R2):
-        """x(R1, R2) obtained from the kernel under t <-> x, R -> 1/R."""
-        p = self.params
+        """x(R1, R2) from the kernel under t <-> x, R -> 1/R (_t_x_partials)."""
         _check_separated(R1, R2)
-        d = R1 - R2
-        d3 = d * d * d
-        P = R1 * R2
-        term1 = (p.x2 - p.x1) * (P * P) * (R2 + R1 - 2.0 * (p.q1 + p.q2))
-        term2 = (p.x1 * (R1 * R1 * R1) - p.x2 * (R2 * R2 * R2)
-                 + 3.0 * R1 * R2 * (R2 * p.x2 - R1 * p.x1))
-        return term1 / (p.q1 * p.q2 * d3) + term2 / d3
+        return self._t_x_partials(R1, R2)[1]
 
     def x_partials(self, R1, R2):
         """(dx/dR1, dx/dR2) via the hodograph relations x_Rk = lambda^(3-k) t_Rk."""
@@ -128,19 +103,25 @@ class ImplicitSolution:
     # -- inverse map on an isochrone --------------------------------------------
 
     def _t_x_partials(self, R1, R2):
-        """(t, x, dt/dR1, dt/dR2) in one pass, sharing d = R1 - R2, R1 R2
-        and N; scalars or arrays, unchecked (t_partials checks)."""
+        """(t, x, dt/dR1, dt/dR2) in one pass; scalars or arrays, unchecked
+        (t, x and t_partials check).
+
+        With u = R1 - q1, v = q2 - R2, d = R1 - R2 and C = (x2 - x1)/(q1 q2),
+        t = C N / d^3 with N = (q2 - q1) d - 2 u v, and x = x1 + C R2^2 K / d^3
+        with K = -R1 d^2 + u ((2 R1 - R2) d - (3 R1 - R2) v) + v R1 d.  On the
+        cone u, v >= 0 > d, so no two terms of N differ in sign, nor of K
+        where R2 < 2 R1, as at narrow gaps; there the expanded forms, whose
+        terms are of size R^3, lose about eps / gap^3.
+        """
         p = self.params
         C, S = (p.x2 - p.x1) / (p.q1 * p.q2), p.q1 + p.q2
-        d, P = R1 - R2, R1 * R2
+        d, u, v = R1 - R2, R1 - p.q1, p.q2 - R2
         d3 = d * d * d
-        N = 2.0 * P + 2.0 * p.q1 * p.q2 - S * (R1 + R2)
-        x = C * P * P * (R2 + R1 - 2.0 * S) / d3 + (
-            p.x1 * R1 * R1 * R1 - p.x2 * R2 * R2 * R2 + 3.0 * P * (R2 * p.x2 - R1 * p.x1)
-        ) / d3
+        N = (p.q2 - p.q1) * d - 2.0 * u * v
+        K = -R1 * d * d + u * ((2.0 * R1 - R2) * d - (3.0 * R1 - R2) * v) + v * R1 * d
         t_r1 = C * ((2.0 * R2 - S) * d - 3.0 * N) / (d3 * d)
         t_r2 = C * ((2.0 * R1 - S) * d + 3.0 * N) / (d3 * d)
-        return C * N / d3, x, t_r1, t_r2
+        return C * N / d3, p.x1 + C * (R2 * R2) * K / d3, t_r1, t_r2
 
     def invert(self, t_star, x, left, right):
         """The states (R1, R2) with t(R1, R2) = t* and x(R1, R2) = x, x an array.

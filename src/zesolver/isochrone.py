@@ -31,8 +31,6 @@ from .wavefield import Timeline, build_timeline
 DEGENERATE_WIDTH = 1e-12
 #: a transport zone born with zero width: parameter range below this (relative).
 DEGENERATE_RHO = 1e-14
-#: largest gap (relative) between neighbouring zone segments, which share an edge.
-ASSEMBLY_GAP = 1e-6
 #: Profile.interp's slack outside its sampled x range, for ranges from its ends.
 INTERP_SLACK = 1e-12
 #: header of the profile CSV.
@@ -282,9 +280,9 @@ class ScenarioSolver:
 
         Samples are spread over the zones proportionally to width in x (the
         two outer plateaus clipped to the window) and taken on one grid
-        (_grid).  Neighbouring zones meet within ASSEMBLY_GAP; a transport
-        zone's end x (Side.transport_x) may differ in the last bits from the
-        layout's x of the same curve, and x is raised where that breaks order.
+        (_grid).  Each zone's first and last sample sit at its interval's
+        ends in the layout, so neighbouring zones share their joint's x bit
+        for bit, and the layout's order is the profile's (Profile checks it).
         """
         if not 0.0 < t_star < np.inf:
             raise DomainError("profiles exist for finite t > 0")
@@ -301,15 +299,9 @@ class ScenarioSolver:
         total = sum(widths) or 1.0
         sizes = [max(2, int(round(n * w / total))) for w in widths]
         x, R, slices = self._grid(t_star, intervals, ends, sizes)
-        zones = [iv.zone for iv in intervals]
-        for i in range(1, len(slices)):  # neighbouring zones share an edge
-            a, b = x[slices[i].start - 1], x[slices[i].start]
-            if abs(a - b) > ASSEMBLY_GAP * max(1.0, abs(a)):
-                raise PhaseGap(f"assembly gap between {zones[i - 1]} ({a}) and {zones[i]} ({b})")
-        x = np.maximum.accumulate(x)
         u1, u2 = concentrations_from_invariants(self.params, *R)
-        counts = [sl.stop - sl.start for sl in slices]
-        zone = list(itertools.chain.from_iterable(map(itertools.repeat, zones, counts)))
+        zone = list(itertools.chain.from_iterable(
+            itertools.repeat(iv.zone, sl.stop - sl.start) for iv, sl in zip(intervals, slices)))
         return Profile(t_star, x, *R, np.asarray(u1), np.asarray(u2), zone)
 
     def _grid(self, t_star, intervals, ends, sizes):
@@ -320,9 +312,11 @@ class ScenarioSolver:
         in x between its ends, with its plateau state or Side.fan.  A
         transport zone runs in rho between the values at its interval's ends
         (_edge_states), lower first, with the other invariant side.fixed,
-        and Side.transport_x places it (x must rise: proved there, checked
-        here).  A zone below DEGENERATE_WIDTH in x (DEGENERATE_RHO in rho)
-        is one sample at its start.  Z5 comes from z5_profile.
+        and Side.transport_x places it as it placed the layout's ends (x
+        must rise: proved there, checked here); its end x are the layout's,
+        which differ only where the layout moved an edge onto its neighbour.
+        A zone below DEGENERATE_WIDTH in x (DEGENERATE_RHO in rho) is one
+        sample at its start.  Z5 comes from z5_profile.
         """
         sides = {s.zone: s for s in self.timeline.sides.values()}
         fans = {s.fan_zone: s for s in sides.values()}
@@ -356,11 +350,10 @@ class ScenarioSolver:
             elif side is not None:
                 R[side.index][sl] = x[sl]
                 x[sl] = side.transport_x(x[sl], t_star)
+                x[sl.stop - 1], x[sl.start] = iv.x_right, iv.x_left
                 if not (x[sl][1:] > x[sl][:-1]).all():
-                    raise NonMonotoneParametrization(
-                        f"{side.zone} parametrization x(rho) not strictly increasing "
-                        f"at t* = {t_star}"
-                    )
+                    raise NonMonotoneParametrization(f"{side.zone} parametrization x(rho) not "
+                                                     f"strictly increasing at t* = {t_star}")
             elif iv.zone in fans:  # a side's fan sets the other invariant
                 R[1 - fans[iv.zone].index][sl] = fans[iv.zone].fan(x[sl], t_star)
         return x, R, slices

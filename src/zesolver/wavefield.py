@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -33,7 +34,8 @@ ROOT_RTOL = 8.9e-16
 ROOT_MAX_ITER = 100
 #: the early weak curves accept times down to T_int (1 - EARLY_RTOL).
 EARLY_RTOL = 1e-12
-#: zone boundaries keep their order to this absolute x.
+#: an edge left of the one before it by less than this fraction of max(1, |x|)
+#: is rounding and takes its x (worst seen 1.6e-15 in 13,500 layouts).
 TILING_ATOL = 1e-9
 
 
@@ -125,6 +127,7 @@ class Side:
     def transport_x(self, rho, t):
         """Position at t of the k-characteristic that carries rho from the
         Z5 boundary, x(pair) + fixed rho^2 (t - t(pair)); rho may be an array.
+        It places Z9/Z10's samples and every curve bounding them in the layout.
 
         Its hodograph terms collapse to x0 + K (rho / (rho - fixed))^2 +
         fixed rho^2 t, where no term cancels: x0 = x2 and K = (mu2 - q1)
@@ -166,8 +169,8 @@ class Event:
     consequence: str
 
 
-def _ray(x0, speed, t0=0.0):
-    return lambda t: x0 + speed * (t - t0)
+def _ray(x0, speed):
+    return lambda t: x0 + speed * t
 
 
 def _const_state(R1, R2):
@@ -179,7 +182,7 @@ def _ordered(side, outer, inner):
     return (outer, inner) if side.k == 1 else (inner, outer)
 
 
-def _side_timeline(p: MixtureParams, side: Side, T_int, X_int):
+def _side_timeline(p: MixtureParams, side: Side, T_int):
     """The fan death and shock events of one side, and its straight curves.
 
     Returns (death, shock event, curves by id).  From t = +0 the shock xs_k
@@ -192,16 +195,15 @@ def _side_timeline(p: MixtureParams, side: Side, T_int, X_int):
 
     It meets the outer front at the fan's death, T_death = T_int (q2 - q1)^2
     / (start - fixed)^2, and from there the weak line xw_k carries start at
-    its k-speed until the shock catches it at T_death (fixed - start) /
-    (far - start).
+    its k-speed (Side.transport_x of start) until the shock catches it at
+    T_death (fixed - start) / (far - start).
     """
     k, inside = side.k, side.pair(side.start)
     T_death = T_int * (p.q2 - p.q1) ** 2 / (side.start - side.fixed) ** 2
     T_shock = T_death * (side.fixed - side.start) / (side.far - side.start)
     outer_speed = lambda_k(3 - k, *inside)
-    X_death = side.origin + outer_speed * T_death
-    death = Event(side.death, T_death, X_death, (side.early, side.outer_front),
-                  f"{side.fan_zone} dies; {side.zone} born")
+    death = Event(side.death, T_death, side.origin + outer_speed * T_death,
+                  (side.early, side.outer_front), f"{side.fan_zone} dies; {side.zone} born")
     joined = "/".join(_ordered(side, ("Z1", "Z8")[side.index], side.zone))
     shock = Event(
         side.shock_event, T_shock, side.origin + side.start * p.mu1 * p.mu2 * T_shock,
@@ -209,19 +211,20 @@ def _side_timeline(p: MixtureParams, side: Side, T_int, X_int):
         f"{side.plateau_zone} dies; {joined} boundary becomes shock {side.shock}",
     )
 
-    def fan_state(x, t):
-        return _ordered(side, side.start, float(side.fan(x, t)))
+    inner_speed = lambda_k(3 - k, p.q1, p.q2)
+    root0 = math.sqrt(inner_speed * T_int)  # sqrt(X_int - origin), which cancels
 
-    root0 = math.sqrt(X_int - side.origin)
-
-    def early(t):
+    def root(t):  # sqrt(x - origin) on the early curve
         if t < T_int * (1.0 - EARLY_RTOL):
             raise DomainError(f"{side.early} undefined before the interaction time")
-        r = side.start ** 1.5 * (math.sqrt(t) - math.sqrt(T_int)) + root0
+        return side.start ** 1.5 * (math.sqrt(t) - math.sqrt(T_int)) + root0
+
+    def early(t):
+        r = root(t)
         return side.origin + r * r
 
-    inner = _ray(side.origin, lambda_k(3 - k, p.q1, p.q2))
-    on_early = lambda t: fan_state(early(t), t)
+    # Side.fan on the curve, from its root: through x it cancels in x - origin.
+    on_early = lambda t: _ordered(side, side.start, root(t) / math.sqrt(side.start * t))
     plateau = _const_state(*inside)
     # The fan meets the Z4 plateau on the inner front, where the fan formula
     # is (q1, q2) in exact arithmetic but cancels in x - origin.
@@ -231,10 +234,11 @@ def _side_timeline(p: MixtureParams, side: Side, T_int, X_int):
                       *_ordered(side, _const_state(p.mu1, p.mu2), plateau)),
         BoundaryCurve(side.outer_front, f"weak-{3 - k}", 0.0, T_death,
                       _ray(side.origin, outer_speed), plateau, plateau),
-        BoundaryCurve(side.inner_front, f"weak-{3 - k}", 0.0, T_int, inner, z4, z4),
+        BoundaryCurve(side.inner_front, f"weak-{3 - k}", 0.0, T_int,
+                      _ray(side.origin, inner_speed), z4, z4),
         BoundaryCurve(side.early, f"weak-{k}", T_int, T_death, early, on_early, on_early),
         BoundaryCurve(f"xw{k}", f"weak-{k}", T_death, T_shock,
-                      _ray(X_death, lambda_k(k, *inside), T_death), plateau, plateau),
+                      partial(side.transport_x, side.start), plateau, plateau),
     )
     return death, shock, {c.id: c for c in curves}
 
@@ -292,7 +296,8 @@ def _parametric_curve(sol: ImplicitSolution, side: Side, t_start, t_end):
     with R2 = mu2 on side 1, theta with R1 = mu1 on side 2.  It is a
     characteristic of the other family, across which the state is
     side.pair(rho).  rho_of_t, the one solver of t(side.pair(rho)) = t, is
-    read by x(t), the states and the isochrone's rho*/sigma*.
+    read by x(t), the states and the isochrone's rho*/sigma*; the x of rho
+    is where its k-characteristic leaves Z5, Side.transport_x(rho, t).
 
     With u = R1 - q1, v = q2 - R2, D = q2 - q1, d = R1 - R2 = u + v - D
     and C = (x2 - x1)/(q1 q2), t = C (D d - 2 u v) / d^3.  One offset is
@@ -311,8 +316,6 @@ def _parametric_curve(sol: ImplicitSolution, side: Side, t_start, t_end):
     a, c = (f - p.q1, p.q2 - f) if side.k == 1 else (p.q2 - f, f - p.q1)
     first = lo - min(PARAM_MARGIN * (hi - lo), 0.5 * abs(lo - f))
     last = hi + min(PARAM_MARGIN * (hi - lo), 0.5 * abs(hi - f))
-    t_of = lambda r: sol.t(*side.pair(r))
-    x_of = lambda r: sol.x(*side.pair(r))
 
     def rho_of_t(t):
         k = 2.0 * t / C
@@ -323,25 +326,29 @@ def _parametric_curve(sol: ImplicitSolution, side: Side, t_start, t_end):
                 return rho
         raise NoRootInInterval(f"{side.curve}: time {t} outside the curve's span")
 
+    def param_point(r):
+        t = sol.t(*side.pair(r))
+        return side.transport_x(r, t), t
+
     state = lambda t: side.pair(rho_of_t(t))
     return BoundaryCurve(
         side.curve, f"weak-{3 - side.k}", t_start, t_end,
-        lambda t: x_of(rho_of_t(t)), state, state,
-        rho_of_t=rho_of_t, position=lambda r, t: x_of(r),
-        param_point=lambda r: (x_of(r), t_of(r)),
+        lambda t: side.transport_x(rho_of_t(t), t), state, state,
+        rho_of_t=rho_of_t, position=side.transport_x, param_point=param_point,
     )
 
 
-def _shock_curve(sol: ImplicitSolution, side: Side, event: Event):
+def _shock_curve(p: MixtureParams, side: Side, event: Event):
     """The curved shock of one side in closed form: Phi from T_9, Theta from T_10.
 
-    The invariant rho behind the shock left the Z5 boundary at tau(rho) =
-    t(side.pair(rho)) on a k-characteristic, so the shock passes x(pair) +
-    fixed rho^2 (t - tau).  With the Rankine-Hugoniot speed D = mu1 mu2 rho
-    this gives an ODE for the time beta(rho) at which the shock carries rho,
-    linear in beta; the integrating factor (far - rho)^2 and one integration
-    by parts solve it.  Since tau = A/e^2 + B/e^3 with e = rho - fixed, the
-    solution is rational in rho; with w = far - rho it reduces to
+    The invariant rho behind the shock left the Z5 boundary on a
+    k-characteristic, so the shock passes Side.transport_x(rho, t).  With
+    the Rankine-Hugoniot speed D = mu1 mu2 rho this gives an ODE for the
+    time beta(rho) at which the shock carries rho, linear in beta; the
+    integrating factor (far - rho)^2 and one integration by parts solve it.
+    Since the time t(side.pair(rho)) at which rho left Z5 is (a e + B)/e^3
+    for a constant a and e = rho - fixed, the solution is rational in rho;
+    with w = far - rho it reduces to
 
         g(rho) = beta w^2 = G0 + B (e - w) / (2 e^2),
         G0 = C ((mu1 - q1) - (q2 - mu2)),
@@ -359,24 +366,17 @@ def _shock_curve(sol: ImplicitSolution, side: Side, event: Event):
     brackets rho between the offsets sqrt(g(far)/t) and sqrt(g(start)/t)
     from far, clipped to [start, far]; bracketed_newton solves it there.
     """
-    p = sol.params
     f, far, start = side.fixed, side.far, side.start
     # t = C N / (R1 - R2)^3 with N symmetric and R1 - R2 = e (side 1), -e (side 2).
     C = (1.0 if side.k == 1 else -1.0) * (p.x2 - p.x1) / (p.q1 * p.q2)
-    A = C * (2.0 * f - (p.q1 + p.q2))
     B = C * 2.0 * (f - p.q1) * (f - p.q2)
     # Written as C ((mu1 + mu2) - (q1 + q2)) it cancels at narrow gaps.
     G0 = C * ((p.mu1 - p.q1) - (p.q2 - p.mu2))
-
-    def tau(r):
-        e = r - f
-        return (A * e + B) / (e * e * e)
 
     def g(r):
         e = r - f
         return G0 + B * (e - (far - r)) / (2.0 * e * e)
 
-    position = lambda r, t: sol.x(*side.pair(r)) + f * r * r * (t - tau(r))
     g_ends = (g(far), event.T * (far - start) ** 2)
     toward = 1.0 if far > start else -1.0
     lo, hi = min(start, far), max(start, far)
@@ -398,14 +398,14 @@ def _shock_curve(sol: ImplicitSolution, side: Side, event: Event):
 
     def param_point(r):
         beta = g(r) / (far - r) ** 2
-        return position(r, beta), beta
+        return side.transport_x(r, beta), beta
 
     behind = lambda t: side.pair(rho_of_t(t))
     plateau = _const_state(p.mu1, p.mu2)
     return BoundaryCurve(
-        side.shock, "shock", event.T, math.inf, lambda t: position(rho_of_t(t), t),
-        *_ordered(side, plateau, behind),
-        rho_of_t=rho_of_t, position=position, param_point=param_point,
+        side.shock, "shock", event.T, math.inf,
+        lambda t: side.transport_x(rho_of_t(t), t), *_ordered(side, plateau, behind),
+        rho_of_t=rho_of_t, position=side.transport_x, param_point=param_point,
     )
 
 
@@ -449,16 +449,16 @@ class Timeline:
         separated = _const_state(*pure)
         for side in self.sides.values():
             k = side.k
-            death, shock, curves = _side_timeline(p, side, T_int, X_int)
+            death, shock, curves = _side_timeline(p, side, T_int)
             deaths.append(death)
             shocks.append(shock)
             self.curves.update(curves)
             self.curves[side.curve] = _parametric_curve(sol, side, death.T, T_fin)
             self.curves[f"xf{k}"] = BoundaryCurve(
                 f"xf{k}", f"weak-{k}", T_fin, math.inf,
-                _ray(X_fin, lambda_k(k, *pure), T_fin), separated, separated,
+                partial(side.transport_x, side.far), separated, separated,
             )
-            self.curves[side.shock] = _shock_curve(sol, side, shock)
+            self.curves[side.shock] = _shock_curve(p, side, shock)
             self.plateaus[side.plateau_zone] = side.pair(side.start)
             self.plateaus[side.fan_zone] = _ordered(side, side.start, None)
 
@@ -526,9 +526,12 @@ class Timeline:
         Phi (Theta), read like every other boundary from its curve, whose
         position is in closed form up to one root (see _shock_curve).  Each
         root is solved once, and kept as right_rho of the zone it ends and
-        left_rho of the zone it starts.  This is the one place that decides
-        which curve bounds a zone at t; the isochrone samplers read their
-        ends from these intervals.
+        left_rho of the zone it starts.  A curve bounding Z9 or Z10 takes its
+        x from its side's transport_x, as the zone's samples do.  An edge that
+        rounding puts left of the one before it (two meeting at an event)
+        takes that edge's x.  This is the one place that decides which curve
+        bounds a zone at t; the isochrone samplers read their ends from these
+        intervals.
         """
         if not 0.0 < t < math.inf:
             raise DomainError("zone layout defined for finite t > 0 only")
@@ -550,6 +553,9 @@ class Timeline:
         def push(zone, right_id):
             nonlocal cursor_id, cursor_x, cursor_rho
             right_x, rho = pos(right_id)
+            if right_x < cursor_x - TILING_ATOL * max(1.0, abs(cursor_x)):
+                raise UnexpectedOrdering(f"zone boundaries out of order at {right_id}")
+            right_x = max(right_x, cursor_x)
             chain.append(ZoneInterval(zone, cursor_x, right_x, cursor_id, right_id,
                                       cursor_rho, rho))
             cursor_id, cursor_x, cursor_rho = right_id, right_x, rho
@@ -573,10 +579,6 @@ class Timeline:
         if t < T["T_10"]:
             push("Z7", "xs2")
         chain.append(ZoneInterval("Z8", cursor_x, None, cursor_id, None, cursor_rho))
-
-        xs = [z.x_right for z in chain[:-1]]  # each x_left is the x_right before it
-        if any(b < a - TILING_ATOL for a, b in zip(xs, xs[1:])):
-            raise UnexpectedOrdering("zone boundaries out of order")
         return chain
 
     # -- export ---------------------------------------------------------------

@@ -13,7 +13,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zesolver import MixtureParams
@@ -32,7 +32,6 @@ from zesolver.hodograph import (
 )
 from zesolver.invariants import concentrations_from_invariants
 from zesolver.isochrone import (
-    ASSEMBLY_GAP,
     DEGENERATE_RHO,
     DEGENERATE_WIDTH,
     Profile,
@@ -452,6 +451,31 @@ def test_transport_closed_form_against_mpmath(law):
                         assert err <= TRANSPORT_EPS * eps * terms, (p, side.zone, r, t)
 
 
+#: t and x against 50 digits, in eps of |t| and of max(|x|, |x1|, |x2|) (x
+#: can vanish).  Measured at most 2.9 and 4.7 on CONE, 1.9 and 2.2 on
+#: NARROW (2.7 and 5.5 on 100 other instances of each law); the expanded
+#: forms, whose terms cancel, reached 5.9e-8 and 4.7e-7 relative at
+#: relative gaps of 1e-4.
+TX_EPS = 8.0
+
+
+@pytest.mark.parametrize("law", ["cone", "narrow"])
+def test_t_and_x_against_mpmath(law):
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(3)
+    for s in CONE if law == "cone" else NARROW:
+        p, hodo = s.params, s.hodograph
+        R1, R2 = rng.uniform(p.q1, p.mu1, 64), rng.uniform(p.mu2, p.q2, 64)
+        points = zip(hodo.t(R1, R2).tolist(), hodo.x(R1, R2).tolist(),
+                     R1.tolist(), R2.tolist())
+        with mpmath.workdps(50):
+            for t, x, a, b in points:
+                (t_ref, x_ref, *_), _ = _exact_with_term_scales(p, a, b)
+                assert abs(t - t_ref) <= TX_EPS * eps * abs(t_ref), (p, a, b)
+                scale = max(abs(x_ref), abs(p.x1), abs(p.x2))
+                assert abs(x - x_ref) <= TX_EPS * eps * scale, (p, a, b)
+
+
 _NARROW_LOG_GAP = st.floats(math.log10(3e-5), 0.5)
 
 
@@ -461,7 +485,8 @@ _NARROW_LOG_GAP = st.floats(math.log10(3e-5), 0.5)
 def test_transport_x_rises_on_narrow_gaps(q1, a, b, c, log_width):
     # Relative gaps of 3e-5 to 10^0.5 on instances the event-order gate
     # admits: Z9 and Z10 keep a strictly increasing x just after T_3, in
-    # the middle of Z5, around T_fin and long after it.
+    # the middle of Z5, around T_fin and long after it, and the whole
+    # profile solves there.
     mu1 = q1 * (1 + 10**a)
     mu2 = mu1 * (1 + 10**b)
     q2 = mu2 * (1 + 10**c)
@@ -475,32 +500,39 @@ def test_transport_x_rises_on_narrow_gaps(q1, a, b, c, log_width):
     times = (1.001 * T["T_3"], 0.5 * (max(T["T_3"], T["T_6"]) + T["T_fin"]),
              0.999 * T["T_fin"], 1.5 * T["T_fin"], 20.0 * T["T_fin"])
     for t in times:
-        try:
-            layout = solver.timeline.zones_at(t)
-        except UnexpectedOrdering:
-            # The layout's curve positions still come from the hodograph's
-            # cancelling x (ROADMAP item 3); at the narrowest gaps they can
-            # leave their order, and there is no layout to sample.
-            event("layout out of order")
-            continue
-        for iv in layout:
+        for iv in solver.timeline.zones_at(t):
             if iv.zone in samplers:
                 seg = samplers[iv.zone](t, 64, iv)
                 assert seg.x.size == 1 or np.all(np.diff(seg.x) > 0), (p, seg.zone, t)
+        solver.profile_at(t, n=512)
+
+
+#: A Z5 end's x against the hodograph's x of its state, in eps of
+#: max(|x|, |x1|, |x2|).  Measured at most 9.9 on the README and CONE (11.5
+#: on 100 other cone instances).  The two differ by fixed rho^2 (t* -
+#: t(state)), the root's level residual times the speed, so at narrow gaps,
+#: where t is steep in rho, they part further (2.8e4 eps measured).
+Z5_END_EPS = 16.0
 
 
 def test_z5_edges_take_x_and_state_from_one_root(solver):
     # On a parametric boundary the Z5 end's position and state rest on the
-    # same root rho_of_t(t*), so the hodograph maps the state onto x exactly.
+    # same root rho_of_t(t*): the position is that rho's transport
+    # characteristic at t*, which leaves Z5 at the state's point, so the
+    # hodograph maps the state onto x up to the rounding of both.
+    eps = np.finfo(float).eps
     for s in (solver, *CONE):
-        T = s.timeline.times
-        h = s.hodograph
+        p, T, h = s.params, s.timeline.times, s.hodograph
+        s1, s2 = s.timeline.sides.values()
+        scale = lambda x: Z5_END_EPS * eps * max(abs(x), abs(p.x1), abs(p.x2))
         for t in np.linspace(T["T_3"], T["T_fin"], 22)[1:-1].tolist():
             seg = s.z5_profile(t, n=2)
-            assert seg.x[0] == h.x(seg.R1[0], seg.R2[0])
+            assert seg.x[0] == s1.transport_x(seg.R1[0], t)
+            assert abs(h.x(seg.R1[0], seg.R2[0]) - seg.x[0]) <= scale(seg.x[0])
         for t in np.linspace(T["T_6"], T["T_fin"], 22)[1:-1].tolist():
             seg = s.z5_profile(t, n=2)
-            assert seg.x[-1] == h.x(seg.R1[-1], seg.R2[-1])
+            assert seg.x[-1] == s2.transport_x(seg.R2[-1], t)
+            assert abs(h.x(seg.R1[-1], seg.R2[-1]) - seg.x[-1]) <= scale(seg.x[-1])
 
 
 def _layout_times(s):
@@ -516,7 +548,9 @@ def _layout_times(s):
 
 def test_layout_zones_share_their_joints_bit_for_bit(solver):
     # Each zone starts at the very x at which the zone before it ends, and
-    # only the two outer plateaus have an open end.
+    # only the two outer plateaus have an open end.  Each run of the
+    # profile starts and ends at its interval's x (a point zone's one
+    # sample at its left end).
     for s in (solver, *CONE):
         for t in _layout_times(s):
             layout = s.timeline.zones_at(t)
@@ -524,6 +558,12 @@ def test_layout_zones_share_their_joints_bit_for_bit(solver):
             for left, right in zip(layout, layout[1:]):
                 assert None not in (left.x_right, right.x_left), (t, left.zone)
                 assert _same_bits(left.x_right, right.x_left), (t, left.zone)
+            prof = s.profile_at(t, n=64)
+            for iv, (name, sl) in zip(layout, prof.zone_runs(), strict=True):
+                last = iv.x_right if sl.stop - sl.start > 1 else iv.x_left
+                assert name == iv.zone, t
+                for i, x in ((sl.start, iv.x_left), (sl.stop - 1, last)):
+                    assert x is None or _same_bits(prof.x[i], x), (t, name, i)
 
 
 def test_samplers_read_their_edges_from_the_layout(solver):
@@ -559,9 +599,6 @@ def test_samplers_read_their_edges_from_the_layout(solver):
                     if sl.stop - sl.start > 1:  # else a point zone at its left end
                         ends.append((sl.stop - 1, iv.x_right, right))
                     for i, x, state in ends:
-                        # The assembly's order clamp may raise x to the
-                        # sample before it.
-                        x = max(x, prof.x[i - 1]) if i else x
                         assert (prof.x[i], prof.R1[i], prof.R2[i]) == (x, *state), (t, i)
                 else:
                     # rho runs up from the lower end value; a point zone is
@@ -612,7 +649,8 @@ def _transport_x_reference(solver, side, rho, t_star):
 def _zone_segment_reference(solver, iv, xl, xr, t_star, n_k):
     """One zone as its own Segment: Z5's sampler; a transport zone's rho
     between its edge values (one value where they coincide) placed by
-    _transport_x_reference; or np.linspace and the plateau or fan state."""
+    _transport_x_reference, its end x pinned to the layout's xl and xr (a
+    point zone to xl); or np.linspace and the plateau or fan state."""
     zone = iv.zone
     s1, s2 = solver.timeline.sides.values()
     if zone == "Z5":
@@ -625,7 +663,9 @@ def _zone_segment_reference(solver, iv, xl, xr, t_star, n_k):
         rho = np.array([lo]) if degenerate else np.linspace(lo, hi, n_k)
         R = np.empty((2, rho.size))
         R[side.index], R[1 - side.index] = rho, side.fixed
-        return Segment(zone, _transport_x_reference(solver, side.k, rho, t_star), *R)
+        x = _transport_x_reference(solver, side.k, rho, t_star)
+        x[-1], x[0] = xr, xl
+        return Segment(zone, x, *R)
     R1, R2 = solver.timeline.plateaus[zone]
     degenerate = (xr - xl) < DEGENERATE_WIDTH * max(1.0, abs(xl))
     xs = np.array([xl]) if degenerate else np.linspace(xl, xr, n_k)
@@ -635,14 +675,8 @@ def _zone_segment_reference(solver, iv, xl, xr, t_star, n_k):
 
 
 def _merge_segments_reference(solver, t_star, segments):
-    """The segments concatenated, with the gap check, the order clamp and
-    the per-run order check of the Profile."""
-    for a, b in zip(segments, segments[1:]):
-        if abs(a.x[-1] - b.x[0]) > ASSEMBLY_GAP * max(1.0, abs(a.x[-1])):
-            raise PhaseGap(
-                f"assembly gap between {a.zone} ({a.x[-1]}) and {b.zone} ({b.x[0]})"
-            )
-    x = np.maximum.accumulate(np.concatenate([s.x for s in segments]))
+    """The segments concatenated, with the per-run order check of the Profile."""
+    x = np.concatenate([s.x for s in segments])
     R1 = np.concatenate([s.R1 for s in segments])
     R2 = np.concatenate([s.R2 for s in segments])
     zone = sum(([s.zone] * len(s.x) for s in segments), [])

@@ -17,7 +17,6 @@ from zesolver.invariants import InvariantPair, lambda_k
 from zesolver.isochrone import (
     Profile,
     ScenarioSolver,
-    Segment,
     column_text,
     csv_rows,
     profile_at,
@@ -67,14 +66,9 @@ def test_z5_collapses_at_separation_point(solver):
 
 
 #: Largest level residual |t - t*| / t* and x residual |x(R) - x| / max(1, |x|)
-#: of a Z5 sample: the inverse is exact up to the rounding of t and x.
+#: of a Z5 sample: the inverse is exact up to the rounding of t and x, whose
+#: closed forms cancel nowhere, also at the cone's narrow gaps.
 Z5_RESIDUAL = 1e-13
-#: The rounding of t and x themselves: their (R1 - R2)^3 denominators divide
-#: numerators that cancel from size R^3, so even the float state nearest the
-#: solution leaves residuals of about eps / g^3, g = (R2 - R1) / R2.  Near
-#: the cone's narrow gaps 19 of the 503 Z5 segments below exceed Z5_RESIDUAL
-#: (up to 5e-12, 0.63 of this bound); further Newton steps do not lower them.
-Z5_ROUNDING = 128 * np.finfo(float).eps
 
 
 def _z5_residuals(solver, seg, t_star):
@@ -162,9 +156,10 @@ def test_sigma_star_examples(solver):
 
 
 #: Relative gap between consecutive values of q1 < mu1 < mu2 < q2.  Near
-#: its R1 = R2 pole the closed form t carries a relative rounding error of
-#: about eps / gap^2 (+-2e-12 between neighbouring floats at gap 1e-2), so
-#: below gaps of a few 1e-2 no float root, exact or not, meets the bound.
+#: its R1 = R2 pole t is steep: rounding a state by one ulp moves t by about
+#: 3 eps / gap relative, so below gaps of a few 1e-2 no float state, exact
+#: or not, meets the fixed bounds here (test_array_paths checks the roots
+#: at narrower gaps against 50 digits).
 _GAP = st.floats(0.05, 5.0)
 
 
@@ -198,16 +193,14 @@ def test_boundary_roots_solve_the_level_on_the_cone(q1, a, b, c, x1, width, u):
         if seg.x.size == 1:
             continue
         assert np.all(np.diff(seg.R1) >= 0) and np.all(np.diff(seg.R2) >= 0), (p, t)
-        g = (seg.R2 - seg.R1) / seg.R2
-        bound = np.maximum(Z5_RESIDUAL, Z5_ROUNDING / g**3)
         for res in _z5_residuals(solver, seg, t):
-            assert np.all(res <= bound), (p, t)
-        # Each end is bitwise its curve in the zone layout, evaluated afresh:
-        # its position and its state on Z5's side.
+            assert np.all(res <= Z5_RESIDUAL), (p, t)
+        # Each end is bitwise its interval's x in the zone layout and its
+        # curve's state on Z5's side, evaluated afresh.
         z5 = next(iv for iv in solver.timeline.zones_at(t) if iv.zone == "Z5")
         left, right = (solver.timeline.curves[cid] for cid in (z5.left_curve, z5.right_curve))
-        assert (seg.x[0], seg.R1[0], seg.R2[0]) == (left.x(t), *left.right_state(t))
-        assert (seg.x[-1], seg.R1[-1], seg.R2[-1]) == (right.x(t), *right.left_state(t))
+        assert (seg.x[0], seg.R1[0], seg.R2[0]) == (z5.x_left, *left.right_state(t))
+        assert (seg.x[-1], seg.R1[-1], seg.R2[-1]) == (z5.x_right, *right.left_state(t))
 
 
 def test_z9_profile_boundaries(solver):
@@ -450,39 +443,11 @@ def test_profile_accepts_equal_x_at_run_boundaries():
     ]
 
 
-@pytest.mark.parametrize(
-    "name, zone", [("z5_profile", "Z5"), ("z9_profile", "Z9"), ("z10_profile", "Z10")]
-)
-def test_profile_at_raises_on_an_assembly_gap(solver, monkeypatch, name, zone):
-    # One zone's segment misses its neighbours' shared edge by 1e-3.  Z5
-    # comes from z5_profile; Z9 and Z10 are placed by their side's
-    # Side.transport_x, in profile_at's grid and in z9_profile and
-    # z10_profile alike.
-    t = 0.05  # after T_3 and T_6, before T_fin: Z9, Z5 and Z10 all exist
-    unshifted = getattr(solver, name)(t)
-    if zone == "Z5":
-        sampler = solver.z5_profile
-
-        def shifted(*a):
-            seg = sampler(*a)
-            return Segment(zone, seg.x + 1e-3, seg.R1, seg.R2)
-
-        monkeypatch.setattr(solver, name, shifted)
-    else:
-        transport_x = Side.transport_x
-        monkeypatch.setattr(Side, "transport_x", lambda side, rho, t: (
-            transport_x(side, rho, t) + (1e-3 if side.zone == zone else 0.0)))
-    assert np.array_equal(getattr(solver, name)(t).x, unshifted.x + 1e-3)
-    with pytest.raises(PhaseGap, match=rf"assembly gap between \w+ \([^)]*\) and {zone} "):
-        solver.profile_at(t, n=1024)
-
-
 @pytest.mark.parametrize("zone", ["Z9", "Z10"])
 def test_transport_sampler_checks_each_zone_alone(solver, monkeypatch, zone):
     # Each transport zone is placed by its own side's closed form, so a
-    # zone sampled alone gives the bits of its run in the full profile
-    # (whose order clamp may raise the run's first x to the sample before
-    # it); x must rise inside each zone's run.
+    # zone sampled alone gives the bits of its run in the full profile; x
+    # must rise inside each zone's run.
     t = 0.05  # before T_fin: Z9 has R2 = mu2 and Z10 R1 = mu1, never both
     samplers = {"Z9": solver.z9_profile, "Z10": solver.z10_profile}
     prof = solver.profile_at(t, n=256)
@@ -490,14 +455,13 @@ def test_transport_sampler_checks_each_zone_alone(solver, monkeypatch, zone):
         if name in samplers:
             seg = samplers[name](t, sl.stop - sl.start)
             assert np.array_equal(seg.R1, prof.R1[sl]) and np.array_equal(seg.R2, prof.R2[sl])
-            assert np.array_equal(seg.x[1:], prof.x[sl][1:])
-            assert prof.x[sl.start] == max(seg.x[0], prof.x[sl.start - 1])
+            assert np.array_equal(seg.x, prof.x[sl])
 
     transport_x = Side.transport_x
 
     def falling(side, rho, t):  # the zone's second sample lands far left of its first
         x = transport_x(side, rho, t)
-        if side.zone == zone:
+        if side.zone == zone and np.ndim(x):  # the layout places its edges one by one
             x[1] -= 1e3
         return x
 
