@@ -34,9 +34,9 @@ ROOT_RTOL = 8.9e-16
 ROOT_MAX_ITER = 100
 #: the early weak curves accept times down to T_int (1 - EARLY_RTOL).
 EARLY_RTOL = 1e-12
-#: an edge left of the one before it by less than this fraction of max(1, |x|)
-#: is rounding and takes its x (worst seen 1.6e-15 in 13,500 layouts).
-TILING_ATOL = 1e-9
+#: an edge left of the one before it by under this fraction of max(1, |x|) is
+#: rounding and takes its x: 64 eps (worst seen 8.6 eps, in 15,000 layouts).
+TILING_ATOL = 64 * 2.0**-52
 
 
 @dataclass
@@ -81,7 +81,8 @@ class Side:
     [q1, mu1], Z5 boundary phi (phi_early before T_3), curved shock Phi
     from T_9 whose invariant runs from q1 towards mu1.  Side 2 mirrors it:
     Z10, R1 = mu1, rho in [mu2, q2], theta (theta_early before T_6), Theta
-    from T_10, q2 towards mu2.
+    from T_10, q2 towards mu2.  T_9 and T_10 may each fall before or after
+    T_fin (see Timeline._check_partial_order).
 
     The side's jump at origin (x1, x2) breaks up into a straight shock of
     speed shock_speed (xs1, xs2) and a fan of R_{3-k} (fan zone Z3, Z6)
@@ -462,7 +463,7 @@ class Timeline:
             self.plateaus[side.plateau_zone] = side.pair(side.start)
             self.plateaus[side.fan_zone] = _ordered(side, side.start, None)
 
-        self._check_partial_order(ev_int, *deaths, *shocks, ev_fin)
+        self._check_partial_order(ev_int, *deaths, *shocks)
         self.events = sorted([ev_int, *deaths, *shocks, ev_fin], key=lambda e: e.T)
         self.event_by_label = {e.label: e for e in self.events}
 
@@ -482,26 +483,30 @@ class Timeline:
         }
 
     @staticmethod
-    def _check_partial_order(ev_int, ev3, ev6, ev9, ev10, ev_fin):
+    def _check_partial_order(ev_int, ev3, ev6, ev9, ev10):
         """Reject an instance whose events are not in the constructed order.
 
-        The first four hold on the whole validated cone 0 < q1 < mu1 < mu2
-        < q2.  T_3 = T_int (q2 - q1)^2 / (mu2 - q1)^2 and T_6 = T_int
-        (q2 - q1)^2 / (q2 - mu1)^2 exceed T_int because mu2 - q1 and q2 -
-        mu1 are both less than q2 - q1.  T_9 = T_3 (mu2 - q1) / (mu1 - q1)
-        and T_10 = T_6 (q2 - mu1) / (q2 - mu2) exceed T_3 and T_6 because
-        mu1 < mu2.  In floating point they can fail only by rounding, where
-        two of the gaps agree to a few ulps.  T_9 < T_fin and T_10 < T_fin
-        do not follow from the cone; they bound the scenario this
-        construction covers.
+        The four hold on the whole validated cone 0 < q1 < mu1 < mu2 < q2.
+        T_3 = T_int (q2 - q1)^2 / (mu2 - q1)^2 and T_6 = T_int (q2 - q1)^2 /
+        (q2 - mu1)^2 exceed T_int because mu2 - q1 and q2 - mu1 are both less
+        than q2 - q1.  T_9 = T_3 (mu2 - q1) / (mu1 - q1) and T_10 = T_6 (q2 -
+        mu1) / (q2 - mu2) exceed T_3 and T_6 because mu1 < mu2.  In floating
+        point they can fail only by rounding, where two of the gaps agree to
+        a few ulps.
+
+        T_9 and T_10 may fall on either side of T_fin; the construction needs
+        no order there.  The left shock only ever meets Z2 and Z9: xs1 stays
+        left of xw1 = transport_x(q1, t) until it catches it at T_9, then Phi
+        is at transport_x(rho, t).  After T_fin, Z9's right edge is xf1, which
+        carries rho = mu1 at speed mu1^2 mu2.  The shock moves at mu1 mu2 rho
+        with rho < mu1, so it never reaches xf1: Side.transport_x rises
+        strictly in rho.  Side 2 mirrors this with Z7, Z10, Theta and xf2.
         """
         required = [
             ("T_int < T_3", ev_int.T, ev3.T),
             ("T_int < T_6", ev_int.T, ev6.T),
             ("T_3 < T_9", ev3.T, ev9.T),
             ("T_6 < T_10", ev6.T, ev10.T),
-            ("T_9 < T_fin", ev9.T, ev_fin.T),
-            ("T_10 < T_fin", ev10.T, ev_fin.T),
         ]
         for name, lo, hi in required:
             if not lo < hi:

@@ -19,7 +19,6 @@ from zesolver import (
     riemann_green,
 )
 from zesolver.cauchy_general import PiecewiseInitialData, general_profile
-from zesolver.errors import UnexpectedOrdering
 from zesolver.fv_reference import Grid1D, fv_runs, l1_error, steepest_gradient_x
 from zesolver.invariants import InvariantPair, lambda_k
 
@@ -369,7 +368,7 @@ def test_criterion_9_roundtrip_and_parameter_sweep(params):
     roundtrip_ok = worst <= 1e-12
 
     built = 0
-    reported = 0
+    late = 0
     for _ in range(100):
         mu1 = rng.uniform(1.0, 6.0)
         mu2 = mu1 + rng.uniform(0.5, 5.0)
@@ -378,19 +377,13 @@ def test_criterion_9_roundtrip_and_parameter_sweep(params):
         x1 = rng.uniform(-2.0, 0.0)
         x2 = x1 + rng.uniform(0.5, 3.0)
         p = MixtureParams(mu1=mu1, mu2=mu2, q1=q1, q2=q2, x1=x1, x2=x2)
-        try:
-            tl = build_timeline(p)
-            built += 1
-            assert [e.label for e in tl.events] == sorted(
-                tl.times, key=tl.times.get
-            )
-        except UnexpectedOrdering as exc:
-            assert "T_" in str(exc)
-            reported += 1
+        tl = build_timeline(p)
+        built += [e.label for e in tl.events] == sorted(tl.times, key=tl.times.get)
+        late += max(tl.times["T_9"], tl.times["T_10"]) > tl.times["T_fin"]
     report(
         9,
-        roundtrip_ok and built + reported == 100,
+        roundtrip_ok and built == 100 and 0 < late < 100,
         f"round-trip worst rel dev {worst:.2e} (tol 1e-12, 10^4 points); "
-        f"parameter sweep: {built} timelines built, {reported} regimes "
-        "explicitly reported as outside the supported order",
+        f"parameter sweep: {built} of 100 timelines built in event order, "
+        f"{late} with T_9 or T_10 after T_fin",
     )

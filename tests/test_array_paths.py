@@ -13,7 +13,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zesolver import MixtureParams
@@ -22,7 +22,6 @@ from zesolver.errors import (
     DomainError,
     NoRootInInterval,
     PhaseGap,
-    UnexpectedOrdering,
 )
 from zesolver.hodograph import (
     COINCIDENT_RTOL,
@@ -42,10 +41,10 @@ from zesolver.wavefield import _parametric_curve, mirrored_sides
 
 
 def _cone_instances(count, seed=20261017):
-    """Instances of acceptance 9's law whose timeline builds."""
+    """Instances of acceptance 9's law."""
     rng = np.random.default_rng(seed)
     solvers = []
-    while len(solvers) < count:
+    for _ in range(count):
         mu1 = rng.uniform(1.0, 6.0)
         mu2 = mu1 + rng.uniform(0.5, 5.0)
         q1 = rng.uniform(0.5, mu1)
@@ -53,14 +52,13 @@ def _cone_instances(count, seed=20261017):
         x1 = rng.uniform(-2.0, 0.0)
         x2 = x1 + rng.uniform(0.5, 3.0)
         p = MixtureParams(mu1=mu1, mu2=mu2, q1=q1, q2=q2, x1=x1, x2=x2)
-        try:
-            solvers.append(ScenarioSolver(p))
-        except UnexpectedOrdering:
-            continue
+        solvers.append(ScenarioSolver(p))
     return solvers
 
 
-CONE = _cone_instances(20)
+#: The first 41 draws: 20 with both shocks curving before T_fin, 21 with
+#: one or both curving after it.
+CONE = _cone_instances(41)
 
 
 def _same_bits(a, b):
@@ -321,17 +319,14 @@ def _narrow_instances(count, seed=20261020):
     """Instances whose gaps q1 < mu1 < mu2 < q2 are 1e-5 to 3e-2 of q1."""
     rng = np.random.default_rng(seed)
     solvers = []
-    while len(solvers) < count:
+    for _ in range(count):
         q1 = rng.uniform(1.0, 6.0)
         gap = q1 * 10 ** rng.uniform(-4.0, math.log10(3e-2))
         mu1, mu2, q2 = (q1 + np.cumsum(gap * rng.uniform(0.1, 1.0, 3))).tolist()
         x1 = rng.uniform(-2.0, 0.0)
         x2 = x1 + rng.uniform(0.5, 3.0)
         p = MixtureParams(mu1=mu1, mu2=mu2, q1=q1, q2=q2, x1=x1, x2=x2)
-        try:
-            solvers.append(ScenarioSolver(p))
-        except UnexpectedOrdering:
-            continue
+        solvers.append(ScenarioSolver(p))
     return solvers
 
 
@@ -387,8 +382,7 @@ _LOG_GAP = st.floats(-6.0, 0.5)
 def test_boundary_t_is_monotone_and_inverted_on_degenerate_edges(q1, a, b, c, log_width):
     # Gaps of 10^-6 to 10^0.5 times their lower end: each of q1 -> mu1,
     # mu1 -> mu2 and mu2 -> q2 runs up to the cone's edge, and the column
-    # is very narrow or very wide.  The curves need no timeline, so the
-    # instances the event-order gate rejects count too.
+    # is very narrow or very wide.
     mu1 = q1 * (1 + 10**a)
     mu2 = mu1 * (1 + 10**b)
     q2 = mu2 * (1 + 10**c)
@@ -483,18 +477,14 @@ _NARROW_LOG_GAP = st.floats(math.log10(3e-5), 0.5)
 @given(q1=st.floats(0.05, 10.0), a=_NARROW_LOG_GAP, b=_NARROW_LOG_GAP, c=_NARROW_LOG_GAP,
        log_width=st.floats(-4.0, 3.0))
 def test_transport_x_rises_on_narrow_gaps(q1, a, b, c, log_width):
-    # Relative gaps of 3e-5 to 10^0.5 on instances the event-order gate
-    # admits: Z9 and Z10 keep a strictly increasing x just after T_3, in
-    # the middle of Z5, around T_fin and long after it, and the whole
-    # profile solves there.
+    # Relative gaps of 3e-5 to 10^0.5: Z9 and Z10 keep a strictly
+    # increasing x just after T_3, in the middle of Z5, around T_fin and
+    # long after it, and the whole profile solves there.
     mu1 = q1 * (1 + 10**a)
     mu2 = mu1 * (1 + 10**b)
     q2 = mu2 * (1 + 10**c)
     p = MixtureParams(mu1=mu1, mu2=mu2, q1=q1, q2=q2, x1=-1.0, x2=-1.0 + 10**log_width)
-    try:
-        solver = ScenarioSolver(p)
-    except UnexpectedOrdering:
-        assume(False)
+    solver = ScenarioSolver(p)
     T = solver.timeline.times
     samplers = {"Z9": solver.z9_profile, "Z10": solver.z10_profile}
     times = (1.001 * T["T_3"], 0.5 * (max(T["T_3"], T["T_6"]) + T["T_fin"]),

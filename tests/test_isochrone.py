@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
@@ -11,7 +11,6 @@ from zesolver.errors import (
     NoRootInInterval,
     NonMonotoneParametrization,
     PhaseGap,
-    UnexpectedOrdering,
 )
 from zesolver.invariants import InvariantPair, lambda_k
 from zesolver.isochrone import (
@@ -37,7 +36,6 @@ def test_z5_point_at_interaction_time_is_the_z4_state():
     # so its state is (q1, q2) exactly; the fan formula there cancels in
     # x - origin.  Instances drawn by acceptance 9's parameter law.
     rng = np.random.default_rng(7)
-    checked = 0
     for _ in range(300):
         mu1 = rng.uniform(1.0, 6.0)
         mu2 = mu1 + rng.uniform(0.5, 5.0)
@@ -45,16 +43,11 @@ def test_z5_point_at_interaction_time_is_the_z4_state():
         q2 = rng.uniform(mu2, 3 * mu2)
         x1 = rng.uniform(-2.0, 0.0)
         x2 = x1 + rng.uniform(0.5, 3.0)
-        try:
-            solver = ScenarioSolver(MixtureParams(mu1, mu2, q1, q2, x1, x2))
-        except UnexpectedOrdering:
-            continue
+        solver = ScenarioSolver(MixtureParams(mu1, mu2, q1, q2, x1, x2))
         prof = solver.profile_at(solver.timeline.times["T_int"], n=256)
         z5 = [i for i, zone in enumerate(prof.zone) if zone == "Z5"]
         assert len(z5) == 1
         assert (prof.R1[z5[0]], prof.R2[z5[0]]) == (q1, q2)
-        checked += 1
-    assert checked > 100
 
 
 def test_z5_collapses_at_separation_point(solver):
@@ -171,10 +164,7 @@ def test_boundary_roots_solve_the_level_on_the_cone(q1, a, b, c, x1, width, u):
     mu2 = mu1 * (1 + b)
     q2 = mu2 * (1 + c)
     p = MixtureParams(mu1=mu1, mu2=mu2, q1=q1, q2=q2, x1=x1, x2=x1 + width)
-    try:
-        solver = ScenarioSolver(p)
-    except UnexpectedOrdering:
-        assume(False)
+    solver = ScenarioSolver(p)
     T = solver.timeline.times
     roots = (solver.rho_star, solver.sigma_star)
     z5_times = [T["T_int"] + u * (min(T["T_3"], T["T_6"]) - T["T_int"])]

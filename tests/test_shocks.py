@@ -12,12 +12,12 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from zesolver import MixtureParams, rh_residual
-from zesolver.errors import DomainError, UnexpectedOrdering
+from zesolver.errors import DomainError
 from zesolver.invariants import InvariantPair, lambda_k
 from zesolver.isochrone import ScenarioSolver
 
@@ -154,10 +154,7 @@ def test_shocks_on_the_cone(q1, a, b, c, x1, width):
     mu2 = mu1 * (1 + b)
     q2 = mu2 * (1 + c)
     p = MixtureParams(mu1=mu1, mu2=mu2, q1=q1, q2=q2, x1=x1, x2=x1 + width)
-    try:
-        solver = ScenarioSolver(p)
-    except UnexpectedOrdering:
-        assume(False)
+    solver = ScenarioSolver(p)
     h = solver.hodograph
     for side, curve in _sides(solver):
         t_s, w0 = curve.t_start, side.far - side.start
@@ -268,12 +265,12 @@ def _reference_root(p, side, t, guess):
         return rho, float(terms / abs(w * (B / e**3 + 2 * t)))
 
 
-def _cone_sides(count=16, seed=28):
-    """count (instance, side) pairs of seeded draws on the cone, relative
-    gaps log-uniform in [1e-3, 5], inside the covered scenario."""
+def _cone_sides(draws=8, seed=28):
+    """(instance, side) pairs for both sides of `draws` seeded instances on
+    the cone, relative gaps log-uniform in [1e-3, 5]."""
     rng = np.random.default_rng(seed)
     sides = []
-    while len(sides) < count:
+    for _ in range(draws):
         q1 = rng.uniform(0.05, 10.0)
         a, b, c = np.exp(rng.uniform(math.log(1e-3), math.log(5.0), 3))
         mu1 = q1 * (1 + a)
@@ -281,10 +278,6 @@ def _cone_sides(count=16, seed=28):
         x1 = rng.uniform(-3.0, 0.0)
         p = MixtureParams(mu1=mu1, mu2=mu2, q1=q1, q2=mu2 * (1 + c), x1=x1,
                           x2=x1 + rng.uniform(1e-2, 10.0))
-        try:
-            ScenarioSolver(p)
-        except UnexpectedOrdering:
-            continue
         sides += [(p, 1), (p, 2)]
     return sides
 
@@ -328,16 +321,16 @@ def test_shock_roots_in_their_bracket_down_to_narrow_gaps(q1, a, b, c, x1, width
     mu1 = q1 * (1 + a)
     mu2 = mu1 * (1 + b)
     p = MixtureParams(mu1=mu1, mu2=mu2, q1=q1, q2=mu2 * (1 + c), x1=x1, x2=x1 + width)
-    try:
-        solver = ScenarioSolver(p)
-    except UnexpectedOrdering:
-        assume(False)
+    solver = ScenarioSolver(p)
     for side, curve in _sides(solver):
         t_s, w0 = curve.t_start, side.far - side.start
-        g = lambda s: curve.param_point(side.far - w0 * s)[1] * (w0 * s) ** 2
+        # g at the rho sampled: w0 s differs from far - rho by rho's
+        # rounding, which outweighs g's steps where w0 is narrow.
+        g = lambda rho: curve.param_point(rho)[1] * (side.far - rho) ** 2
         # g = beta (far - rho)^2 rises from start toward far; the samples
         # stop at 1e-2 of the gap, where g's steps still exceed its rounding.
-        assert np.all(np.diff([g(s) for s in np.geomspace(1.0, 1e-2, 9)]) > 0), side.k
+        rhos = side.far - w0 * np.geomspace(1.0, 1e-2, 9)
+        assert np.all(np.diff([g(rho) for rho in rhos]) > 0), side.k
         betas = [curve.param_point(side.far - w0 * s)[1] for s in np.geomspace(1.0, 1e-9, 64)]
         assert np.all(np.diff(betas) > 0), side.k
         # At the root |far - rho| = sqrt(g(rho) / t), g between g(start) =
