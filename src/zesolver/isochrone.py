@@ -13,7 +13,7 @@ in rho, and assembles complete profiles.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,10 +27,6 @@ from .hodograph import ImplicitSolution
 from .invariants import MixtureParams, concentrations_from_invariants
 from .wavefield import Timeline, build_timeline
 
-#: |interval| below this counts as a degenerate (point) zone.
-DEGENERATE_WIDTH = 1e-12
-#: a transport zone born with zero width: parameter range below this (relative).
-DEGENERATE_RHO = 1e-14
 #: Profile.interp's slack outside its sampled x range, for ranges from its ends.
 INTERP_SLACK = 1e-12
 #: header of the profile CSV.
@@ -43,10 +39,10 @@ _trapz = getattr(np, "trapezoid", None) or np.trapz
 class Profile:
     """Sampled solution along an isochrone, ordered by x and tagged by zone.
 
-    x is non-decreasing; it is strictly increasing within each zone run and
-    repeats only at zone boundaries, where both one-sided states are kept
-    (shocks are genuinely two-valued there).  Construction checks that
-    order on one diff of x; the zone runs are found on first use.
+    x is non-decreasing, strictly increasing within each zone run and
+    repeated only at zone joints, which keep both one-sided states: the
+    discontinuities are the repeated x, and a point zone is one sample at
+    its joint.  Construction checks that order on one diff of x.
     """
 
     t_star: float
@@ -56,7 +52,6 @@ class Profile:
     u1: np.ndarray
     u2: np.ndarray
     zone: list
-    _runs: list = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dx = np.diff(self.x)
@@ -68,46 +63,32 @@ class Profile:
 
     def zone_runs(self):
         """Contiguous runs of equal zone label, as (label, slice) pairs."""
-        if self._runs is None:
-            sizes = [(label, len(list(run))) for label, run in itertools.groupby(self.zone)]
-            stops = itertools.accumulate(size for _, size in sizes)
-            self._runs = [(label, slice(stop - size, stop))
-                          for (label, size), stop in zip(sizes, stops)]
-        return list(self._runs)
+        sizes = [(label, len(list(run))) for label, run in itertools.groupby(self.zone)]
+        stops = itertools.accumulate(size for _, size in sizes)
+        return [(label, slice(stop - size, stop)) for (label, size), stop in zip(sizes, stops)]
 
     def mass(self):
         """(integral of u1 dx, integral of u2 dx) by per-zone trapezoid."""
-        m1 = m2 = 0.0
-        for _, sl in self.zone_runs():
-            if sl.stop - sl.start < 2:
-                continue
-            m1 += _trapz(self.u1[sl], self.x[sl])
-            m2 += _trapz(self.u2[sl], self.x[sl])
-        return m1, m2
+        runs = [sl for _, sl in self.zone_runs() if sl.stop - sl.start > 1]
+        return tuple(sum((_trapz(u[sl], self.x[sl]) for sl in runs), 0.0)
+                     for u in (self.u1, self.u2))
 
     def interp(self, xq):
-        """Zone-aware linear interpolation of (u1, u2) at query points.
+        """Linear interpolation of (u1, u2) along the samples, as one polyline.
 
-        Queries must lie inside [x[0], x[-1]]; a query exactly on a shock
-        position resolves to the left zone's value.
+        Queries must lie inside [x[0], x[-1]]; a query exactly on a joint (a
+        repeated x, such as a shock position) takes the left zone's value.
         """
         xq = np.atleast_1d(np.asarray(xq, dtype=float))
         if xq.min() < self.x[0] - INTERP_SLACK or xq.max() > self.x[-1] + INTERP_SLACK:
             raise DomainMismatch(
                 f"queries outside profile range [{self.x[0]}, {self.x[-1]}]"
             )
-        runs = self.zone_runs()
-        right_edges = np.array([self.x[sl].max() for _, sl in runs])
-        idx = np.searchsorted(right_edges, xq, side="left")
-        idx = np.clip(idx, 0, len(runs) - 1)
-        u1 = np.empty_like(xq)
-        u2 = np.empty_like(xq)
-        for k, (_, sl) in enumerate(runs):
-            mask = idx == k
-            if not np.any(mask):
-                continue
-            u1[mask] = np.interp(xq[mask], self.x[sl], self.u1[sl])
-            u2[mask] = np.interp(xq[mask], self.x[sl], self.u2[sl])
+        # np.interp takes the last of equal x; the first is the left zone's.
+        first = np.minimum(np.searchsorted(self.x, xq), len(self.x) - 1)
+        on = self.x[first] == xq
+        u1, u2 = np.interp(xq, self.x, self.u1), np.interp(xq, self.x, self.u2)
+        u1[on], u2[on] = self.u1[first[on]], self.u2[first[on]]
         return u1, u2
 
     def csv_rows(self):
@@ -217,7 +198,7 @@ class ScenarioSolver:
         left, right = self._edge_states(zone, t_star, *self.timeline.sides.values())
         xl, xr = zone.x_left, zone.x_right
 
-        if xr - xl < DEGENERATE_WIDTH * max(1.0, abs(xl)):
+        if xr == xl:  # a point zone, as the layout decided
             return Segment("Z5", np.array([xl]), np.array([left[0]]), np.array([left[1]]))
 
         xs = np.linspace(xl, xr, max(n, 2))
@@ -315,8 +296,9 @@ class ScenarioSolver:
         and Side.transport_x places it as it placed the layout's ends (x
         must rise: proved there, checked here); its end x are the layout's,
         which differ only where the layout moved an edge onto its neighbour.
-        A zone below DEGENERATE_WIDTH in x (DEGENERATE_RHO in rho) is one
-        sample at its start.  Z5 comes from z5_profile.
+        A point zone (x_left == x_right for a transport zone, ends that do
+        not increase for a plateau or fan, as where the window cuts an outer
+        plateau off) is one sample at its joint.  Z5 comes from z5_profile.
         """
         sides = {s.zone: s for s in self.timeline.sides.values()}
         fans = {s.fan_zone: s for s in sides.values()}
@@ -330,10 +312,10 @@ class ScenarioSolver:
             elif side is not None:
                 state, edges = side.pair(None), self._edge_states(iv, t_star, side, side)
                 start, stop = sorted(end[side.index] for end in edges)
-                if stop - start < DEGENERATE_RHO * max(1.0, abs(stop)):
+                if iv.x_left == iv.x_right:
                     stop, n_k = start, 1
-            elif stop - start < DEGENERATE_WIDTH * max(1.0, abs(start)):
-                stop, n_k = start, 1  # a point zone
+            elif not stop > start:
+                stop, n_k = start, 1  # a point zone, or an outer plateau cut off
             # First index, step, start and (R1, R2), NaN where the grid value sets it.
             rows.append((first, (stop - start) / max(n_k - 1, 1), start, *state))
             slices.append(slice(first, first + n_k))

@@ -30,13 +30,7 @@ from zesolver.hodograph import (
     ImplicitSolution,
 )
 from zesolver.invariants import concentrations_from_invariants
-from zesolver.isochrone import (
-    DEGENERATE_RHO,
-    DEGENERATE_WIDTH,
-    Profile,
-    ScenarioSolver,
-    Segment,
-)
+from zesolver.isochrone import Profile, ScenarioSolver, Segment
 from zesolver.wavefield import _parametric_curve, mirrored_sides
 
 
@@ -539,8 +533,8 @@ def _layout_times(s):
 def test_layout_zones_share_their_joints_bit_for_bit(solver):
     # Each zone starts at the very x at which the zone before it ends, and
     # only the two outer plateaus have an open end.  Each run of the
-    # profile starts and ends at its interval's x (a point zone's one
-    # sample at its left end).
+    # profile starts and ends at its interval's x (a point zone, x_left ==
+    # x_right, is one sample there), so consecutive runs share their joint.
     for s in (solver, *CONE):
         for t in _layout_times(s):
             layout = s.timeline.zones_at(t)
@@ -549,11 +543,13 @@ def test_layout_zones_share_their_joints_bit_for_bit(solver):
                 assert None not in (left.x_right, right.x_left), (t, left.zone)
                 assert _same_bits(left.x_right, right.x_left), (t, left.zone)
             prof = s.profile_at(t, n=64)
-            for iv, (name, sl) in zip(layout, prof.zone_runs(), strict=True):
-                last = iv.x_right if sl.stop - sl.start > 1 else iv.x_left
+            runs = prof.zone_runs()
+            for iv, (name, sl) in zip(layout, runs, strict=True):
                 assert name == iv.zone, t
-                for i, x in ((sl.start, iv.x_left), (sl.stop - 1, last)):
+                for i, x in ((sl.start, iv.x_left), (sl.stop - 1, iv.x_right)):
                     assert x is None or _same_bits(prof.x[i], x), (t, name, i)
+            for (name, a), (_, b) in zip(runs, runs[1:]):
+                assert _same_bits(prof.x[a.stop - 1], prof.x[b.start]), (t, name)
 
 
 def test_samplers_read_their_edges_from_the_layout(solver):
@@ -638,9 +634,10 @@ def _transport_x_reference(solver, side, rho, t_star):
 
 def _zone_segment_reference(solver, iv, xl, xr, t_star, n_k):
     """One zone as its own Segment: Z5's sampler; a transport zone's rho
-    between its edge values (one value where they coincide) placed by
-    _transport_x_reference, its end x pinned to the layout's xl and xr (a
-    point zone to xl); or np.linspace and the plateau or fan state."""
+    between its edge values placed by _transport_x_reference, its end x
+    pinned to the layout's xl and xr; or np.linspace and the plateau or fan
+    state.  A point zone (xl == xr, or ends not increasing) is one sample
+    at xl."""
     zone = iv.zone
     s1, s2 = solver.timeline.sides.values()
     if zone == "Z5":
@@ -649,16 +646,14 @@ def _zone_segment_reference(solver, iv, xl, xr, t_star, n_k):
         side = s1 if zone == s1.zone else s2
         ends = solver._edge_states(iv, t_star, side, side)
         lo, hi = sorted(state[side.index] for state in ends)
-        degenerate = hi - lo < DEGENERATE_RHO * max(1.0, abs(hi))
-        rho = np.array([lo]) if degenerate else np.linspace(lo, hi, n_k)
+        rho = np.array([lo]) if xl == xr else np.linspace(lo, hi, n_k)
         R = np.empty((2, rho.size))
         R[side.index], R[1 - side.index] = rho, side.fixed
         x = _transport_x_reference(solver, side.k, rho, t_star)
         x[-1], x[0] = xr, xl
         return Segment(zone, x, *R)
     R1, R2 = solver.timeline.plateaus[zone]
-    degenerate = (xr - xl) < DEGENERATE_WIDTH * max(1.0, abs(xl))
-    xs = np.array([xl]) if degenerate else np.linspace(xl, xr, n_k)
+    xs = np.linspace(xl, xr, n_k) if xr > xl else np.array([xl])
     R1 = s2.fan(xs, t_star) if R1 is None else np.full_like(xs, R1)
     R2 = s1.fan(xs, t_star) if R2 is None else np.full_like(xs, R2)
     return Segment(zone, xs, R1, R2)
@@ -728,3 +723,34 @@ def test_profile_bytes_match_per_zone_assembly_cone(solver, monkeypatch):
     cases = itertools.cycle(itertools.product((2, 7, 1024, 4096), (None, (-4.0, 8.0))))
     for t, (n, window) in zip(times, cases):
         _assert_profile_bytes(solver, t, n, window, monkeypatch)
+
+
+# -- Profile.interp against the per-zone interpolation ---------------------------
+
+
+def _interp_per_zone(prof, xq):
+    """Per-zone reference for Profile.interp: each query is interpolated
+    inside the first zone run whose right end it does not pass."""
+    runs = prof.zone_runs()
+    right_edges = np.array([prof.x[sl].max() for _, sl in runs])
+    idx = np.clip(np.searchsorted(right_edges, xq, side="left"), 0, len(runs) - 1)
+    u1, u2 = np.empty_like(xq), np.empty_like(xq)
+    for k, (_, sl) in enumerate(runs):
+        mask = idx == k
+        u1[mask] = np.interp(xq[mask], prof.x[sl], prof.u1[sl])
+        u2[mask] = np.interp(xq[mask], prof.x[sl], prof.u2[sl])
+    return u1, u2
+
+
+@pytest.mark.parametrize("law", ["cone", "narrow"])
+def test_interp_matches_per_zone_reference(law):
+    # Uniform queries, every sample (joints and point zones included) and
+    # both float neighbours of each inside [x[0], x[-1]].
+    for s in CONE if law == "cone" else NARROW:
+        for t in _layout_times(s):
+            prof = s.profile_at(t, n=64)
+            x = prof.x
+            xq = np.clip(np.concatenate([np.linspace(x[0], x[-1], 301), x, np.nextafter(
+                x, -np.inf), np.nextafter(x, np.inf)]), x[0], x[-1])
+            for got, ref in zip(prof.interp(xq), _interp_per_zone(prof, xq)):
+                assert _same_bits(got, ref), (t, law)

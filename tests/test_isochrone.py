@@ -345,6 +345,21 @@ def test_profile_interp_domain_guard(solver):
         prof.interp(prof.x[-1] + 10.0)
 
 
+def test_profile_interp_on_a_shock_joint_takes_the_left_zone(solver):
+    # xs1 between the plateaus Z1 and Z2 at 0.02, xs2 between Z7 and Z8 at
+    # 0.05: the joint's x is the left zone's, the next float the right's.
+    for t, k in ((0.02, 0), (0.05, -2)):
+        prof = solver.profile_at(t, n=256)
+        runs = prof.zone_runs()
+        (_, a), (_, b) = runs[k], runs[k + 1]
+        x_shock = prof.x[b.start]
+        assert prof.x[a.stop - 1] == x_shock
+        u1, u2 = prof.interp([x_shock, np.nextafter(x_shock, np.inf)])
+        assert (u1[0], u2[0]) == (prof.u1[a.stop - 1], prof.u2[a.stop - 1]), t
+        assert (u1[1], u2[1]) == (prof.u1[b.start], prof.u2[b.start]), t
+        assert (u1[0], u2[0]) != (u1[1], u2[1]), t
+
+
 def test_profile_at_accepts_params(params):
     prof = profile_at(params, 0.01, n=128)
     assert prof.t_star == 0.01

@@ -12,7 +12,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
@@ -317,6 +317,10 @@ _LOG_GAP = st.floats(-4.0, math.log10(5.0)).map(lambda v: 10.0**v)
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
 @given(q1=st.floats(0.05, 10.0), a=_LOG_GAP, b=_LOG_GAP, c=_LOG_GAP,
        x1=st.floats(-3.0, 0.0), width=st.floats(1e-2, 10.0))
+# Derandomized draws still depend on which modules are loaded: hypothesis
+# draws some floats from the constants of every module outside
+# site-packages.  This draw once failed only in the full suite.
+@example(q1=3.625, a=1e-4, b=1.0, c=1e-3, x1=-1.0, width=2.0)
 def test_shock_roots_in_their_bracket_down_to_narrow_gaps(q1, a, b, c, x1, width):
     mu1 = q1 * (1 + a)
     mu2 = mu1 * (1 + b)

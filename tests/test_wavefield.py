@@ -169,17 +169,20 @@ def test_zone_layout_requires_shock_positions_late(solver):
 
 def test_zone_layout_moves_a_rounded_edge_onto_its_neighbour(solver, monkeypatch):
     # At T_6 the fan Z6 dies: xr1 rounds left of theta_early and takes its
-    # x, so Z6 is a point zone.  The tolerance scales with |x| (x6 is 9);
-    # an edge further left is out of order.
+    # x, so Z6 is a point zone.  The tolerance scales with |x| (x6 is 9),
+    # on either side; an edge further left is out of order, and one
+    # further right keeps its own x.
     tl = solver.timeline
     t, xr1 = tl.times["T_6"], tl.curves["xr1"]
     x6 = tl.curves["theta_early"].x(t)
     assert xr1.x(t) < x6
-    for shift in (None, 0.5 * TILING_ATOL * x6):
+    z6 = lambda: next(iv for iv in tl.zones_at(t) if iv.zone == "Z6")
+    for shift in (None, -0.5, 0.5):
         if shift is not None:
-            monkeypatch.setattr(xr1, "x", lambda t: x6 - shift)
-        z6 = next(iv for iv in tl.zones_at(t) if iv.zone == "Z6")
-        assert z6.x_left == z6.x_right == x6, shift
+            monkeypatch.setattr(xr1, "x", lambda t: x6 + shift * TILING_ATOL * x6)
+        assert z6().x_left == z6().x_right == x6, shift
+    monkeypatch.setattr(xr1, "x", lambda t: x6 + 2.0 * TILING_ATOL * x6)
+    assert (z6().x_left, z6().x_right) == (x6, x6 + 2.0 * TILING_ATOL * x6)
     monkeypatch.setattr(xr1, "x", lambda t: x6 - 2.0 * TILING_ATOL * x6)
     with pytest.raises(UnexpectedOrdering, match="out of order at xr1"):
         tl.zones_at(t)
