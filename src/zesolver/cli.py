@@ -249,13 +249,13 @@ def cmd_compare(cfg: ScenarioConfig, out_dir: Path, times, cells_list, cfl) -> i
     solver = ScenarioSolver(params)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = {}
-    for t in times:
+    for t, results in zip(times, fv_reference.fv_runs(params, grids, times)):
         profile = solver.profile_at(t, n=8192, window=(x_min - 1.0, x_max + 1.0))
         # The two strong discontinuities: the outer ends of the zone layout.
         layout = solver.timeline.zones_at(t)
         xs1, xs2 = layout[0].x_right, layout[-1].x_left
         runs = []
-        for grid, result in zip(grids, fv_reference.fv_runs(params, grids, t)):
+        for grid, result in zip(grids, results):
             e1, e2 = fv_reference.l1_error(result, profile)
             d1 = abs(fv_reference.steepest_gradient_x(result, 1) - xs1) / grid.dx
             d2 = abs(fv_reference.steepest_gradient_x(result, 2) - xs2) / grid.dx

@@ -321,7 +321,7 @@ def test_criterion_8_finite_volume_oracle(solver, params):
     errors = []
     shock_ok = True
     grids = [Grid1D(-3.0, 7.0, n, 0.45) for n in (1000, 2000, 4000)]
-    for grid, res in zip(grids, fv_runs(params, grids, t_end)):
+    for grid, res in zip(grids, fv_runs(params, grids, [t_end])[0]):
         errors.append(l1_error(res, prof))
         d1 = abs(steepest_gradient_x(res, 1, x_hi=0.6) - xs1)
         d2 = abs(steepest_gradient_x(res, 2, x_lo=2.0) - xs2)

@@ -283,6 +283,22 @@ def test_compare_mode(config, tmp_path):
     assert fv_csv[1].endswith(",fv")
 
 
+def test_compare_files_of_each_time_match_a_run_to_that_time(config, tmp_path):
+    # compare runs each grid once, to the last time: every time's files and
+    # errors.json entry are those of a compare run at that time alone.
+    times = ("0.002", "0.005")
+    argv = ["compare", "--config", str(config), "--cells", "100,200"]
+    assert main(argv + ["--out", str(tmp_path / "both"), "--times", ",".join(times)]) == 0
+    both = json.loads((tmp_path / "both" / "errors.json").read_text())
+    for t in times:
+        alone = tmp_path / f"alone-{t}"
+        assert main(argv + ["--out", str(alone), "--times", t]) == 0
+        (tag, runs), = json.loads((alone / "errors.json").read_text()).items()
+        assert both[tag] == runs
+        for name in (f"fv_t{tag}.csv", f"compare_t{tag}.csv", f"compare_t{tag}.svg"):
+            assert (alone / name).read_bytes() == (tmp_path / "both" / name).read_bytes()
+
+
 def test_general_mode_matches_profile(config, tmp_path):
     out = tmp_path / "g"
     assert main(

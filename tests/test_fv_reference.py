@@ -2,8 +2,17 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zesolver.errors import CFLViolation, ComplexRoots, DomainMismatch, NonPhysicalState
+from zesolver import fv_reference
+from zesolver.errors import (
+    CFLViolation,
+    ComplexRoots,
+    DomainError,
+    DomainMismatch,
+    NonPhysicalState,
+)
 from zesolver.fv_reference import (
     FvResult,
     Grid1D,
@@ -15,7 +24,7 @@ from zesolver.fv_reference import (
     mass,
     steepest_gradient_x,
 )
-from zesolver.invariants import lambda_k
+from zesolver.invariants import MixtureParams, lambda_k
 
 
 def test_grid_validation():
@@ -81,8 +90,9 @@ def test_invariants_field_leaves_its_inputs_unchanged(params):
     assert (u1.tobytes(), u2.tobytes()) == before
 
 
-def _reference_fv_run(p, grid, t_end):
-    """The per-component upwind loop, with its ghost cell built each step."""
+def _reference_fv_run(p, grid, t_end, start=None):
+    """The per-component upwind loop over the full grid, with its ghost cell
+    built each step, from start = (u1, u2) or the initial averages."""
 
     def roots(u1, u2):
         s = u1 + u2
@@ -96,7 +106,7 @@ def _reference_fv_run(p, grid, t_end):
         E = p.mu1 * p.mu2 / (1.0 + u1 + u2)
         return p.mu1 * u1 * E, p.mu2 * u2 * E
 
-    u1, u2 = initial_averages(p, grid)
+    u1, u2 = initial_averages(p, grid) if start is None else start
     dx = grid.dx
     t = 0.0
     steps = 0
@@ -136,13 +146,181 @@ def test_fv_runs_is_bitwise_each_grid_alone(params, cells, t_end):
     # together.  Neither changes a bit of any grid's result.  The (N, 2N)
     # pairs are the shapes the fv_compare benchmark runs.
     grids = [Grid1D(-3.0, 7.0, n, 0.45) for n in cells]
-    results = fv_runs(params, grids, t_end)
+    (results,) = fv_runs(params, grids, [t_end])
     assert len(results) == len(grids)
     for grid, res in zip(grids, results):
         u1, u2, steps, _ = _reference_fv_run(params, grid, t_end)
         assert (res.t_end, res.steps) == (t_end, steps)
         assert res.x.tobytes() == grid.centers().tobytes()
         assert (res.u1.tobytes(), res.u2.tobytes()) == (u1.tobytes(), u2.tobytes())
+
+
+def _assert_each_is_the_full_grid_run(p, grids, results, t_end, starts=None):
+    """Each result is bitwise _reference_fv_run's on its grid, from the
+    grid's starts[n_cells] when given."""
+    for grid, res in zip(grids, results):
+        start = None if starts is None else starts[grid.n_cells]
+        u1, u2, steps, _ = _reference_fv_run(p, grid, t_end, start)
+        assert (res.t_end, res.steps) == (t_end, steps)
+        assert (res.u1.tobytes(), res.u2.tobytes()) == (u1.tobytes(), u2.tobytes())
+
+
+def test_window_skips_a_long_zero_prefix_bitwise(params):
+    # 9 of 17 units of grid lie left of x1 = -1 and never change.
+    grids = [Grid1D(-10.0, 7.0, n, 0.45) for n in (170, 340)]
+    for t_end, results in zip((0.005, 0.02), fv_runs(params, grids, [0.005, 0.02])):
+        _assert_each_is_the_full_grid_run(params, grids, results, t_end)
+
+
+@pytest.mark.parametrize("t_end", [1e-4, 1e-3, 3e-3])
+def test_window_is_bitwise_while_the_front_is_inside_the_grid(params, t_end):
+    grids = [Grid1D(-3.0, 7.0, n, 0.45) for n in (250, 500)]
+    (results,) = fv_runs(params, grids, [t_end])
+    _assert_each_is_the_full_grid_run(params, grids, results, t_end)
+    # The front has not reached the right end: the last cells are the
+    # initial zeros, +0.0 in u1 and -0.0 in u2 (u1_in > 0 > u2_in).
+    for res in results:
+        assert (res.u1[-1].tobytes(), res.u2[-1].tobytes()) == (
+            np.float64(0.0).tobytes(), np.float64(-0.0).tobytes())
+
+
+def _patch_initial_averages(monkeypatch, edit):
+    """Make initial_averages return its averages after edit(u1, u2), and
+    return {n_cells: (u1, u2)} of the states it gave."""
+    averages = initial_averages
+    starts = {}
+
+    def patched(p, grid):
+        u1, u2 = averages(p, grid)
+        edit(u1, u2)
+        starts[grid.n_cells] = u1.copy(), u2.copy()
+        return u1, u2
+
+    monkeypatch.setattr("zesolver.fv_reference.initial_averages", patched)
+    return starts
+
+
+def test_window_keeps_mixed_sign_zeros_bitwise(params, monkeypatch):
+    # A -0.0 right of a +0.0 turns into +0.0 under the full-grid step, so
+    # such zeros are no run; the zeros of u2 are -0.0 and those of u1 +0.0.
+    def edit(u1, u2):
+        u1[[5, 6, 30]] = -0.0
+        u2[12] = 0.0
+        u1[-40] = -0.0
+        u2[-3] = 0.0
+
+    starts = _patch_initial_averages(monkeypatch, edit)
+    grids = [Grid1D(-3.0, 7.0, n, 0.45) for n in (250, 500)]
+    times = [1e-4, 2e-3, 0.0125]
+    for t_end, results in zip(times, fv_runs(params, grids, times)):
+        _assert_each_is_the_full_grid_run(params, grids, results, t_end, starts)
+
+
+@pytest.mark.parametrize("cell", [10, 80, 200, -1])
+def test_nan_cell_beside_a_zero_run_is_bitwise(params, monkeypatch, cell):
+    # The NaN makes the step's dt NaN, and the full-grid step then makes
+    # every cell NaN, the zeros outside the window too.
+    def edit(u1, u2):
+        u1[cell] = np.nan
+
+    starts = _patch_initial_averages(monkeypatch, edit)
+    grids = [Grid1D(-3.0, 7.0, n, 0.45) for n in (250, 500)]
+    (results,) = fv_runs(params, grids, [0.005])
+    _assert_each_is_the_full_grid_run(params, grids, results, 0.005, starts)
+    assert all(res.steps == 1 and np.isnan(res.u1).all() for res in results)
+
+
+def test_infinite_dt_over_dx_is_bitwise():
+    # Mobilities near 1e-104 make lambda2 subnormal: the first dt overflows
+    # and is clipped to t_end, whose dt/dx overflows too.  The step turns
+    # every +0.0 face difference into NaN, outside the window too; the first
+    # time is a side step that would do so, and is run alone.
+    p = MixtureParams(mu1=1e-104, mu2=2e-104, q1=0.5e-104, q2=4e-104, x1=-1.0, x2=1.0)
+    grids = [Grid1D(-3.0, 7.0, n, 0.45) for n in (100, 200)]
+    times = [5e307, 1e308]
+    all_results = fv_runs(p, grids, times)
+    for t_end, results in zip(times, all_results):
+        with np.errstate(invalid="ignore"):
+            _assert_each_is_the_full_grid_run(p, grids, results, t_end)
+        assert all(res.steps == 1 and np.isnan(res.u1[0]) for res in results)
+
+
+@settings(max_examples=12, derandomize=True, deadline=None, database=None)
+@given(mu1=st.floats(1.0, 6.0), dmu=st.floats(0.5, 5.0), s1=st.floats(0.1, 0.9),
+       s2=st.floats(1.1, 3.0), x1=st.floats(-2.0, 0.0), width=st.floats(0.5, 3.0),
+       n=st.integers(20, 60), reach=st.floats(0.05, 1.5))
+def test_window_is_bitwise_on_the_cone(mu1, dmu, s1, s2, x1, width, n, reach):
+    # Acceptance 9's parameter law.  On the cone u1_in > 0 > u2_in, so the
+    # zero runs hold +0.0 in u1 and -0.0 in u2.  t_end is reach times the
+    # time lambda2 of the zero state takes to cross the 3 units right of
+    # x2, so the front may stop inside the grid or leave it.
+    mu2 = mu1 + dmu
+    p = MixtureParams(mu1=mu1, mu2=mu2, q1=s1 * mu1, q2=s2 * mu2, x1=x1, x2=x1 + width)
+    x_min, x_max = x1 - 1.0, x1 + width + 3.0
+    t_end = reach * 3.0 / (mu1 * mu2 * mu2)
+    grids = [Grid1D(x_min, x_max, k, 0.45) for k in (n, 2 * n)]
+    (results,) = fv_runs(p, grids, [t_end])
+    _assert_each_is_the_full_grid_run(p, grids, results, t_end)
+
+
+def test_each_time_of_one_pass_is_its_own_run(params):
+    # Unsorted, with a repeat and t = 0: each time's results are bitwise the
+    # run to that time alone, step counts included.
+    grids = [Grid1D(-3.0, 7.0, n, 0.45) for n in (250, 500)]
+    times = [0.02, 0.005, 0.0, 0.0125, 0.005]
+    for t_end, results in zip(times, fv_runs(params, grids, times)):
+        for grid, res, alone in zip(grids, results, fv_runs(params, grids, [t_end])[0]):
+            assert (res.t_end, res.steps) == (alone.t_end, alone.steps)
+            assert res.x.tobytes() == grid.centers().tobytes()
+            assert (res.u1.tobytes(), res.u2.tobytes()) == (
+                alone.u1.tobytes(), alone.u2.tobytes())
+
+
+def test_side_step_that_falls_short_is_run_alone(params, monkeypatch):
+    # A cell with 1 + u1 + u2 = 0.01 makes the first step short and the
+    # second about 1.6 times as long.  A time t_k that the second step
+    # passes lies beyond 2 t, where t + (t_k - t) may round below t_k: the
+    # run to t_k alone then steps on from there, and fv_runs runs it alone.
+    def edit(u1, u2):
+        u1[-1] = -0.99
+
+    _patch_initial_averages(monkeypatch, edit)
+    grid = Grid1D(-3.0, 7.0, 64, 0.45)
+    # The first two steps end just below h1 and h2, the first times of the
+    # scan whose runs take two and three steps.
+    grid_t = np.linspace(1e-9, 2e-7, 400)
+    steps = np.array([fv_run(params, grid, float(t)).steps for t in grid_t])
+    h1, h2 = grid_t[np.argmax(steps >= 2)], grid_t[np.argmax(steps >= 3)]
+    times = [float(t) for t in np.linspace(2.02 * h1, 0.999 * h2, 300)] + [3 * h2]
+    alone = []
+    run_alone = fv_reference.fv_run
+    monkeypatch.setattr("zesolver.fv_reference.fv_run",
+                        lambda *args: alone.append(args[2]) or run_alone(*args))
+    results = fv_runs(params, [grid], times)
+    monkeypatch.setattr("zesolver.fv_reference.fv_run", run_alone)
+    assert alone
+    for t_end, (res,) in zip(times, results):
+        single = fv_run(params, grid, t_end)
+        assert (res.t_end, res.steps) == (t_end, single.steps)
+        assert (res.u1.tobytes(), res.u2.tobytes()) == (
+            single.u1.tobytes(), single.u2.tobytes())
+
+
+@pytest.mark.parametrize("t_end", [np.nan, np.inf, -1.0, -np.inf])
+def test_bad_end_time_raises_before_stepping(params, t_end):
+    grid = Grid1D(-3.0, 7.0, 50, 0.45)
+    with pytest.raises(DomainError, match="FV end time must be finite and >= 0"):
+        fv_run(params, grid, t_end)
+    with pytest.raises(DomainError, match="FV end time must be finite and >= 0"):
+        fv_runs(params, [grid, grid], [0.01, t_end])
+
+
+def test_zero_end_time_keeps_the_initial_averages(params):
+    grid = Grid1D(-3.0, 7.0, 50, 0.45)
+    res = fv_run(params, grid, 0.0)
+    u1, u2 = initial_averages(params, grid)
+    assert (res.t_end, res.steps) == (0.0, 0)
+    assert (res.u1.tobytes(), res.u2.tobytes()) == (u1.tobytes(), u2.tobytes())
 
 
 def test_discrete_conservation(params):
@@ -160,7 +338,7 @@ def test_convergence_and_shock_location(params, solver):
     xs2 = solver.timeline.curves["xs2"].x(t_end)
     errors = []
     grids = [Grid1D(-3.0, 7.0, n, 0.45) for n in (500, 1000)]
-    for grid, res in zip(grids, fv_runs(params, grids, t_end)):
+    for grid, res in zip(grids, fv_runs(params, grids, [t_end])[0]):
         errors.append(l1_error(res, prof))
         assert abs(steepest_gradient_x(res, 1, x_hi=0.6) - xs1) <= 3 * grid.dx
         assert abs(steepest_gradient_x(res, 2, x_lo=2.0) - xs2) <= 3 * grid.dx
@@ -180,7 +358,7 @@ def _runs_with_states(params, monkeypatch, cells, states):
         return u1, u2
 
     monkeypatch.setattr("zesolver.fv_reference.initial_averages", patched)
-    return fv_runs(params, [Grid1D(-3.0, 7.0, n, 0.45) for n in cells], 1e-3)
+    return fv_runs(params, [Grid1D(-3.0, 7.0, n, 0.45) for n in cells], [1e-3])[0]
 
 
 NEGATIVE_SPEED = (-10.0, 9.5)  # a = 0.5, disc > 0, lambda1 < 0
