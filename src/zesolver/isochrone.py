@@ -207,7 +207,7 @@ class ScenarioSolver:
         R1[-1], R2[-1] = right
         # Both invariants rise monotonically across Z5; a violation means
         # the solve went wrong, not that the solution looks unusual.
-        if np.any(np.diff(R1) < 0) or np.any(np.diff(R2) < 0):
+        if (R1[1:] < R1[:-1]).any() or (R2[1:] < R2[:-1]).any():
             raise NonMonotoneParametrization(
                 f"Z5 invariants lost monotonicity at t* = {t_star}"
             )

@@ -62,14 +62,6 @@ class BoundaryCurve:
     position: Optional[Callable[[float, float], float]] = field(default=None, repr=False)
     param_point: Optional[Callable[[float], tuple]] = field(default=None, repr=False)
 
-    @property
-    def family(self) -> Optional[int]:
-        if self.kind == "weak-1":
-            return 1
-        if self.kind == "weak-2":
-            return 2
-        return None
-
 
 @dataclass(frozen=True)
 class Side:

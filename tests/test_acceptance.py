@@ -232,7 +232,7 @@ def test_criterion_5_jump_and_characteristic_conditions(solver, params):
         lo = max(curve.t_start, 1e-4)
         for t in np.linspace(lo + 1e-6, hi * 0.999, 40):
             slope = (curve.x(t + h) - curve.x(t - h)) / (2 * h)
-            lam = lambda_k(curve.family, *curve.left_state(t))
+            lam = lambda_k(int(curve.kind.removeprefix("weak-")), *curve.left_state(t))
             rel = abs(slope - lam) / max(1.0, abs(lam))
             worst_char = max(worst_char, rel)
             if rel > 1e-8:
@@ -244,7 +244,7 @@ def test_criterion_5_jump_and_characteristic_conditions(solver, params):
             xp, tp = curve.param_point(rho + dr)
             xm, tm = curve.param_point(rho - dr)
             x0, t0 = curve.param_point(rho)
-            lam = lambda_k(curve.family, *curve.left_state(t0))
+            lam = lambda_k(int(curve.kind.removeprefix("weak-")), *curve.left_state(t0))
             rel = abs((xp - xm) / (tp - tm) - lam) / max(1.0, abs(lam))
             worst_char = max(worst_char, rel)
             if rel > 1e-8:

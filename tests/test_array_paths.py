@@ -23,12 +23,8 @@ from zesolver.errors import (
     NoRootInInterval,
     PhaseGap,
 )
-from zesolver.hodograph import (
-    COINCIDENT_RTOL,
-    NEWTON_MAX_ITER,
-    NEWTON_STOP,
-    ImplicitSolution,
-)
+from zesolver import hodograph
+from zesolver.hodograph import COINCIDENT_RTOL, ImplicitSolution
 from zesolver.invariants import concentrations_from_invariants
 from zesolver.isochrone import Profile, ScenarioSolver, Segment
 from zesolver.wavefield import _parametric_curve, mirrored_sides
@@ -600,26 +596,142 @@ def test_samplers_read_their_edges_from_the_layout(solver):
                         edge(t)
 
 
-# -- the profile's bytes against the per-zone assembly ----------------------------
+# -- the Z5 inverse against its operator form ---------------------------------
+
+
+def _t_x_partials_reference(p, R1, R2):
+    """ImplicitSolution._t_x_partials in operator form, a fresh temporary
+    per operation, as the workspace form's bits must be."""
+    C, S = (p.x2 - p.x1) / (p.q1 * p.q2), p.q1 + p.q2
+    d, u, v = R1 - R2, R1 - p.q1, p.q2 - R2
+    d3 = d * d * d
+    N = (p.q2 - p.q1) * d - 2.0 * u * v
+    K = -R1 * d * d + u * ((2.0 * R1 - R2) * d - (3.0 * R1 - R2) * v) + v * R1 * d
+    t_r1 = C * ((2.0 * R2 - S) * d - 3.0 * N) / (d3 * d)
+    t_r2 = C * ((2.0 * R1 - S) * d + 3.0 * N) / (d3 * d)
+    return C * N / d3, p.x1 + C * (R2 * R2) * K / d3, t_r1, t_r2
 
 
 def _invert_reference(hodo, t_star, x, left, right):
-    """ImplicitSolution.invert as a per-term Newton with np.clip."""
+    """ImplicitSolution.invert in operator form: (R1, R2, Newton iterations).
+    The module's bounds are read at call time, so a patched one applies."""
     (xl, R1l, R2l), (xr, R1r, R2r) = left, right
-    if not R2l - R1r >= COINCIDENT_RTOL * max(1.0, abs(R2l)):
+    if not R2l - R1r >= hodograph.COINCIDENT_RTOL * max(1.0, abs(R2l)):
         raise CoincidentInvariants(f"state box reaches R1 = R2 ({R1r}, {R2l})")
     s = (x - xl) / (xr - xl)
     R1, R2 = R1l + s * (R1r - R1l), R2l + s * (R2r - R2l)
-    for _ in range(NEWTON_MAX_ITER):
-        t, xx, t_r1, t_r2 = hodo._t_x_partials(R1, R2)
-        P = R1 * R2
-        dR1 = (P * R1 * (t - t_star) - (xx - x)) / (t_r1 * P * (R1 - R2))
-        dR2 = ((xx - x) - P * R2 * (t - t_star)) / (t_r2 * P * (R1 - R2))
-        R1 = np.clip(R1 - dR1, R1l, R1r)
-        R2 = np.clip(R2 - dR2, R2l, R2r)
-        if np.all((abs(dR1) <= NEWTON_STOP * R1) & (abs(dR2) <= NEWTON_STOP * R2)):
-            return R1, R2
+    for i in range(hodograph.NEWTON_MAX_ITER):
+        t, xx, t_r1, t_r2 = _t_x_partials_reference(hodo.params, R1, R2)
+        P, d, dt, dx = R1 * R2, R1 - R2, t - t_star, xx - x
+        dR1 = (P * R1 * dt - dx) / (t_r1 * P * d)
+        dR2 = (dx - P * R2 * dt) / (t_r2 * P * d)
+        R1 = np.minimum(np.maximum(R1 - dR1, R1l), R1r)
+        R2 = np.minimum(np.maximum(R2 - dR2, R2l), R2r)
+        stop = hodograph.NEWTON_STOP
+        if np.all((abs(dR1) <= stop * R1) & (abs(dR2) <= stop * R2)):
+            return R1, R2, i + 1
     raise NoRootInInterval(f"isochrone t* = {t_star}: Newton did not converge")
+
+
+def _z5_invert_calls(solver, times, n):
+    """The (t*, x, left, right) of every invert call that profile_at(t, n)
+    makes at the given times."""
+    calls = []
+    hodo = solver.hodograph
+    invert = hodo.invert
+    hodo.invert = lambda *a: (calls.append(a), invert(*a))[1]
+    try:
+        for t in times:
+            solver.profile_at(t, n=n)
+    finally:
+        del hodo.invert
+    return calls
+
+
+def _assert_invert_bits(solver, calls, monkeypatch):
+    """invert's states and iteration count on each call equal the operator
+    form's, bit for bit; the iterations are _t_x_partials' calls."""
+    hodo = solver.hodograph
+    count = [0]
+    t_x_partials = hodo._t_x_partials
+
+    def counted(*a):
+        count[0] += 1
+        return t_x_partials(*a)
+
+    monkeypatch.setattr(hodo, "_t_x_partials", counted)
+    for args in calls:
+        count[0] = 0
+        R1, R2 = hodo.invert(*args)
+        R1_ref, R2_ref, iterations = _invert_reference(hodo, *args)
+        assert _same_bits(R1, R1_ref) and _same_bits(R2, R2_ref), args[0]
+        assert count[0] == iterations, args[0]
+
+
+def _mid_z5(solver):
+    T = solver.timeline.times
+    return 0.5 * (T["T_int"] + T["T_fin"])
+
+
+def test_invert_bits_on_profile_frames_times(solver, monkeypatch):
+    # The README case at times log-spread over Z5's life, as the warm
+    # profile benchmark draws them (log-uniform), with its 1,024 samples.
+    T = solver.timeline.times
+    times = np.geomspace(T["T_int"], T["T_fin"], 130)[1:-1]
+    calls = _z5_invert_calls(solver, times, 1024)
+    assert len(calls) == len(times)
+    _assert_invert_bits(solver, calls, monkeypatch)
+
+
+@pytest.mark.parametrize("law", ["cone", "narrow"])
+def test_invert_bits_at_mid_z5(law, monkeypatch):
+    # 12 instances of acceptance 9's law and 100 with gaps down to 1e-5.
+    solvers = CONE[:12] if law == "cone" else _narrow_instances(100)
+    for s in solvers:
+        calls = _z5_invert_calls(s, [_mid_z5(s)], 1024)
+        assert len(calls) == 1
+        _assert_invert_bits(s, calls, monkeypatch)
+
+
+def test_invert_errors_keep_type_and_message(solver, monkeypatch):
+    hodo = solver.hodograph
+    (t, x, left, right), = _z5_invert_calls(solver, [_mid_z5(solver)], 64)
+    # A box whose R1 range reaches its R2 range.
+    touching = (right[0], left[2], right[2])
+    errors = []
+    for invert in (hodo.invert, lambda *a: _invert_reference(hodo, *a)):
+        with pytest.raises(CoincidentInvariants) as exc:
+            invert(t, x, left, touching)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
+    monkeypatch.setattr(hodograph, "NEWTON_MAX_ITER", 1)
+    errors = []
+    for invert in (hodo.invert, lambda *a: _invert_reference(hodo, *a)):
+        with pytest.raises(NoRootInInterval) as exc:
+            invert(t, x, left, right)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("solver", CONE[:12], ids=lambda s: f"mu1={s.params.mu1:.3f}")
+def test_t_x_partials_match_operator_form(solver):
+    # Arrays give the operator form's bits; scalars its Python floats, so
+    # that repr (timeline.txt's T_fin and X_fin) prints as before.
+    p, hodo = solver.params, solver.hodograph
+    rng = np.random.default_rng(5)
+    R1 = rng.uniform(p.q1, p.mu1, 64)
+    R2 = rng.uniform(p.mu2, p.q2, 64)
+    for got, ref in zip(hodo._t_x_partials(R1, R2), _t_x_partials_reference(p, R1, R2)):
+        assert _same_bits(got, ref)
+    for a, b in itertools.islice(zip(R1.tolist(), R2.tolist()), 8):
+        t, x, t_r1, t_r2 = _t_x_partials_reference(p, a, b)
+        got = (hodo.t(a, b), hodo.x(a, b), *hodo.t_partials(a, b))
+        assert all(type(g) is float for g in got)
+        assert [repr(g) for g in got] == [repr(v) for v in (t, x, t_r1, t_r2)]
+    assert repr(hodo.t(p.mu1, p.mu2)) == repr(solver.timeline.times["T_fin"])
+
+
+# -- the profile's bytes against the per-zone assembly ----------------------------
 
 
 def _transport_x_reference(solver, side, rho, t_star):
@@ -681,7 +793,7 @@ def _profile_reference(solver, t_star, n, window, monkeypatch):
     """profile_at assembled zone by zone, each zone its own Segment."""
     with monkeypatch.context() as m:
         hodo = solver.hodograph
-        m.setattr(hodo, "invert", lambda *a: _invert_reference(hodo, *a))
+        m.setattr(hodo, "invert", lambda *a: _invert_reference(hodo, *a)[:2])
         intervals = solver.timeline.zones_at(t_star)
         x_lo, x_hi = intervals[0].x_right, intervals[-1].x_left
         span = max(x_hi - x_lo, 1.0)

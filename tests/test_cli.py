@@ -283,6 +283,22 @@ def test_compare_mode(config, tmp_path):
     assert fv_csv[1].endswith(",fv")
 
 
+def test_compare_shock_offsets_measure_the_exact_shocks_jump(config, tmp_path, capsys):
+    # At t = 0.01 the steepest u2 jump of a 200-cell grid lies inside the
+    # column (x = 0.45), far from xs2 = 5; the search between the shock and
+    # the next joint finds the shock's own jump.  At t = 0.05, xs2 = 21 lies
+    # right of x_max = 7: no offset.
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", str(config), "--out", str(out),
+                 "--times", "0.01,0.05", "--cells", "200"]) == 0
+    blob = json.loads((out / "errors.json").read_text())
+    (early,), (late,) = blob["0.010000"], blob["0.050000"]
+    assert early["shock1_dev_cells"] <= 1 and early["shock2_dev_cells"] <= 1
+    assert late["shock1_dev_cells"] <= 3 and late["shock2_dev_cells"] is None
+    printed = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("t=0.05:")]
+    assert printed and printed[0].endswith(", n/a) cells")
+
+
 def test_compare_files_of_each_time_match_a_run_to_that_time(config, tmp_path):
     # compare runs each grid once, to the last time: every time's files and
     # errors.json entry are those of a compare run at that time alone.

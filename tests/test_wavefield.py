@@ -209,7 +209,7 @@ def test_weak_curves_are_characteristics(timeline):
         for t in np.linspace(curve.t_start * 1.01, curve.t_end * 0.99, 25):
             slope = (curve.x(t + h) - curve.x(t - h)) / (2 * h)
             state = curve.left_state(t)
-            lam = lambda_k(curve.family, *state)
+            lam = lambda_k(int(curve.kind.removeprefix("weak-")), *state)
             assert slope == pytest.approx(lam, rel=1e-8)
     for side in timeline.sides.values():
         c = timeline.curves[side.curve]
@@ -219,7 +219,7 @@ def test_weak_curves_are_characteristics(timeline):
             x_m, t_m = c.param_point(rho - dr)
             slope = (x_p - x_m) / (t_p - t_m)
             x0, t0 = c.param_point(rho)
-            lam = lambda_k(c.family, *c.left_state(t0))
+            lam = lambda_k(int(c.kind.removeprefix("weak-")), *c.left_state(t0))
             assert slope == pytest.approx(lam, rel=1e-8)
 
 
